@@ -14,10 +14,9 @@ import (
 // FusedOp names the aggregation the store-side kernel must run — it must
 // match what the first layer would compute itself (mean for SAGE, sum for
 // GIN), which is what makes fused training bit-identical to staged training.
-// Backward after a fused forward accumulates the same parameter gradients
-// but returns no input gradient for layer 0 (the raw-feature gradient is
-// discarded in staged training too, since features are inputs, not
-// parameters).
+// A model's first layer never computes an input gradient, fused or not
+// (features are inputs, not parameters), so Backward after a fused forward
+// does exactly the work it does after a staged one.
 //
 // GAT and SAGE-RI do not implement FusedModel: attention weights and
 // root-injected residuals need per-edge source rows, not a pre-reduced

@@ -27,6 +27,11 @@ type GATConv struct {
 	ASrc *Param // 1 × Out
 	ADst *Param // 1 × Out
 
+	// inputLayer marks a model's first convolution: Backward stops after
+	// the parameter grads and returns no input gradient (see
+	// SAGEConv.inputLayer).
+	inputLayer bool
+
 	// Backward caches.
 	x     *tensor.Dense
 	z     *tensor.Dense
@@ -137,7 +142,9 @@ func (c *GATConv) Forward(x *tensor.Dense, blk *mfg.Block, train bool) *tensor.D
 	return y
 }
 
-// Backward propagates through attention, softmax and the shared projection.
+// Backward propagates through attention, softmax and the shared projection,
+// and returns the source-feature gradient (nil for a model's first layer,
+// which still needs dz for the W and attention gradients but not dz·Wᵀ).
 func (c *GATConv) Backward(dy *tensor.Dense) *tensor.Dense {
 	blk := c.blk
 	nDst := int(blk.NumDst)
@@ -225,6 +232,9 @@ func (c *GATConv) Backward(dy *tensor.Dense) *tensor.Dense {
 	dW := tensor.New(c.W.W.Rows, c.W.W.Cols)
 	tensor.MatMulAT(dW, c.x, dz)
 	c.W.G.Add(dW)
+	if c.inputLayer {
+		return nil
+	}
 	dx := tensor.New(c.x.Rows, c.x.Cols)
 	tensor.MatMulBT(dx, dz, c.W.W)
 	return dx

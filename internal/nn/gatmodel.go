@@ -29,7 +29,9 @@ func NewGAT(cfg ModelConfig) *GATModel {
 		if l == cfg.Layers-1 {
 			out = cfg.Out
 		}
-		m.convs = append(m.convs, NewGATConv(layerName("gat", l), in, out, r))
+		c := NewGATConv(layerName("gat", l), in, out, r)
+		c.inputLayer = l == 0
+		m.convs = append(m.convs, c)
 		m.drops = append(m.drops, NewDropout(0.5))
 		in = out
 	}

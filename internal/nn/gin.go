@@ -24,9 +24,10 @@ type GINConv struct {
 	mask1 []bool // ReLU mask after BN
 	mask2 []bool // final ReLU mask
 
-	// fused marks a ForwardFused pass: no source tensor exists, so Backward
-	// stops after the MLP parameter grads and returns no input gradient.
-	fused bool
+	// inputLayer marks a model's first convolution: Backward stops after
+	// the MLP parameter grads and returns no input gradient (see
+	// SAGEConv.inputLayer).
+	inputLayer bool
 }
 
 // NewGINConv creates a GIN convolution with hidden width equal to out.
@@ -41,7 +42,6 @@ func NewGINConv(name string, in, out int, r *rng.Rand) *GINConv {
 // Forward computes destination representations over the sampled block.
 func (c *GINConv) Forward(x *tensor.Dense, blk *mfg.Block, train bool) *tensor.Dense {
 	c.blk = blk
-	c.fused = false
 	c.xRows, c.xCols = x.Rows, x.Cols
 	h := aggregateSumBlock(x, blk) // Σ neighbors
 	// + (1+ε)·x_target with ε = 0.
@@ -60,11 +60,10 @@ func (c *GINConv) Forward(x *tensor.Dense, blk *mfg.Block, train bool) *tensor.D
 // sum-aggregated neighbor tensor computed in block edge order
 // (bit-identical to aggregateSumBlock over the staged features) and xt the
 // widened x_target prefix, so h = agg + (1+ε)·xt with ε = 0 — the exact
-// value the staged path forms. First layer only; Backward after it returns
-// no input gradient.
+// value the staged path forms. Must only be used for the first layer of a
+// model, which has no source tensor to return an input gradient for.
 func (c *GINConv) ForwardFused(agg, xt *tensor.Dense, blk *mfg.Block, train bool) *tensor.Dense {
 	c.blk = blk
-	c.fused = true
 	c.xRows, c.xCols = 0, 0
 	h := tensor.New(agg.Rows, agg.Cols)
 	for i, f := range agg.Data {
@@ -92,7 +91,10 @@ func (c *GINConv) mlp(h *tensor.Dense, train bool) *tensor.Dense {
 	return h
 }
 
-// Backward returns the source-feature gradient.
+// Backward accumulates the MLP parameter gradients and returns the
+// source-feature gradient. A model's first layer returns nil instead, after
+// Forward and ForwardFused alike, and skips Lin1's input gradient and the
+// scatter that would only feed it.
 func (c *GINConv) Backward(dy *tensor.Dense) *tensor.Dense {
 	d := dy.Clone()
 	for i := range d.Data {
@@ -107,13 +109,11 @@ func (c *GINConv) Backward(dy *tensor.Dense) *tensor.Dense {
 		}
 	}
 	d = c.BN.Backward(d)
-	d = c.Lin1.Backward(d) // gradient w.r.t. the aggregated h
-
-	if c.fused {
-		// No source tensor to scatter into; the raw-feature gradient is
-		// discarded in staged training too.
+	if c.inputLayer {
+		c.Lin1.backwardParams(d)
 		return nil
 	}
+	d = c.Lin1.Backward(d) // gradient w.r.t. the aggregated h
 
 	dx := tensor.New(c.xRows, c.xCols)
 	aggregateSumBlockBackward(dx, d, c.blk)

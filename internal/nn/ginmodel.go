@@ -30,7 +30,9 @@ func NewGIN(cfg ModelConfig) *GINModel {
 	m := &GINModel{r: r}
 	in := cfg.In
 	for l := 0; l < cfg.Layers; l++ {
-		m.convs = append(m.convs, NewGINConv(layerName("gin", l), in, cfg.Hidden, r))
+		c := NewGINConv(layerName("gin", l), in, cfg.Hidden, r)
+		c.inputLayer = l == 0
+		m.convs = append(m.convs, c)
 		in = cfg.Hidden
 	}
 	m.lin1 = NewLinear("gin.head.0", cfg.Hidden, cfg.Hidden, true, r)

@@ -34,7 +34,9 @@ func NewGraphSAGE(cfg ModelConfig) *GraphSAGE {
 		if l == cfg.Layers-1 {
 			out = cfg.Out
 		}
-		m.convs = append(m.convs, NewSAGEConv(layerName("sage", l), in, out, r))
+		c := NewSAGEConv(layerName("sage", l), in, out, r)
+		c.inputLayer = l == 0
+		m.convs = append(m.convs, c)
 		m.drops = append(m.drops, NewDropout(0.5))
 		in = out
 	}
@@ -112,6 +114,7 @@ func (m *GraphSAGE) Backward(dLogp *tensor.Dense) {
 					d.Data[k] = 0
 				}
 			}
+			m.reluMasks[i] = nil // spent; see SAGEConv.release
 		}
 		d = m.convs[i].Backward(d)
 	}

@@ -46,6 +46,15 @@ func (l *Linear) Apply(x *tensor.Dense) *tensor.Dense {
 
 // Backward accumulates dW (and db) and returns dx.
 func (l *Linear) Backward(dy *tensor.Dense) *tensor.Dense {
+	l.backwardParams(dy)
+	dx := tensor.New(l.x.Rows, l.x.Cols)
+	tensor.MatMulBT(dx, dy, l.Weight.W)
+	return dx
+}
+
+// backwardParams accumulates dW (and db) only: the whole backward pass of
+// a layer whose input takes no gradient.
+func (l *Linear) backwardParams(dy *tensor.Dense) {
 	dW := tensor.New(l.Weight.W.Rows, l.Weight.W.Cols)
 	tensor.MatMulAT(dW, l.x, dy)
 	l.Weight.G.Add(dW)
@@ -57,9 +66,6 @@ func (l *Linear) Backward(dy *tensor.Dense) *tensor.Dense {
 			}
 		}
 	}
-	dx := tensor.New(l.x.Rows, l.x.Cols)
-	tensor.MatMulBT(dx, dy, l.Weight.W)
-	return dx
 }
 
 // Params returns the trainable parameters.

@@ -67,6 +67,9 @@ type ResumeModel interface {
 // conv abstracts the per-layer convolution shared by the architectures.
 type conv interface {
 	Forward(x *tensor.Dense, blk *mfg.Block, train bool) *tensor.Dense
+	// Backward accumulates the layer's parameter gradients and returns the
+	// gradient w.r.t. its input, or nil for a model's first layer, whose
+	// input is the raw features.
 	Backward(dy *tensor.Dense) *tensor.Dense
 	FullForward(g graph.Topology, x *tensor.Dense) *tensor.Dense
 	Params() []*Param

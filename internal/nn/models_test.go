@@ -250,3 +250,76 @@ func TestModelConfigPanics(t *testing.T) {
 	}()
 	NewGraphSAGE(ModelConfig{In: 0, Hidden: 1, Out: 1, Layers: 1})
 }
+
+// firstConv returns a model's layer-0 convolution.
+func firstConv(m Model) conv {
+	switch mm := m.(type) {
+	case *GraphSAGE:
+		return mm.convs[0]
+	case *GATModel:
+		return mm.convs[0]
+	case *GINModel:
+		return mm.convs[0]
+	case *SAGERI:
+		return mm.convs[0]
+	}
+	panic("unknown model " + m.Name())
+}
+
+// restoreLayer0InputGrad is the test hook that turns a model's layer-0
+// input gradient back on, so Backward again does all the work it did before
+// the first layer stopped computing the discarded raw-feature gradient.
+func restoreLayer0InputGrad(m Model) {
+	switch c := firstConv(m).(type) {
+	case *SAGEConv:
+		c.inputLayer = false
+	case *GATConv:
+		c.inputLayer = false
+	case *GINConv:
+		c.inputLayer = false
+	}
+}
+
+// TestLayer0InputGradSkipIsGradientIdentity trains two identically seeded
+// copies of each architecture on the same batch, dropout on, one with its
+// layer-0 input gradient restored through the test hook. Skipping that
+// gradient must not change a single bit of any parameter gradient, step
+// after step.
+func TestLayer0InputGradSkipIsGradientIdentity(t *testing.T) {
+	ds, m := smallWorld(t)
+	labels := batchLabels(ds, m)
+	for _, name := range allModelNames {
+		cfg := ModelConfig{In: ds.FeatDim, Hidden: 8, Out: ds.NumClasses, Layers: 2, Seed: 13}
+		skip, full := buildModel(name, cfg), buildModel(name, cfg)
+		restoreLayer0InputGrad(full)
+		models := []Model{skip, full}
+		opts := []*Adam{NewAdam(skip.Params(), 0.01), NewAdam(full.Params(), 0.01)}
+		for step := 0; step < 3; step++ {
+			for k, model := range models {
+				model.(DropoutReseeder).ReseedDropout(uint64(100 + step))
+				lp := model.Forward(gatherFeatures(ds, m), m, true)
+				dLogp := tensor.New(lp.Rows, lp.Cols)
+				tensor.NLLLoss(lp, labels, dLogp)
+				ZeroGrad(model.Params())
+				model.Backward(dLogp)
+				opts[k].Step(model.Params())
+			}
+			sp, fp := skip.Params(), full.Params()
+			for i := range sp {
+				for j := range sp[i].G.Data {
+					if math.Float32bits(sp[i].G.Data[j]) != math.Float32bits(fp[i].G.Data[j]) {
+						t.Fatalf("%s step %d: %s.G[%d] = %v without the layer-0 input gradient, %v with it",
+							name, step, sp[i].Name, j, sp[i].G.Data[j], fp[i].G.Data[j])
+					}
+				}
+			}
+		}
+		// The hook must really have restored the input gradient.
+		dy := tensor.New(int(m.Blocks[0].NumDst), firstConv(full).Params()[0].W.Cols)
+		skip.Forward(gatherFeatures(ds, m), m, true)
+		full.Forward(gatherFeatures(ds, m), m, true)
+		if firstConv(skip).Backward(dy) != nil || firstConv(full).Backward(dy) == nil {
+			t.Fatalf("%s: layer-0 Backward returns an input gradient only with the hook", name)
+		}
+	}
+}

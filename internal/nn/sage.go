@@ -15,15 +15,17 @@ type SAGEConv struct {
 	WNeigh *Param
 	WRoot  *Param
 
+	// inputLayer marks a model's first convolution, whose input is the raw
+	// features. Features are inputs, not parameters, so its Backward
+	// accumulates the parameter gradients only and returns nil.
+	inputLayer bool
+
 	// Backward caches.
 	x   *tensor.Dense
 	agg *tensor.Dense
 	blk *mfg.Block
-
-	// Fused-forward caches: when the aggregate came pre-computed from the
-	// fused gather kernel there is no source tensor to scatter gradients
-	// into, so Backward stops at the parameter grads.
-	fused   bool
+	// fusedXT is the x_target tensor ForwardFused was given (nil after
+	// Forward, where x_target is the NumDst prefix of x).
 	fusedXT *tensor.Dense
 }
 
@@ -42,7 +44,7 @@ func NewSAGEConv(name string, in, out int, r *rng.Rand) *SAGEConv {
 // the sampled block.
 func (c *SAGEConv) Forward(x *tensor.Dense, blk *mfg.Block, train bool) *tensor.Dense {
 	c.x, c.blk = x, blk
-	c.fused, c.fusedXT = false, nil
+	c.fusedXT = nil
 	c.agg = aggregateMeanBlock(x, blk)
 	// x_target is the NumDst prefix of x.
 	xt := tensor.FromSlice(int(blk.NumDst), x.Cols, x.Data[:int(blk.NumDst)*x.Cols])
@@ -53,11 +55,11 @@ func (c *SAGEConv) Forward(x *tensor.Dense, blk *mfg.Block, train bool) *tensor.
 // mean-aggregated neighbor tensor the kernel computed in block edge order
 // (bit-identical to aggregateMeanBlock over the staged features) and xt the
 // widened x_target prefix. Must only be used for the first layer of a
-// model — Backward after it returns no input gradient.
+// model, which has no source tensor to return an input gradient for.
 func (c *SAGEConv) ForwardFused(agg, xt *tensor.Dense, blk *mfg.Block) *tensor.Dense {
 	c.x, c.blk = nil, blk
 	c.agg = agg
-	c.fused, c.fusedXT = true, xt
+	c.fusedXT = xt
 	return c.combine(xt, blk)
 }
 
@@ -72,18 +74,18 @@ func (c *SAGEConv) combine(xt *tensor.Dense, blk *mfg.Block) *tensor.Dense {
 	return y
 }
 
-// Backward returns the gradient w.r.t. the source features and accumulates
-// parameter gradients. After ForwardFused there is no source tensor, so the
-// parameter grads (which need only the cached aggregate and x_target) are
-// accumulated identically and the input gradient is nil — bit-identical to
-// staged training, where the layer-0 input gradient is discarded anyway.
+// Backward accumulates parameter gradients and returns the gradient w.r.t.
+// the source features. A model's first layer returns nil instead, after
+// Forward and ForwardFused alike: the raw-feature gradient has no consumer,
+// and the parameter grads need only the cached aggregate and x_target, so
+// they are the same either way. Backward consumes the forward caches: each
+// call needs a Forward or ForwardFused before it.
 func (c *SAGEConv) Backward(dy *tensor.Dense) *tensor.Dense {
+	defer c.release()
 	blk := c.blk
 	nDst := int(blk.NumDst)
-	var xt *tensor.Dense
-	if c.fused {
-		xt = c.fusedXT
-	} else {
+	xt := c.fusedXT
+	if xt == nil {
 		xt = tensor.FromSlice(nDst, c.x.Cols, c.x.Data[:nDst*c.x.Cols])
 	}
 
@@ -95,7 +97,7 @@ func (c *SAGEConv) Backward(dy *tensor.Dense) *tensor.Dense {
 	tensor.MatMulAT(dWr, xt, dy)
 	c.WRoot.G.Add(dWr)
 
-	if c.fused {
+	if c.inputLayer {
 		return nil
 	}
 
@@ -115,6 +117,13 @@ func (c *SAGEConv) Backward(dy *tensor.Dense) *tensor.Dense {
 		}
 	}
 	return dx
+}
+
+// release drops the forward caches once Backward has consumed them, so a
+// finished step's activations do not stay reachable into the next step's
+// forward pass, which would otherwise hold both steps' at once.
+func (c *SAGEConv) release() {
+	c.x, c.agg, c.fusedXT = nil, nil, nil
 }
 
 // FullForward applies the convolution over the whole graph with full

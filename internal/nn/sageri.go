@@ -43,7 +43,9 @@ func NewSAGERI(cfg ModelConfig) *SAGERI {
 	m := &SAGERI{r: r, drop0: NewDropout(0.1)}
 	in := cfg.In
 	for l := 0; l < cfg.Layers; l++ {
-		m.convs = append(m.convs, NewSAGEConv(layerName("ri", l), in, cfg.Hidden, r))
+		c := NewSAGEConv(layerName("ri", l), in, cfg.Hidden, r)
+		c.inputLayer = l == 0
+		m.convs = append(m.convs, c)
 		m.bns = append(m.bns, NewBatchNorm(layerName("ri.bn", l), cfg.Hidden))
 		m.dropIn = append(m.dropIn, NewDropout(0.1))
 		m.dropOut = append(m.dropOut, NewDropout(0.1))
@@ -159,10 +161,12 @@ func (m *SAGERI) Backward(dLogp *tensor.Dense) {
 	}
 	dCat := m.mlp1.Backward(d)
 
-	// Split the concatenated gradient back into per-collect segments.
+	// Split the concatenated gradient back into per-collect segments. The
+	// first, collect[0] = x_0[:end], is raw features and takes no gradient.
 	dCollect := make([]*tensor.Dense, len(m.collectSz))
-	off := 0
-	for k, w := range m.collectSz {
+	off := m.collectSz[0]
+	for k := 1; k < len(m.collectSz); k++ {
+		w := m.collectSz[k]
 		seg := tensor.New(m.end, w)
 		for i := 0; i < m.end; i++ {
 			copy(seg.Row(i), dCat.Row(i)[off:off+w])
@@ -176,7 +180,6 @@ func (m *SAGERI) Backward(dLogp *tensor.Dense) {
 	dxNext := tensor.New(lastDst, m.convs[L-1].Params()[0].W.Cols)
 
 	for i := L - 1; i >= 0; i-- {
-		blk := &m.g.Blocks[i]
 		// x_{i+1} = d_i + res_i(xt_i); collect[i+1] = d_i[:end].
 		dd := dxNext.Clone()
 		addPrefix(dd, dCollect[i+1])
@@ -189,6 +192,12 @@ func (m *SAGERI) Backward(dLogp *tensor.Dense) {
 		}
 		da := m.bns[i].Backward(dc)
 		dxd := m.convs[i].Backward(da)
+		if dxd == nil {
+			// Layer 0 returns no input gradient: x_0 is the raw features,
+			// which take none, so only res0's parameter grads remain.
+			m.res0.backwardParams(dxNext)
+			return
+		}
 		dxi := m.dropIn[i].Backward(dxd)
 
 		// Residual path feeds xt_i = x_i[:NumDst].
@@ -199,13 +208,8 @@ func (m *SAGERI) Backward(dLogp *tensor.Dense) {
 			dxt = dxNext
 		}
 		addPrefix(dxi, dxt)
-		_ = blk
 		dxNext = dxi
 	}
-	// collect[0] = x_0[:end]; the input gradient itself is not needed, but
-	// the addition keeps the bookkeeping complete for gradient checks that
-	// differentiate w.r.t. parameters only.
-	addPrefix(dxNext, dCollect[0])
 }
 
 // Params implements Model.

@@ -96,8 +96,22 @@ func (t *Dense) assertSameShape(o *Dense) {
 }
 
 // MatMul computes dst = a @ b. dst must be a.Rows×b.Cols and must not alias
-// a or b. The kernel is the classic ikj loop order with a reused row pointer,
-// which keeps the inner loop contiguous in both b and dst.
+// a or b.
+//
+// The kernel walks each row of a in ikj order, four k at a time: it loads
+// a[i][k..k+3] and the four matching rows of b, then updates every output of
+// the row once per block with d = d + a0·b0[j] + a1·b1[j] + a2·b2[j] +
+// a3·b3[j], left to right, and a scalar loop handles the k remainder. Each
+// output therefore adds its products in increasing k, exactly as the plain
+// ikj loop does, and every product is rounded to float32 before it is added
+// (no fused multiply-add), so results are bit-identical to that loop. A
+// block is skipped only when all four a values are zero (ReLU outputs make
+// that common). For finite b this matches skipping each zero individually:
+// accumulators start at +0 and can never become -0, so adding a ±0 product
+// leaves them unchanged. It differs only when a zero a meets an Inf or NaN
+// in b inside a block that is not skipped, where the product is NaN.
+//
+//salient:noalloc
 func MatMul(dst, a, b *Dense) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul inner dims %d vs %d", a.Cols, b.Rows)) //lint:allow panicdiscipline shape contract: the zero-alloc kernels document panics on shape errors
@@ -106,17 +120,37 @@ func MatMul(dst, a, b *Dense) {
 		panic("tensor: matmul dst shape") //lint:allow panicdiscipline shape contract: the zero-alloc kernels document panics on shape errors
 	}
 	dst.Zero()
-	n := b.Cols
+	n, kn := b.Cols, a.Cols
 	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for k, av := range arow {
+		arow := a.Data[i*kn : i*kn+kn]
+		drow := dst.Data[i*n : i*n+n]
+		k := 0
+		for ; k+4 <= kn; k += 4 {
+			a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
+			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+				continue
+			}
+			b0 := b.Data[k*n:][:len(drow)]
+			b1 := b.Data[(k+1)*n:][:len(drow)]
+			b2 := b.Data[(k+2)*n:][:len(drow)]
+			b3 := b.Data[(k+3)*n:][:len(drow)]
+			for j := range drow {
+				d := drow[j]
+				d += float32(a0 * b0[j])
+				d += float32(a1 * b1[j])
+				d += float32(a2 * b2[j])
+				d += float32(a3 * b3[j])
+				drow[j] = d
+			}
+		}
+		for ; k < kn; k++ {
+			av := arow[k]
 			if av == 0 {
 				continue
 			}
-			brow := b.Data[k*n : k*n+n]
-			for j, bv := range brow {
-				drow[j] += av * bv
+			brow := b.Data[k*n:][:len(drow)]
+			for j := range drow {
+				drow[j] += float32(av * brow[j])
 			}
 		}
 	}
@@ -124,6 +158,17 @@ func MatMul(dst, a, b *Dense) {
 
 // MatMulAT computes dst = aᵀ @ b where a is m×r, b is m×c, dst is r×c.
 // Used in backward passes for weight gradients (dW = xᵀ @ dy).
+//
+// The shared row index m is unrolled by four: for each output row i the
+// kernel loads a[m..m+3][i] and the four rows b[m..m+3], and updates the row
+// once per block with the same left-to-right chain as MatMul, followed by a
+// scalar loop over the m remainder. Each output adds its products in
+// increasing m, rounded to float32 one at a time, so results are
+// bit-identical to the plain m-outer loop. Zero skipping, and its Inf/NaN
+// caveat, are the same as MatMul's: a block is skipped when all four a
+// values are zero.
+//
+//salient:noalloc
 func MatMulAT(dst, a, b *Dense) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: matmulAT outer dims %d vs %d", a.Rows, b.Rows)) //lint:allow panicdiscipline shape contract: the zero-alloc kernels document panics on shape errors
@@ -132,17 +177,45 @@ func MatMulAT(dst, a, b *Dense) {
 		panic("tensor: matmulAT dst shape") //lint:allow panicdiscipline shape contract: the zero-alloc kernels document panics on shape errors
 	}
 	dst.Zero()
-	c := b.Cols
-	for m := 0; m < a.Rows; m++ {
-		arow := a.Row(m)
-		brow := b.Row(m)
+	c, r := b.Cols, a.Cols
+	m := 0
+	for ; m+4 <= a.Rows; m += 4 {
+		a0 := a.Data[m*r:][:r]
+		a1 := a.Data[(m+1)*r:][:r]
+		a2 := a.Data[(m+2)*r:][:r]
+		a3 := a.Data[(m+3)*r:][:r]
+		b0 := b.Data[m*c:][:c]
+		b1 := b.Data[(m+1)*c:][:c]
+		b2 := b.Data[(m+2)*c:][:c]
+		b3 := b.Data[(m+3)*c:][:c]
+		for i := range a0 {
+			v0, v1, v2, v3 := a0[i], a1[i], a2[i], a3[i]
+			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
+				continue
+			}
+			drow := dst.Data[i*c:][:c]
+			b0, b1, b2, b3 := b0[:len(drow)], b1[:len(drow)], b2[:len(drow)], b3[:len(drow)]
+			for j := range drow {
+				d := drow[j]
+				d += float32(v0 * b0[j])
+				d += float32(v1 * b1[j])
+				d += float32(v2 * b2[j])
+				d += float32(v3 * b3[j])
+				drow[j] = d
+			}
+		}
+	}
+	for ; m < a.Rows; m++ {
+		arow := a.Data[m*r:][:r]
+		brow := b.Data[m*c:][:c]
 		for i, av := range arow {
 			if av == 0 {
 				continue
 			}
-			drow := dst.Data[i*c : i*c+c]
-			for j, bv := range brow {
-				drow[j] += av * bv
+			drow := dst.Data[i*c:][:c]
+			brow := brow[:len(drow)]
+			for j := range drow {
+				drow[j] += float32(av * brow[j])
 			}
 		}
 	}
@@ -150,6 +223,15 @@ func MatMulAT(dst, a, b *Dense) {
 
 // MatMulBT computes dst = a @ bᵀ where a is m×c, b is r×c, dst is m×r.
 // Used in backward passes for input gradients (dx = dy @ Wᵀ).
+//
+// The kernel takes four rows of a against one row of b at a time, running
+// four independent dot products instead of one serial chain, and a scalar
+// loop handles the row remainder. Each output is still a single float32 sum
+// over increasing k of products rounded to float32, so results are
+// bit-identical to the plain one-dot-product-per-output loop. There is no
+// zero skipping.
+//
+//salient:noalloc
 func MatMulBT(dst, a, b *Dense) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmulBT inner dims %d vs %d", a.Cols, b.Cols)) //lint:allow panicdiscipline shape contract: the zero-alloc kernels document panics on shape errors
@@ -157,16 +239,40 @@ func MatMulBT(dst, a, b *Dense) {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic("tensor: matmulBT dst shape") //lint:allow panicdiscipline shape contract: the zero-alloc kernels document panics on shape errors
 	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)
-			var sum float32
-			for k, av := range arow {
-				sum += av * brow[k]
+	c, r := a.Cols, b.Rows
+	i := 0
+	for ; i+4 <= a.Rows; i += 4 {
+		a0 := a.Data[i*c:][:c]
+		a1 := a.Data[(i+1)*c:][:c]
+		a2 := a.Data[(i+2)*c:][:c]
+		a3 := a.Data[(i+3)*c:][:c]
+		d0 := dst.Data[i*r:][:r]
+		d1 := dst.Data[(i+1)*r:][:r]
+		d2 := dst.Data[(i+2)*r:][:r]
+		d3 := dst.Data[(i+3)*r:][:r]
+		for j := range d0 {
+			brow := b.Data[j*c:][:len(a0)]
+			a1, a2, a3 := a1[:len(brow)], a2[:len(brow)], a3[:len(brow)]
+			var s0, s1, s2, s3 float32
+			for k, bv := range brow {
+				s0 += float32(a0[k] * bv)
+				s1 += float32(a1[k] * bv)
+				s2 += float32(a2[k] * bv)
+				s3 += float32(a3[k] * bv)
 			}
-			drow[j] = sum
+			d0[j], d1[j], d2[j], d3[j] = s0, s1, s2, s3
+		}
+	}
+	for ; i < a.Rows; i++ {
+		arow := a.Data[i*c:][:c]
+		drow := dst.Data[i*r:][:r]
+		for j := range drow {
+			brow := b.Data[j*c:][:len(arow)]
+			var s float32
+			for k, bv := range brow {
+				s += float32(arow[k] * bv)
+			}
+			drow[j] = s
 		}
 	}
 }

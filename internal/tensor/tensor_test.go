@@ -18,21 +18,6 @@ func randDense(r *rng.Rand, rows, cols int) *Dense {
 	return t
 }
 
-// naiveMatMul is the reference O(n^3) triple loop in ijk order.
-func naiveMatMul(a, b *Dense) *Dense {
-	c := New(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < b.Cols; j++ {
-			var s float64
-			for k := 0; k < a.Cols; k++ {
-				s += float64(a.At(i, k)) * float64(b.At(k, j))
-			}
-			c.Set(i, j, float32(s))
-		}
-	}
-	return c
-}
-
 func TestMatMulSmall(t *testing.T) {
 	a := FromSlice(2, 3, []float32{1, 2, 3, 4, 5, 6})
 	b := FromSlice(3, 2, []float32{7, 8, 9, 10, 11, 12})
@@ -46,58 +31,163 @@ func TestMatMulSmall(t *testing.T) {
 	}
 }
 
-func TestMatMulMatchesNaive(t *testing.T) {
-	r := rng.New(1)
-	for trial := 0; trial < 20; trial++ {
-		m, k, n := 1+r.Intn(12), 1+r.Intn(12), 1+r.Intn(12)
-		a, b := randDense(r, m, k), randDense(r, k, n)
-		got := New(m, n)
-		MatMul(got, a, b)
-		want := naiveMatMul(a, b)
-		if got.MaxAbsDiff(want) > 1e-4 {
-			t.Fatalf("trial %d: matmul diverges from naive by %v", trial, got.MaxAbsDiff(want))
+// refMatMul, refMatMulAT and refMatMulBT are the plain single-accumulator
+// kernels the blocked ones replace: ikj with a per-element zero skip, the
+// m-outer transpose loop with the same skip, and one serial dot product per
+// output. They are the bit-exact oracle for MatMul, MatMulAT and MatMulBT.
+// Products are rounded to float32 explicitly, as in the kernels, so no build
+// setting can fuse them into multiply-adds.
+func refMatMul(dst, a, b *Dense) {
+	dst.Zero()
+	n := b.Cols
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Row(i)
+		drow := dst.Row(i)
+		for k, av := range arow {
+			if av == 0 {
+				continue
+			}
+			brow := b.Data[k*n : k*n+n]
+			for j, bv := range brow {
+				drow[j] += float32(av * bv)
+			}
 		}
 	}
 }
 
-func TestMatMulATMatchesExplicitTranspose(t *testing.T) {
-	r := rng.New(2)
-	for trial := 0; trial < 20; trial++ {
-		m, rr, c := 1+r.Intn(10), 1+r.Intn(10), 1+r.Intn(10)
-		a, b := randDense(r, m, rr), randDense(r, m, c)
-		got := New(rr, c)
-		MatMulAT(got, a, b)
-		// aT
-		at := New(rr, m)
-		for i := 0; i < m; i++ {
-			for j := 0; j < rr; j++ {
-				at.Set(j, i, a.At(i, j))
+func refMatMulAT(dst, a, b *Dense) {
+	dst.Zero()
+	c := b.Cols
+	for m := 0; m < a.Rows; m++ {
+		arow := a.Row(m)
+		brow := b.Row(m)
+		for i, av := range arow {
+			if av == 0 {
+				continue
 			}
-		}
-		want := naiveMatMul(at, b)
-		if got.MaxAbsDiff(want) > 1e-4 {
-			t.Fatalf("matmulAT diverges by %v", got.MaxAbsDiff(want))
+			drow := dst.Data[i*c : i*c+c]
+			for j, bv := range brow {
+				drow[j] += float32(av * bv)
+			}
 		}
 	}
 }
 
-func TestMatMulBTMatchesExplicitTranspose(t *testing.T) {
-	r := rng.New(3)
-	for trial := 0; trial < 20; trial++ {
-		m, rr, c := 1+r.Intn(10), 1+r.Intn(10), 1+r.Intn(10)
-		a, b := randDense(r, m, c), randDense(r, rr, c)
-		got := New(m, rr)
-		MatMulBT(got, a, b)
-		bt := New(c, rr)
-		for i := 0; i < rr; i++ {
-			for j := 0; j < c; j++ {
-				bt.Set(j, i, b.At(i, j))
+func refMatMulBT(dst, a, b *Dense) {
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Row(i)
+		drow := dst.Row(i)
+		for j := 0; j < b.Rows; j++ {
+			brow := b.Row(j)
+			var sum float32
+			for k, av := range arow {
+				sum += float32(av * brow[k])
+			}
+			drow[j] = sum
+		}
+	}
+}
+
+// fillMode selects the value distribution of an oracle operand.
+type fillMode int
+
+const (
+	fillNormal  fillMode = iota // dense N(0,1)
+	fillReLU                    // ~60% zeros, as after a ReLU
+	fillSparse                  // ~90% zeros, so whole 4-blocks are zero
+	fillNegZero                 // zero-heavy with zeros split between +0 and -0
+	numFillModes
+)
+
+func fillOperand(r *rng.Rand, t *Dense, mode fillMode) {
+	negZero := float32(math.Copysign(0, -1))
+	for i := range t.Data {
+		v := float32(r.NormFloat64())
+		switch mode {
+		case fillReLU:
+			if v < 0.25 {
+				v = 0
+			}
+		case fillSparse:
+			if r.Float64() < 0.9 {
+				v = 0
+			}
+		case fillNegZero:
+			if r.Float64() < 0.6 {
+				v = 0
+				if r.Intn(2) == 0 {
+					v = negZero
+				}
 			}
 		}
-		want := naiveMatMul(a, bt)
-		if got.MaxAbsDiff(want) > 1e-4 {
-			t.Fatalf("matmulBT diverges by %v", got.MaxAbsDiff(want))
+		t.Data[i] = v
+	}
+}
+
+// TestMatMulKernelsBitExact checks the blocked MatMul, MatMulAT and MatMulBT
+// against the reference kernels by Float32bits equality: every shape with
+// each dimension in 0..9 (every remainder mod 4, plus empty rows, columns
+// and inner dimension), larger random shapes, and operands that are dense,
+// ReLU-like, mostly zero, or contain -0. Destinations start full of NaN so
+// a kernel that fails to overwrite an output shows up too.
+func TestMatMulKernelsBitExact(t *testing.T) {
+	// Each kernel maps dims (p, q, s) to operand and destination shapes.
+	kernels := []struct {
+		name      string
+		got, want func(dst, a, b *Dense)
+		shapes    func(p, q, s int) (a, b, dst [2]int)
+	}{
+		{"MatMul", MatMul, refMatMul, func(p, q, s int) (a, b, dst [2]int) {
+			return [2]int{p, q}, [2]int{q, s}, [2]int{p, s}
+		}},
+		{"MatMulAT", MatMulAT, refMatMulAT, func(p, q, s int) (a, b, dst [2]int) {
+			return [2]int{p, q}, [2]int{p, s}, [2]int{q, s}
+		}},
+		{"MatMulBT", MatMulBT, refMatMulBT, func(p, q, s int) (a, b, dst [2]int) {
+			return [2]int{p, q}, [2]int{s, q}, [2]int{p, s}
+		}},
+	}
+	type dims struct{ p, q, s int }
+	var cases []dims
+	for p := 0; p < 10; p++ {
+		for q := 0; q < 10; q++ {
+			for s := 0; s < 10; s++ {
+				cases = append(cases, dims{p, q, s})
+			}
 		}
+	}
+	r := rng.New(42)
+	for i := 0; i < 40; i++ {
+		cases = append(cases, dims{r.Intn(70), r.Intn(70), r.Intn(70)})
+	}
+	nan := float32(math.NaN())
+	for _, k := range kernels {
+		t.Run(k.name, func(t *testing.T) {
+			r := rng.New(7)
+			for _, c := range cases {
+				for mode := fillMode(0); mode < numFillModes; mode++ {
+					as, bs, ds := k.shapes(c.p, c.q, c.s)
+					a, b := New(as[0], as[1]), New(bs[0], bs[1])
+					fillOperand(r, a, mode)
+					bMode := fillNormal
+					if mode%2 == 1 {
+						bMode = fillNegZero
+					}
+					fillOperand(r, b, bMode)
+					got, want := New(ds[0], ds[1]), New(ds[0], ds[1])
+					got.Fill(nan)
+					want.Fill(nan)
+					k.got(got, a, b)
+					k.want(want, a, b)
+					for i := range want.Data {
+						if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+							t.Fatalf("dims %v mode %d: out[%d] = %v (%#x), reference %v (%#x)", c, mode, i,
+								got.Data[i], math.Float32bits(got.Data[i]), want.Data[i], math.Float32bits(want.Data[i]))
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -316,6 +406,57 @@ func BenchmarkMatMul256(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		MatMul(dst, a, bb)
 	}
+}
+
+func BenchmarkMatMulAT(b *testing.B) {
+	r := rng.New(1)
+	a := randDense(r, 256, 256)
+	bb := randDense(r, 256, 256)
+	dst := New(256, 256)
+	b.SetBytes(int64(2 * 256 * 256 * 256 * 4 / 1e0))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatMulAT(dst, a, bb)
+	}
+}
+
+func BenchmarkMatMulBT(b *testing.B) {
+	r := rng.New(1)
+	a := randDense(r, 256, 256)
+	bb := randDense(r, 256, 256)
+	dst := New(256, 256)
+	b.SetBytes(int64(2 * 256 * 256 * 256 * 4 / 1e0))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatMulBT(dst, a, bb)
+	}
+}
+
+// BenchmarkLayer0 runs the three kernels at the shapes of the first SAGE
+// layer in perfbench's train-sage workload (128 input features, hidden 64,
+// a few thousand rows per batch): the forward x·W, the weight gradient
+// xᵀ·dy and the input gradient dy·Wᵀ (which layer 0 itself no longer
+// computes, but every later layer does at width 64).
+func BenchmarkLayer0(b *testing.B) {
+	const rows, in, out = 8192, 128, 64
+	r := rng.New(3)
+	x, w, dy := randDense(r, rows, in), randDense(r, in, out), randDense(r, rows, out)
+	fwd, dW, dx := New(rows, out), New(in, out), New(rows, in)
+	b.Run("MatMul", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			MatMul(fwd, x, w)
+		}
+	})
+	b.Run("MatMulAT", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			MatMulAT(dW, x, dy)
+		}
+	})
+	b.Run("MatMulBT", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			MatMulBT(dx, dy, w)
+		}
+	})
 }
 
 func BenchmarkGather1024x128(b *testing.B) {
