@@ -18,6 +18,21 @@ func randDense(r *rng.Rand, rows, cols int) *Dense {
 	return t
 }
 
+// naiveMatMul is the reference O(n^3) triple loop in ijk order.
+func naiveMatMul(a, b *Dense) *Dense {
+	c := New(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Cols; j++ {
+			var s float64
+			for k := 0; k < a.Cols; k++ {
+				s += float64(a.At(i, k)) * float64(b.At(k, j))
+			}
+			c.Set(i, j, float32(s))
+		}
+	}
+	return c
+}
+
 func TestMatMulSmall(t *testing.T) {
 	a := FromSlice(2, 3, []float32{1, 2, 3, 4, 5, 6})
 	b := FromSlice(3, 2, []float32{7, 8, 9, 10, 11, 12})
@@ -27,6 +42,61 @@ func TestMatMulSmall(t *testing.T) {
 	for i, w := range want {
 		if dst.Data[i] != w {
 			t.Fatalf("matmul[%d] = %v, want %v", i, dst.Data[i], w)
+		}
+	}
+}
+
+func TestMatMulMatchesNaive(t *testing.T) {
+	r := rng.New(1)
+	for trial := 0; trial < 20; trial++ {
+		m, k, n := 1+r.Intn(12), 1+r.Intn(12), 1+r.Intn(12)
+		a, b := randDense(r, m, k), randDense(r, k, n)
+		got := New(m, n)
+		MatMul(got, a, b)
+		want := naiveMatMul(a, b)
+		if got.MaxAbsDiff(want) > 1e-4 {
+			t.Fatalf("trial %d: matmul diverges from naive by %v", trial, got.MaxAbsDiff(want))
+		}
+	}
+}
+
+func TestMatMulATMatchesExplicitTranspose(t *testing.T) {
+	r := rng.New(2)
+	for trial := 0; trial < 20; trial++ {
+		m, rr, c := 1+r.Intn(10), 1+r.Intn(10), 1+r.Intn(10)
+		a, b := randDense(r, m, rr), randDense(r, m, c)
+		got := New(rr, c)
+		MatMulAT(got, a, b)
+		// aT
+		at := New(rr, m)
+		for i := 0; i < m; i++ {
+			for j := 0; j < rr; j++ {
+				at.Set(j, i, a.At(i, j))
+			}
+		}
+		want := naiveMatMul(at, b)
+		if got.MaxAbsDiff(want) > 1e-4 {
+			t.Fatalf("matmulAT diverges by %v", got.MaxAbsDiff(want))
+		}
+	}
+}
+
+func TestMatMulBTMatchesExplicitTranspose(t *testing.T) {
+	r := rng.New(3)
+	for trial := 0; trial < 20; trial++ {
+		m, rr, c := 1+r.Intn(10), 1+r.Intn(10), 1+r.Intn(10)
+		a, b := randDense(r, m, c), randDense(r, rr, c)
+		got := New(m, rr)
+		MatMulBT(got, a, b)
+		bt := New(c, rr)
+		for i := 0; i < rr; i++ {
+			for j := 0; j < c; j++ {
+				bt.Set(j, i, b.At(i, j))
+			}
+		}
+		want := naiveMatMul(a, bt)
+		if got.MaxAbsDiff(want) > 1e-4 {
+			t.Fatalf("matmulBT diverges by %v", got.MaxAbsDiff(want))
 		}
 	}
 }
