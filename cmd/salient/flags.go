@@ -59,8 +59,8 @@ type cliFlags struct {
 func (f *cliFlags) register(fs *flag.FlagSet) {
 	fs.Uint64Var(&f.seed, "seed", 1, "simulation seed")
 	fs.BoolVar(&f.full, "full", false, "thorough accuracy preset")
-	fs.BoolVar(&f.allRows, "all", false, "fig2: full scatter")
-	fs.StringVar(&f.tracePrefix, "trace", "", "fig1: write Chrome trace JSON files with this path prefix")
+	fs.BoolVar(&f.allRows, "all", false, "fig2 only: full scatter")
+	fs.StringVar(&f.tracePrefix, "trace", "", "fig1 only: write Chrome trace JSON files with this path prefix")
 	fs.StringVar(&f.arch, "arch", "SAGE", "architecture for train")
 	fs.StringVar(&f.dataset, "dataset", "arxiv", "dataset for train")
 	fs.Float64Var(&f.scale, "scale", 0.3, "dataset scale for train")
@@ -109,6 +109,14 @@ func (f *cliFlags) distributed() bool { return f.transport != "" }
 // validate rejects out-of-domain flag values for the subcommands that read
 // them, so a typo fails loudly instead of running with defaults.
 func (f *cliFlags) validate(cmd string) error {
+	// Each exhibit flag is read by one experiment; anywhere else, `all`
+	// included, it would be silently ignored.
+	if f.tracePrefix != "" && cmd != "fig1" {
+		return fmt.Errorf("-trace applies to fig1 only")
+	}
+	if f.allRows && cmd != "fig2" {
+		return fmt.Errorf("-all applies to fig2 only")
+	}
 	switch cmd {
 	case "train", "serve", "gen", "stats":
 		if !oneOf(f.dataset, dataset.Arxiv, dataset.Products, dataset.Papers) {

@@ -1,0 +1,103 @@
+package main
+
+import (
+	"errors"
+	"flag"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+
+	"salient/internal/bench"
+)
+
+// TestMain lets a test re-run the binary as the salient command itself:
+// with SALIENT_RUN_MAIN set, the process runs main on its own arguments.
+func TestMain(m *testing.M) {
+	if os.Getenv("SALIENT_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// parse registers the CLI flag set and parses args, as main does.
+func parse(t *testing.T, args ...string) cliFlags {
+	t.Helper()
+	fs := flag.NewFlagSet("salient", flag.ContinueOnError)
+	var f cliFlags
+	f.register(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+func TestValidate(t *testing.T) {
+	for _, tc := range []struct {
+		cmd     string
+		args    []string
+		wantErr string // "" = valid
+	}{
+		{"fig1", []string{"-trace", "out"}, ""},
+		{"fig2", []string{"-all"}, ""},
+		{"table1", nil, ""},
+		{"train", nil, ""},
+		{"serve", nil, ""},
+		// Exhibit flags outside their exhibit would be ignored.
+		{"all", []string{"-trace", "out"}, "-trace applies to fig1 only"},
+		{"fig2", []string{"-trace", "out"}, "-trace applies to fig1 only"},
+		{"train", []string{"-trace", "out"}, "-trace applies to fig1 only"},
+		{"table1", []string{"-all"}, "-all applies to fig2 only"},
+		{"all", []string{"-all"}, "-all applies to fig2 only"},
+		{"serve", []string{"-all"}, "-all applies to fig2 only"},
+		// Existing train/serve rejections.
+		{"serve", []string{"-fused"}, "-fused applies to train only"},
+		{"train", []string{"-arch", "MLP"}, `unknown -arch "MLP"`},
+		{"serve", []string{"-resultrows", "8"}, "-maxskew/-resultrows require -fleet >= 1"},
+	} {
+		f := parse(t, tc.args...)
+		err := f.validate(tc.cmd)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("salient %s %v: unexpected error %v", tc.cmd, tc.args, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("salient %s %v: error %v, want one containing %q", tc.cmd, tc.args, err, tc.wantErr)
+		}
+	}
+}
+
+// runSalient runs the command with args in a child process and returns its
+// combined output and exit code.
+func runSalient(t *testing.T, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "SALIENT_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return string(out), exit.ExitCode()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), 0
+}
+
+func TestCommandExits(t *testing.T) {
+	for _, tc := range []struct {
+		args     []string
+		wantCode int
+		wantOut  string
+	}{
+		{[]string{"list"}, 0, strings.Join(bench.IDs(), "\n") + "\n"},
+		{[]string{"fleet"}, 1, `unknown experiment "fleet"`},
+		{[]string{"all", "-trace", "out"}, 2, "-trace applies to fig1 only"},
+	} {
+		out, code := runSalient(t, tc.args...)
+		if code != tc.wantCode || !strings.Contains(out, tc.wantOut) {
+			t.Errorf("salient %v: exit %d, output:\n%s\nwant exit %d and output containing %q",
+				tc.args, code, out, tc.wantCode, tc.wantOut)
+		}
+	}
+}

@@ -3,14 +3,10 @@
 //
 // Usage:
 //
-//	salient list                      show available experiments
-//	salient all [flags]               run every experiment
-//	salient <experiment> [flags]      run one: fig1..fig6, table1..table7,
-//	                                  or the extension studies (strategies,
-//	                                  batching, cache, partition, memory,
-//	                                  sensitivity, featurestore, serving,
-//	                                  ddpreal, kernels, timing, churn,
-//	                                  transport, embcache, fleet)
+//	salient list                      list the paper exhibits
+//	salient all [flags]               run every exhibit
+//	salient <exhibit> [flags]         run one: fig1..fig6, table1..table3,
+//	                                  table6, table7
 //	salient train [flags]             train a model and report per-epoch stats
 //	salient serve [flags]             train briefly, then serve online
 //	                                  sampled-inference traffic and report
@@ -22,8 +18,8 @@
 //
 //	-seed N        RNG seed for the virtual-time simulations (default 1)
 //	-full          use the thorough accuracy preset instead of the quick one
-//	-all           fig2: print the full 96-point scatter
-//	-trace PREFIX  fig1: also write Chrome trace JSON files
+//	-all           fig2 only: print the full 96-point scatter
+//	-trace PREFIX  fig1 only: also write Chrome trace JSON files
 //	-arch NAME     train: SAGE | GAT | GIN | SAGE-RI (default SAGE)
 //	-dataset NAME  train/gen/stats: arxiv | products | papers (default arxiv)
 //	-scale F       train/gen/stats: dataset scale factor (default 0.3)
@@ -181,7 +177,7 @@ func main() {
 		if err := bench.RunOne(os.Stdout, cmd, opts); err != nil {
 			fatal(err)
 		}
-		if cmd == "fig1" && f.tracePrefix != "" {
+		if f.tracePrefix != "" {
 			if err := writeTraces(f.tracePrefix, f.seed); err != nil {
 				fatal(err)
 			}
@@ -699,8 +695,8 @@ func runStats(name string, scale float64, args []string) error {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: salient <list|all|train|serve|experiment-id> [flags]")
-	fmt.Fprintln(os.Stderr, "experiments:", bench.IDs())
+	fmt.Fprintln(os.Stderr, "usage: salient <list|all|train|serve|gen|stats|exhibit-id> [flags]")
+	fmt.Fprintln(os.Stderr, "paper exhibits:", bench.IDs())
 }
 
 func fatal(err error) {

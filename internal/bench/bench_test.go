@@ -82,10 +82,7 @@ func TestFig4AndFig5AndTable7Render(t *testing.T) {
 
 func TestRegistryCoversEveryPaperExhibit(t *testing.T) {
 	want := []string{"table1", "table2", "table3", "table6", "table7",
-		"fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
-		"cache", "partition", "memory", "strategies", "sensitivity", "batching",
-		"serving", "featurestore", "ddpreal", "timing", "churn", "kernels",
-		"transport", "embcache", "fleet"}
+		"fig1", "fig2", "fig3", "fig4", "fig5", "fig6"}
 	got := IDs()
 	if len(got) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d: %v", len(got), len(want), got)
@@ -197,125 +194,6 @@ func TestFanoutHelpers(t *testing.T) {
 	}
 }
 
-func tinySampler() SamplerOpts {
-	return SamplerOpts{Scale: 0.05, Batch: 32, Fanouts: []int{5, 5}, Batches: 2, Rounds: 1, Seed: 1}
-}
-
-func TestCacheAblationRuns(t *testing.T) {
-	tb, err := CacheAblation(tinySampler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 6 {
-		t.Fatalf("want 6 cache configurations, got %d", len(tb.Rows))
-	}
-	// The no-cache row must report a 0% hit rate and 100% feature bytes.
-	if tb.Rows[0][2] != "0.0%" || tb.Rows[0][3] != "100%" {
-		t.Fatalf("no-cache row wrong: %v", tb.Rows[0])
-	}
-}
-
-func TestServingSweepRunsAtTinyScale(t *testing.T) {
-	tb, err := ServingSweep(ServingOpts{
-		Scale: 0.05, Hidden: 16, Epochs: 1, Workers: 2, Requests: 200, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 3 {
-		t.Fatalf("want 3 offered-load levels, got %d", len(tb.Rows))
-	}
-	for _, row := range tb.Rows {
-		if len(row) != len(tb.Header) {
-			t.Fatalf("ragged row %v vs header %v", row, tb.Header)
-		}
-	}
-}
-
-func TestPartitionStudyRuns(t *testing.T) {
-	tb, err := PartitionStudy(tinySampler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 12 { // 4 part counts x 3 methods
-		t.Fatalf("want 12 rows, got %d", len(tb.Rows))
-	}
-}
-
-func TestMemoryStudyRuns(t *testing.T) {
-	tb, err := MemoryStudy(tinySampler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 3 {
-		t.Fatalf("want 3 dataset rows, got %d", len(tb.Rows))
-	}
-	// papers must show a large layer-wise footprint (the OOM argument).
-	if tb.Rows[2][1] == tb.Rows[2][2] {
-		t.Fatalf("papers layer-wise equals sampled: %v", tb.Rows[2])
-	}
-}
-
-func TestBytesHuman(t *testing.T) {
-	cases := map[int64]string{
-		512:            "512B",
-		2048:           "2.0KB",
-		3 << 20:        "3.0MB",
-		5 << 30:        "5.0GB",
-		211_700_000_00: "19.7GB",
-	}
-	for in, want := range cases {
-		if got := bytesHuman(in); got != want {
-			t.Fatalf("bytesHuman(%d) = %s, want %s", in, got, want)
-		}
-	}
-}
-
-func TestStrategyStudyRunsAtTinyScale(t *testing.T) {
-	tb, err := StrategyStudy(tinyAcc())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 7 {
-		t.Fatalf("want 7 strategy rows, got %d", len(tb.Rows))
-	}
-	for _, row := range tb.Rows {
-		if len(row) != 5 {
-			t.Fatalf("row %v has %d cells", row, len(row))
-		}
-	}
-}
-
-func TestBatchingStudyRunsAtTinyScale(t *testing.T) {
-	tb, err := BatchingStudy(tinyAcc())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 2 {
-		t.Fatalf("want 2 scheme rows, got %d", len(tb.Rows))
-	}
-	for _, row := range tb.Rows {
-		if len(row) != 6 {
-			t.Fatalf("row %v has %d cells, want 6", row, len(row))
-		}
-	}
-}
-
-func TestSensitivityBoundAttribution(t *testing.T) {
-	tb := Sensitivity(1)
-	if len(tb.Rows) != 6 {
-		t.Fatalf("want 6 sweep points, got %d", len(tb.Rows))
-	}
-	// The paper's configuration (128 dims, 1x fanout) must be GPU-bound;
-	// the widest features must be bus-bound.
-	if tb.Rows[0][6] != "GPU compute" {
-		t.Fatalf("base config bound by %q, want GPU compute", tb.Rows[0][6])
-	}
-	if tb.Rows[4][6] != "data bus" {
-		t.Fatalf("512-dim config bound by %q, want data bus", tb.Rows[4][6])
-	}
-}
-
 func TestFig1StructuralContrast(t *testing.T) {
 	tables := Fig1(1)
 	if len(tables) != 2 {
@@ -356,33 +234,5 @@ func TestFig1StructuralContrast(t *testing.T) {
 	}
 	if bi > 0.25 {
 		t.Fatalf("SALIENT compute idle fraction %.2f too high for the Figure 1 claim", bi)
-	}
-}
-
-func TestDDPRealSweepTiny(t *testing.T) {
-	// The table rendering itself is exercised by BenchmarkDDPRealSweep (the
-	// CI smoke run); here one execution of the same preset checks the rows.
-	rows, err := ddpRealResults(smallDDPReal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows, want 2", len(rows))
-	}
-	for _, r := range rows {
-		if r.secs <= 0 || r.loss <= 0 || r.acc < 0 || r.acc > 1 {
-			t.Fatalf("implausible executed row: %+v", r)
-		}
-		if r.syncFrac < 0 || r.syncFrac > 1 {
-			t.Fatalf("sync fraction out of range: %+v", r)
-		}
-		if r.simSecs <= 0 || r.simSpeedup <= 0 {
-			t.Fatalf("missing simulated comparison: %+v", r)
-		}
-	}
-	// Doubling replicas halves the synchronized step count (same scheme as
-	// the simulator).
-	if rows[1].steps != (rows[0].steps+1)/2 {
-		t.Fatalf("steps %d -> %d, want halved", rows[0].steps, rows[1].steps)
 	}
 }

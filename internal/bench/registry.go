@@ -66,65 +66,6 @@ func Experiments() map[string]Experiment {
 			}
 			return []Table{timing, acc}, nil
 		}},
-		// Extensions beyond the paper's exhibits (§8 future work and the §5
-		// memory argument), implemented as measurable studies.
-		{ID: "cache", Paper: "§8 extension", Run: func(o Options) ([]Table, error) {
-			t, err := CacheAblation(o.Sampler)
-			return []Table{t}, err
-		}},
-		{ID: "partition", Paper: "§8 extension", Run: func(o Options) ([]Table, error) {
-			t, err := PartitionStudy(o.Sampler)
-			return []Table{t}, err
-		}},
-		{ID: "memory", Paper: "§5 extension", Run: func(o Options) ([]Table, error) {
-			t, err := MemoryStudy(o.Sampler)
-			return []Table{t}, err
-		}},
-		{ID: "strategies", Paper: "§2.2 extension", Run: func(o Options) ([]Table, error) {
-			t, err := StrategyStudy(o.Accuracy)
-			return []Table{t}, err
-		}},
-		{ID: "sensitivity", Paper: "§8 extension", Run: wrap(Sensitivity)},
-		{ID: "featurestore", Paper: "§4.2/§8 extension", Run: func(o Options) ([]Table, error) {
-			t, err := FeatureStoreSweep(FeatureStoreOpts{Seed: o.Seed})
-			return []Table{t}, err
-		}},
-		{ID: "serving", Paper: "§5 extension", Run: func(o Options) ([]Table, error) {
-			t, err := ServingSweep(ServingOpts{Seed: o.Seed})
-			return []Table{t}, err
-		}},
-		{ID: "ddpreal", Paper: "§6 extension", Run: func(o Options) ([]Table, error) {
-			t, err := DDPRealSweep(DDPRealOpts{Seed: o.Seed})
-			return []Table{t}, err
-		}},
-		{ID: "kernels", Paper: "§3/§4.2 extension", Run: func(o Options) ([]Table, error) {
-			t, err := KernelSweep(KernelOpts{Seed: o.Seed})
-			return []Table{t}, err
-		}},
-		{ID: "timing", Paper: "§4.1/§4.2 extension", Run: func(o Options) ([]Table, error) {
-			t, err := TimingSweep(TimingOpts{Seed: o.Seed})
-			return []Table{t}, err
-		}},
-		{ID: "batching", Paper: "§7 extension", Run: func(o Options) ([]Table, error) {
-			t, err := BatchingStudy(o.Accuracy)
-			return []Table{t}, err
-		}},
-		{ID: "churn", Paper: "§8 extension (dynamic graphs)", Run: func(o Options) ([]Table, error) {
-			t, err := ChurnSweep(ChurnOpts{Seed: o.Seed})
-			return []Table{t}, err
-		}},
-		{ID: "transport", Paper: "§8 extension (distributed)", Run: func(o Options) ([]Table, error) {
-			t, err := TransportSweep(TransportOpts{Seed: o.Seed})
-			return []Table{t}, err
-		}},
-		{ID: "embcache", Paper: "§5/§8 extension (serving)", Run: func(o Options) ([]Table, error) {
-			t, err := EmbCacheSweep(EmbCacheOpts{Seed: o.Seed})
-			return []Table{t}, err
-		}},
-		{ID: "fleet", Paper: "§5/§8 extension (replicated serving)", Run: func(o Options) ([]Table, error) {
-			t, err := FleetSweep(FleetOpts{Seed: o.Seed})
-			return []Table{t}, err
-		}},
 	}
 	out := make(map[string]Experiment, len(exps))
 	for _, e := range exps {

@@ -114,13 +114,6 @@ func measure(g *graph.CSR, seeds []int32, cfg sampler.Config, o SamplerOpts) flo
 	return best
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Fig2 renders the design-space sweep as the paper's scatter summary:
 // speedup of every configuration on both profiles, plus the headline
 // data-structure effects (flat hash map ~2x, array set a further gain).

@@ -22,8 +22,7 @@
 //     actually gathered — not a static structural proxy.
 //
 // The package computes exact per-batch hit statistics against real sampled
-// MFGs; internal/bench uses those to quantify transfer savings and feed the
-// calibrated epoch simulation (the "cacheablate" experiment).
+// MFGs; store.Cached turns them into its transfer-savings accounting.
 package cache
 
 import (

@@ -157,6 +157,8 @@ func TestRemoteMirrorCutsWireTraffic(t *testing.T) {
 // BytesRemote equal the bytes that actually crossed the socket (counted at
 // the connection, handshake excluded) — and equal what the same workload
 // charges over loopback, making loopback stats an exact wire prediction.
+// The same rows cross the wire at every precision, so the bytes order
+// int8 < fp16 < fp32.
 func TestRemoteWireBytesMatchSocketTCP(t *testing.T) {
 	ds := distDS(t)
 	lists, seeds := sampleLists(t, ds, 4, 64)
@@ -165,6 +167,7 @@ func TestRemoteWireBytesMatchSocketTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	view := graph.Static(ds.G).View()
+	wire := map[half.Precision]int64{}
 	for _, prec := range []half.Precision{half.FP16, half.FP32, half.Int8} {
 		h, err := NewHandler(ds, view, prec)
 		if err != nil {
@@ -225,9 +228,14 @@ func TestRemoteWireBytesMatchSocketTCP(t *testing.T) {
 		if lb, tcp := overLoop.Stats().BytesRemote, overTCP.Stats().BytesRemote; lb != tcp {
 			t.Fatalf("%v: loopback charged %d, TCP charged %d — frame arithmetic diverged", prec, lb, tcp)
 		}
+		wire[prec] = overTCP.Stats().BytesRemote
 		if err := srv.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if !(wire[half.Int8] < wire[half.FP16] && wire[half.FP16] < wire[half.FP32]) {
+		t.Fatalf("wire bytes not ordered int8 < fp16 < fp32: %d / %d / %d",
+			wire[half.Int8], wire[half.FP16], wire[half.FP32])
 	}
 }
 

@@ -26,7 +26,7 @@ const (
 	// stay hot on it. This is the default.
 	RouteHash Routing = iota
 	// RouteRandom scatters requests uniformly across replicas — the
-	// affinity-free baseline the fleet bench compares against: every
+	// affinity-free baseline hash routing is tested against: every
 	// replica's caches see the whole key space diluted N ways.
 	RouteRandom
 )

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"salient/internal/cache"
 	"salient/internal/dataset"
 	"salient/internal/infer"
 	"salient/internal/nn"
@@ -419,6 +420,52 @@ func TestFleetSkewBoundedRouting(t *testing.T) {
 	}
 	if busy < 2 {
 		t.Fatalf("routing still pinned after laggards caught up: %v", f.Stats().Routed)
+	}
+}
+
+// TestFleetHashRoutingBeatsRandomOnCacheHits pins what affinity routing
+// buys: at one total cache budget split over two replicas, hash routing
+// sends each node's traffic to one replica, so that replica's VIP feature
+// cache and embedding cache hold its own slice of the Zipf hot set, while
+// random routing leaves every replica caching a diluted copy of the whole
+// distribution.
+func TestFleetHashRoutingBeatsRandomOnCacheHits(t *testing.T) {
+	ds, _ := fitted(t)
+	const replicas = 2
+	n := int(ds.G.N)
+	// Shared permSeed: warm-up and measurement target the same hot set.
+	warm := serve.ZipfNodes(ds.G.N, 1.1, 101, 7, 1500)
+	meas := serve.ZipfNodes(ds.G.N, 1.1, 101, 8, 1500)
+	combinedHitRate := func(routing Routing) float64 {
+		tmpl := serveTemplate()
+		tmpl.CacheRows = n / 5 / replicas
+		tmpl.CachePolicy = cache.VIP
+		tmpl.EmbCacheRows = n * 3 / 10 / replicas
+		tmpl.EmbStaleness = 1
+		tmpl.MaxDelay = -1 // one sequential client: never hold a batch open
+		f, err := New(ds, Options{Replicas: replicas, Serve: tmpl, Routing: routing, Seed: fleetSeed},
+			cloneModels(t, replicas)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		serve.DriveClosedLoop(f, warm, 1, len(warm))
+		// Each replica places its VIP cache from the traffic routed to it.
+		for i := 0; i < replicas; i++ {
+			c, ok := f.Replica(i).FeatureStore().(*store.Cached)
+			if !ok {
+				t.Fatalf("replica %d store is %T, want *store.Cached", i, f.Replica(i).FeatureStore())
+			}
+			c.Refresh(ds.G)
+		}
+		f.ResetStats()
+		serve.DriveClosedLoop(f, meas, 1, len(meas))
+		return f.Stats().CombinedCacheHitRate()
+	}
+	hash, random := combinedHitRate(RouteHash), combinedHitRate(RouteRandom)
+	t.Logf("combined cache hit rate: hash %.3f, random %.3f", hash, random)
+	if hash <= random {
+		t.Fatalf("hash routing combined hit rate %.3f not above random routing's %.3f", hash, random)
 	}
 }
 

@@ -62,10 +62,26 @@ func TestPipelinedSpeedupInPaperBand(t *testing.T) {
 
 func TestPipelinedNearGPUBound(t *testing.T) {
 	// §6: with SALIENT, per-epoch runtime is nearly equal to GPU compute
-	// time; GPU utilization approaches 1.
+	// time; GPU utilization approaches 1. The papers@512d input is §8's
+	// caveat: with 512-dim features (4x papers100M's transfer and slicing
+	// volume) the pipelined epoch is data-bus bound instead — compute idles
+	// on transfers, not on batch preparation, and the epoch tracks bus time.
 	pr := device.PaperProfile()
-	for name, cal := range device.Calibrations() {
+	cals := device.Calibrations()
+	wide := cals["papers"]
+	wide.TransferBytes *= 4
+	wide.SliceSec *= 4
+	cals["papers@512d"] = wide
+	for name, cal := range cals {
 		b := SimulateEpoch(pr, cal, Pipelined, 7)
+		if name == "papers@512d" {
+			bus := pr.TransferTime(int64(cal.TransferBytes), pr.PipelinedTransferEff)
+			if b.GPUUtil() > 0.5 || b.TransferBlock <= b.SampleBlock || b.Total > 1.05*bus {
+				t.Fatalf("%s: not data-bus bound: util %.2f, transfer stall %.2fs, prep stall %.2fs, epoch %.2fs vs bus %.2fs",
+					name, b.GPUUtil(), b.TransferBlock, b.SampleBlock, b.Total, bus)
+			}
+			continue
+		}
 		if u := b.GPUUtil(); u < 0.90 {
 			t.Fatalf("%s: pipelined GPU utilization %.2f, want >0.90", name, u)
 		}

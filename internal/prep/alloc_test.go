@@ -50,7 +50,7 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 }
 
 // epochAllocBudget is the whole-executor allocation ceiling per prepared
-// batch in steady state, enforced here and in the CI bench-smoke job. The
+// batch in steady state, enforced here and in the CI alloc-budget job. The
 // pooled kernels themselves allocate zero (TestPipelineSteadyStateAllocs);
 // what remains per batch is the Batch header (kept off the arena so Release
 // stays idempotent) plus amortized per-epoch machinery — against roughly 40

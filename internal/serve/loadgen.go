@@ -9,7 +9,7 @@ import (
 	"salient/internal/rng"
 )
 
-// Load drivers shared by the bench sweep and the CLI: the two canonical ways
+// Load drivers shared by the CLI, the tests and perfbench: the two canonical ways
 // to offer traffic to a Server (or any Submitter, e.g. a fleet.Fleet).
 // Requests cycle over the given node set.
 
@@ -147,9 +147,9 @@ func ZipfNodes(n int32, skew float64, permSeed, drawSeed uint64, count int) []in
 // DriveChurn streams random directed edge updates over nodes [0, n) into
 // apply at ~rate edges/second (in small fixed chunks) until stop closes,
 // and returns how many updates apply reported as actually inserted. It is
-// the update-side companion of the request drivers above, shared by the
-// churn bench sweep (applying through Server.Update) and the CLI
-// (applying straight to a graph.Dynamic). An apply error ends the drive.
+// the update-side companion of the request drivers above, used by the CLI
+// (applying through a fleet's Update or straight to a graph.Dynamic). An
+// apply error ends the drive.
 func DriveChurn(apply func(src, dst []int32) (int, error), n int32, rate float64, seed uint64, stop <-chan struct{}) int64 {
 	if rate <= 0 {
 		return 0

@@ -109,13 +109,19 @@ func TestFusedGatherParityAcrossStores(t *testing.T) {
 
 // TestPrecisionByteAccounting pins the Stats row width to the storage
 // precision: fp32 = 4·dim, fp16 = 2·dim, int8 = dim + 4 bytes per row —
-// the satellite fix for the old hard-wired "2 bytes per scalar".
+// the satellite fix for the old hard-wired "2 bytes per scalar". The fused
+// gather and a sharded layout read the same stored rows, so they charge
+// the same bytes as the flat staged gather.
 func TestPrecisionByteAccounting(t *testing.T) {
 	ds := testDS(t)
 	mfgs := sampleMFGs(t, ds, 2, 32)
 	rows := int64(0)
 	for _, m := range mfgs {
 		rows += int64(len(m.NodeIDs))
+	}
+	a, err := partition.LDG(ds.G, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
 	moved := map[half.Precision]int64{}
 	for _, prec := range []half.Precision{half.FP16, half.FP32, half.Int8} {
@@ -136,6 +142,27 @@ func TestPrecisionByteAccounting(t *testing.T) {
 			t.Fatalf("%v: RowsMoved = %d, want %d", prec, got.RowsMoved, rows)
 		}
 		moved[prec] = got.BytesMoved
+
+		fused := NewFlatPrec(ds, prec)
+		sharded, err := NewShardedPrec(ds, a, prec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var agg slicing.Fused
+		for _, m := range mfgs {
+			if err := fused.GatherAggregate(&agg, m.NodeIDs, &m.Blocks[0], int(m.Batch), slicing.AggMean); err != nil {
+				t.Fatal(err)
+			}
+			if err := sharded.Gather(buf, m.NodeIDs, int(m.Batch)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for name, st := range map[string]Stats{"fused": fused.Stats(), "sharded": sharded.Stats()} {
+			if st.BytesMoved != got.BytesMoved || st.RowsMoved != got.RowsMoved {
+				t.Fatalf("%v: %s gather moved %d bytes / %d rows, flat staged %d / %d",
+					prec, name, st.BytesMoved, st.RowsMoved, got.BytesMoved, got.RowsMoved)
+			}
+		}
 	}
 	// int8 row = dim+4 bytes, so 2×int8 = fp16 + 8 bytes per row exactly.
 	if moved[half.Int8]*2 > moved[half.FP16]+rows*8 {

@@ -10,7 +10,7 @@ import (
 )
 
 // Spec selects a store composition from flag-style inputs, so command-line
-// front ends (cmd/salient) and sweeps can describe a store declaratively.
+// front ends (cmd/salient) can describe a store declaratively.
 type Spec struct {
 	// Kind is "flat", "sharded", "cached" (cache over the flat layout), or
 	// "sharded+cached" (cache over a sharded layout).
