@@ -62,7 +62,7 @@ func TestPipelinedSpeedupInPaperBand(t *testing.T) {
 
 func TestPipelinedNearGPUBound(t *testing.T) {
 	// §6: with SALIENT, per-epoch runtime is nearly equal to GPU compute
-	// time; GPU utilization approaches 1. The papers@512d input is §8's
+	// time; GPU utilization approaches 1. The papers-512d input is §8's
 	// caveat: with 512-dim features (4x papers100M's transfer and slicing
 	// volume) the pipelined epoch is data-bus bound instead — compute idles
 	// on transfers, not on batch preparation, and the epoch tracks bus time.
@@ -71,23 +71,25 @@ func TestPipelinedNearGPUBound(t *testing.T) {
 	wide := cals["papers"]
 	wide.TransferBytes *= 4
 	wide.SliceSec *= 4
-	cals["papers@512d"] = wide
+	cals["papers-512d"] = wide
 	for name, cal := range cals {
-		b := SimulateEpoch(pr, cal, Pipelined, 7)
-		if name == "papers@512d" {
-			bus := pr.TransferTime(int64(cal.TransferBytes), pr.PipelinedTransferEff)
-			if b.GPUUtil() > 0.5 || b.TransferBlock <= b.SampleBlock || b.Total > 1.05*bus {
-				t.Fatalf("%s: not data-bus bound: util %.2f, transfer stall %.2fs, prep stall %.2fs, epoch %.2fs vs bus %.2fs",
-					name, b.GPUUtil(), b.TransferBlock, b.SampleBlock, b.Total, bus)
+		t.Run(name, func(t *testing.T) {
+			b := SimulateEpoch(pr, cal, Pipelined, 7)
+			if name == "papers-512d" {
+				bus := pr.TransferTime(int64(cal.TransferBytes), pr.PipelinedTransferEff)
+				if b.GPUUtil() > 0.5 || b.TransferBlock <= b.SampleBlock || b.Total > 1.05*bus {
+					t.Fatalf("not data-bus bound: util %.2f, transfer stall %.2fs, prep stall %.2fs, epoch %.2fs vs bus %.2fs",
+						b.GPUUtil(), b.TransferBlock, b.SampleBlock, b.Total, bus)
+				}
+				return
 			}
-			continue
-		}
-		if u := b.GPUUtil(); u < 0.90 {
-			t.Fatalf("%s: pipelined GPU utilization %.2f, want >0.90", name, u)
-		}
-		if b.Total > 1.15*b.GPUBusy {
-			t.Fatalf("%s: pipelined epoch %.2fs far above GPU busy %.2fs", name, b.Total, b.GPUBusy)
-		}
+			if u := b.GPUUtil(); u < 0.90 {
+				t.Fatalf("pipelined GPU utilization %.2f, want >0.90", u)
+			}
+			if b.Total > 1.15*b.GPUBusy {
+				t.Fatalf("pipelined epoch %.2fs far above GPU busy %.2fs", b.Total, b.GPUBusy)
+			}
+		})
 	}
 }
 
