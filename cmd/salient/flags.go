@@ -3,7 +3,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"time"
 
 	"salient/internal/cache"
 	"salient/internal/dataset"
@@ -37,7 +36,6 @@ type cliFlags struct {
 	rate        float64
 	requests    int
 	maxBatch    int
-	delay       time.Duration
 	cacheFrac   float64
 	cachePolicy string
 	policy      cache.Policy
@@ -78,7 +76,6 @@ func (f *cliFlags) register(fs *flag.FlagSet) {
 	fs.Float64Var(&f.rate, "rate", 0, "serve: offered rps (0 = closed loop)")
 	fs.IntVar(&f.requests, "requests", 4000, "serve: request count")
 	fs.IntVar(&f.maxBatch, "maxbatch", 32, "serve: micro-batch cap")
-	fs.DurationVar(&f.delay, "delay", 300*time.Microsecond, "serve: coalescing deadline")
 	fs.Float64Var(&f.cacheFrac, "cachefrac", 0.2, "feature cache fraction of N")
 	fs.StringVar(&f.cachePolicy, "cachepolicy", "degree", "feature cache placement: degree|lru|vip")
 	fs.IntVar(&f.embRows, "embrows", 0, "serve: historical layer-embedding cache rows (0 = reuse off)")
@@ -210,9 +207,6 @@ func (f *cliFlags) validate(cmd string) error {
 		}
 		if f.maxBatch < 1 {
 			return fmt.Errorf("-maxbatch must be >= 1, got %d", f.maxBatch)
-		}
-		if f.delay < 0 {
-			return fmt.Errorf("-delay must be >= 0, got %v", f.delay)
 		}
 		if f.embRows < 0 {
 			return fmt.Errorf("-embrows must be >= 0, got %d", f.embRows)

@@ -93,6 +93,7 @@ func TestCommandExits(t *testing.T) {
 		{[]string{"list"}, 0, strings.Join(bench.IDs(), "\n") + "\n"},
 		{[]string{"fleet"}, 1, `unknown experiment "fleet"`},
 		{[]string{"all", "-trace", "out"}, 2, "-trace applies to fig1 only"},
+		{[]string{"serve", "-delay", "0"}, 2, "flag provided but not defined: -delay"},
 	} {
 		out, code := runSalient(t, tc.args...)
 		if code != tc.wantCode || !strings.Contains(out, tc.wantOut) {

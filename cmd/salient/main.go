@@ -56,7 +56,6 @@
 //	-rate F        serve: offered load in requests/sec (0 = closed loop)
 //	-requests N    serve: number of requests to serve (default 4000)
 //	-maxbatch N    serve: micro-batch size cap (default 32)
-//	-delay D       serve: micro-batch coalescing deadline (default 300µs)
 //	-cachefrac F   serve, and train with -store cached: feature cache size
 //	               as a fraction of N (default 0.2)
 //	-cachepolicy P train/serve with a cached store: cache placement policy:
@@ -460,7 +459,6 @@ func runServe(f cliFlags) error {
 		Fanouts:      fanouts,
 		Workers:      f.workers,
 		MaxBatch:     f.maxBatch,
-		MaxDelay:     f.delay,
 		Seed:         f.seed,
 		Store:        fstore,
 		EmbCacheRows: f.embRows,
@@ -563,8 +561,7 @@ func runFleet(ds *dataset.Dataset, tr *train.Trainer, fanouts []int, f cliFlags)
 	fl, err := fleet.New(ds, fleet.Options{
 		Replicas: f.fleet,
 		Serve: serve.Options{
-			Fanouts: fanouts, Workers: f.workers, MaxBatch: f.maxBatch,
-			MaxDelay: f.delay, Seed: f.seed,
+			Fanouts: fanouts, Workers: f.workers, MaxBatch: f.maxBatch, Seed: f.seed,
 			CacheRows: perCache, CachePolicy: f.policy,
 			EmbCacheRows: f.embRows, EmbStaleness: f.embStale,
 		},

@@ -72,8 +72,7 @@ func main() {
 			log.Fatal(err)
 		}
 		srv, err := serve.New(tr.Model, ds, serve.Options{
-			Fanouts: fanouts, Workers: 4, MaxBatch: 32,
-			MaxDelay: 300 * time.Microsecond, Seed: seed, Store: cached,
+			Fanouts: fanouts, Workers: 4, MaxBatch: 32, Seed: seed, Store: cached,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -130,8 +129,7 @@ func main() {
 	// Staleness 1 with a warm pass: hot frontier nodes now carry a cached
 	// embedding, so the measured pass truncates their fan-out.
 	reuse, err := serve.New(tr.Model, ds, serve.Options{
-		Fanouts: fanouts, Workers: 4, MaxBatch: 32,
-		MaxDelay: 300 * time.Microsecond, Seed: seed,
+		Fanouts: fanouts, Workers: 4, MaxBatch: 32, Seed: seed,
 		EmbCacheRows: 4096, EmbStaleness: 1,
 	})
 	if err != nil {

@@ -70,8 +70,7 @@ func main() {
 		})
 	}
 	template := serve.Options{
-		Fanouts: fanouts, Workers: 2, MaxBatch: 16,
-		MaxDelay: 200 * time.Microsecond, Seed: seed,
+		Fanouts: fanouts, Workers: 2, MaxBatch: 16, Seed: seed,
 	}
 
 	// 1. Fleet of one == bare server, bit for bit.

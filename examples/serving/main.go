@@ -3,7 +3,7 @@
 // The paper's §5 argument is that sampled inference reuses the training
 // pipeline; this example takes that to its serving conclusion. A trained
 // model goes behind serve.Server, concurrent clients submit single-node
-// prediction requests, and the server coalesces them into deadline-bounded
+// prediction requests, and the server coalesces whatever is queued into
 // micro-batches that run the executor path end-to-end: per-request
 // neighborhood sampling, a block-diagonal MFG merge, one pinned-buffer
 // slice, one model forward.
@@ -12,7 +12,8 @@
 //
 //  1. Determinism — an answer never depends on how requests were batched;
 //     Submit(v) equals one-shot infer.Sampled on {v}.
-//  2. Coalescing — concurrent load raises micro-batch occupancy, amortizing
+//  2. Coalescing — requests that queue during an execution share the next
+//     micro-batch, so concurrent load raises occupancy and amortizes
 //     per-batch costs the way training batches do.
 //  3. Backpressure — a tiny admission queue sheds overload as explicit
 //     rejections instead of queueing latency.
@@ -55,8 +56,7 @@ func main() {
 
 	const seed = 42
 	srv, err := serve.New(tr.Model, ds, serve.Options{
-		Fanouts: fanouts, Workers: 4, MaxBatch: 32,
-		MaxDelay: 300 * time.Microsecond, Seed: seed,
+		Fanouts: fanouts, Workers: 4, MaxBatch: 32, Seed: seed,
 		CacheRows: int(ds.G.N) / 5, CachePolicy: cache.StaticDegree,
 	})
 	if err != nil {

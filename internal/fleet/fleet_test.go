@@ -123,8 +123,7 @@ func freshEdges(t testing.TB, k int) (src, dst []int32) {
 
 func serveTemplate() serve.Options {
 	return serve.Options{
-		Fanouts: fleetFanouts, Workers: 2, MaxBatch: 8,
-		MaxDelay: 200 * time.Microsecond, Seed: fleetSeed,
+		Fanouts: fleetFanouts, Workers: 2, MaxBatch: 8, Seed: fleetSeed,
 	}
 }
 
@@ -442,7 +441,6 @@ func TestFleetHashRoutingBeatsRandomOnCacheHits(t *testing.T) {
 		tmpl.CachePolicy = cache.VIP
 		tmpl.EmbCacheRows = n * 3 / 10 / replicas
 		tmpl.EmbStaleness = 1
-		tmpl.MaxDelay = -1 // one sequential client: never hold a batch open
 		f, err := New(ds, Options{Replicas: replicas, Serve: tmpl, Routing: routing, Seed: fleetSeed},
 			cloneModels(t, replicas)...)
 		if err != nil {

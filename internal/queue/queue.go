@@ -155,9 +155,6 @@ func (q *MPMC[T]) Push(v T) bool {
 // elements and then report ok=false.
 func (q *MPMC[T]) Close() { q.closed.Store(true) }
 
-// Closed reports whether Close has been called.
-func (q *MPMC[T]) Closed() bool { return q.closed.Load() }
-
 // Len returns an instantaneous (racy, advisory) element count.
 func (q *MPMC[T]) Len() int {
 	e := q.enqueue.Load()

@@ -108,9 +108,6 @@ func TestCloseSemantics(t *testing.T) {
 	if _, ok := q.Pop(); ok {
 		t.Fatal("Pop on closed+drained queue returned ok")
 	}
-	if !q.Closed() {
-		t.Fatal("Closed() = false")
-	}
 }
 
 func TestConcurrentMPMC(t *testing.T) {

@@ -241,7 +241,7 @@ func TestUpdatedTopologyChangesSampling(t *testing.T) {
 			t.Fatal(err)
 		}
 		srv, err := New(tr.Model, ds, Options{
-			Fanouts: serveFanouts, Workers: 1, MaxBatch: 1, MaxDelay: -1,
+			Fanouts: serveFanouts, Workers: 1, MaxBatch: 1,
 			Seed: serveSeed, Graph: dyn,
 		})
 		if err != nil {

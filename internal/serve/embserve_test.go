@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"salient/internal/graph"
+	"salient/internal/mfg"
 	"salient/internal/rng"
+	"salient/internal/sampler"
 )
 
 // TestEmbReuseStalenessZeroBitIdentical is the oracle the tentpole rests
@@ -185,4 +187,45 @@ func TestEmbReuseConcurrentWithInvalidation(t *testing.T) {
 	clients.Wait()
 	close(stop)
 	churners.Wait()
+}
+
+// TestMergedFrontierPosMapsEveryFrontierEntry: for 2 and 3 independently
+// sampled requests merged with mfg.Merge, at 2 and 3 layers, every entry of
+// every request's level-1 frontier maps to a distinct merged level-1 row
+// that holds that request's node.
+func TestMergedFrontierPosMapsEveryFrontierEntry(t *testing.T) {
+	ds, _ := fitted(t)
+	for _, fanouts := range [][]int{{10, 5}, {4, 3, 2}} {
+		for nreq := 2; nreq <= 3; nreq++ {
+			sm := sampler.New(graph.Static(ds.G).View(), fanouts, sampler.FastConfig())
+			slots := make([]mfg.MFG, nreq)
+			ptrs := make([]*mfg.MFG, nreq)
+			for i := range slots {
+				if err := sm.SampleInto(rng.New(uint64(i+1)), []int32{ds.Test[i]}, &slots[i]); err != nil {
+					t.Fatal(err)
+				}
+				ptrs[i] = &slots[i]
+			}
+			merged := mfg.Merge(ptrs)
+			seen := make(map[int]bool)
+			for req := range slots {
+				for loc := 0; loc < int(slots[req].Blocks[0].NumDst); loc++ {
+					p := mergedFrontierPos(slots, req, loc)
+					if p < 0 || p >= int(merged.Blocks[0].NumDst) || seen[p] {
+						t.Fatalf("layers %d, %d requests: request %d frontier %d -> row %d, out of the level-1 frontier or already taken",
+							len(fanouts), nreq, req, loc, p)
+					}
+					seen[p] = true
+					if got, want := merged.NodeIDs[p], slots[req].NodeIDs[loc]; got != want {
+						t.Fatalf("layers %d, %d requests: request %d frontier %d -> row %d holds node %d, want %d",
+							len(fanouts), nreq, req, loc, p, got, want)
+					}
+				}
+			}
+			if len(seen) != int(merged.Blocks[0].NumDst) {
+				t.Fatalf("layers %d, %d requests: mapped %d rows, merged frontier has %d",
+					len(fanouts), nreq, len(seen), merged.Blocks[0].NumDst)
+			}
+		}
+	}
 }

@@ -5,16 +5,17 @@
 // Clients call Submit with a single node and block for its predicted label.
 // Internally, requests land in the same lock-free MPMC ring the executors
 // use for dynamic load balancing (internal/queue); worker goroutines pull a
-// request and coalesce whatever else has arrived — up to MaxBatch requests
-// or until MaxDelay has elapsed since the micro-batch opened — then run one
-// fused prepare-and-forward over the coalesced set: per-request neighborhood
-// sampling straight into the worker's recycled MFG slots (SampleInto — no
-// per-request copies), a block-diagonal MFG merge (mfg.Merge), one gather
-// through the feature store (internal/store) into a pinned staging buffer,
-// and one model forward. All of that scratch is released for reuse as soon
-// as the micro-batch's responses are delivered. Transfer and cache
-// accounting live in the store; the server just snapshots them into its
-// Stats.
+// request plus whatever is already queued behind it, up to MaxBatch, and
+// never wait for more — requests that arrive during an execution form the
+// next micro-batch, so a backlog still coalesces while a closed loop pays no
+// batching window. Each micro-batch runs one fused prepare-and-forward over
+// the coalesced set: per-request neighborhood sampling straight into the
+// worker's recycled MFG slots (SampleInto — no per-request copies), a
+// block-diagonal MFG merge (mfg.Merge), one gather through the feature store
+// (internal/store) into a pinned staging buffer, and one model forward. All
+// of that scratch is released for reuse as soon as the micro-batch's
+// responses are delivered. Transfer and cache accounting live in the store;
+// the server just snapshots them into its Stats.
 //
 // Determinism: each request is sampled independently with the RNG a
 // singleton inference epoch would use (prep.BatchRNG(seed, 0)), and the
@@ -77,9 +78,8 @@ type Options struct {
 	Workers int
 	// MaxBatch caps how many requests one micro-batch coalesces. Default 64.
 	MaxBatch int
-	// MaxDelay bounds how long an open micro-batch waits for more requests
-	// after its first one arrives. Zero selects the default of 500µs; a
-	// negative value means "drain what is already queued, never wait".
+	// Deprecated: MaxDelay is ignored. A worker closes a micro-batch as soon
+	// as the ring is empty and never waits for more requests.
 	MaxDelay time.Duration
 	// QueueCapacity is the admission bound: the minimum number of requests
 	// that may wait in the ring before Submit rejects (rounded up by
@@ -146,11 +146,6 @@ func (o *Options) normalize() error {
 	}
 	if o.MaxBatch < 1 {
 		o.MaxBatch = 64
-	}
-	if o.MaxDelay < 0 {
-		o.MaxDelay = 0
-	} else if o.MaxDelay == 0 {
-		o.MaxDelay = 500 * time.Microsecond
 	}
 	if o.QueueCapacity < 1 {
 		o.QueueCapacity = 1024
@@ -503,10 +498,16 @@ func (s *Server) PredictReq(r Request) (Prediction, error) {
 		s.gate.RUnlock()
 		return Prediction{}, ErrClosed
 	}
+	// Count the request before it becomes visible to a worker, so no Stats
+	// snapshot can see it served before it was submitted.
+	s.statsMu.Lock()
+	s.submitted++
+	s.statsMu.Unlock()
 	pushed := s.ring.TryPush(req)
 	s.gate.RUnlock()
 	if !pushed {
 		s.statsMu.Lock()
+		s.submitted--
 		s.rejected++
 		s.statsMu.Unlock()
 		return Prediction{}, ErrSaturated
@@ -517,9 +518,6 @@ func (s *Server) PredictReq(r Request) (Prediction, error) {
 	case s.doorbell <- struct{}{}:
 	default:
 	}
-	s.statsMu.Lock()
-	s.submitted++
-	s.statsMu.Unlock()
 	res := <-req.done
 	return Prediction{Label: res.label, Version: res.version}, res.err
 }
@@ -693,9 +691,11 @@ type workerState struct {
 	over []bool
 }
 
-// worker pulls one request, coalesces a deadline-bounded micro-batch behind
-// it, and executes the batch end-to-end on the SALIENT data path. Between
-// micro-batches it parks on the doorbell, so idle servers consume no CPU.
+// worker pulls one request, takes whatever is already queued behind it (up
+// to MaxBatch), and executes the batch end-to-end on the SALIENT data path.
+// It never waits for more requests: whatever arrives during an execution
+// forms the next batch. Between micro-batches it parks on the doorbell, so
+// idle servers consume no CPU.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	snap0 := s.topo.View()
@@ -728,19 +728,12 @@ func (s *Server) worker() {
 			}
 		}
 		batch = append(batch[:0], first)
-		deadline := time.Now().Add(s.opts.MaxDelay)
 		for len(batch) < s.opts.MaxBatch {
 			r, ok := s.ring.TryPop()
-			if ok {
-				batch = append(batch, r)
-				continue
-			}
-			if s.ring.Closed() || !time.Now().Before(deadline) {
+			if !ok {
 				break
 			}
-			// The ring is empty but the batch still has headroom and time:
-			// yield briefly rather than spinning hot on TryPop.
-			time.Sleep(10 * time.Microsecond)
+			batch = append(batch, r)
 		}
 		s.execute(ws, batch)
 	}

@@ -83,8 +83,7 @@ func TestSubmitMatchesSingleShotInference(t *testing.T) {
 	want := singleShot(t, nodes)
 
 	s, err := New(tr.Model, ds, Options{
-		Fanouts: serveFanouts, Workers: 3, MaxBatch: 8,
-		MaxDelay: 200 * time.Microsecond, Seed: serveSeed,
+		Fanouts: serveFanouts, Workers: 3, MaxBatch: 8, Seed: serveSeed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +110,7 @@ func TestConcurrentSubmittersDeterministic(t *testing.T) {
 
 	s, err := New(tr.Model, ds, Options{
 		Fanouts: serveFanouts, Workers: 4, MaxBatch: 16,
-		MaxDelay: 300 * time.Microsecond, QueueCapacity: 4096, Seed: serveSeed,
+		QueueCapacity: 4096, Seed: serveSeed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -157,6 +156,93 @@ func TestConcurrentSubmittersDeterministic(t *testing.T) {
 	if st.Batches == 0 || st.Occupancy.Count != int(st.Batches) {
 		t.Fatalf("occupancy samples %d vs batches %d", st.Occupancy.Count, st.Batches)
 	}
+	// Drain-only batching never waits, but 64 submitters against 4 workers
+	// build a backlog, and a backlog must still merge into shared batches.
+	if st.Occupancy.Max <= 1 || st.Occupancy.Max > 16 {
+		t.Fatalf("occupancy max %v, want in (1, MaxBatch=16]: a backlog must coalesce", st.Occupancy.Max)
+	}
+}
+
+// TestClosedLoopPaysNoBatchingWindow: a worker closes a micro-batch as soon
+// as the ring is empty, so one sequential client never waits for company.
+// The deprecated MaxDelay is set to a full second to show it is ignored; a
+// server that held batches open for it would take a second per request.
+func TestClosedLoopPaysNoBatchingWindow(t *testing.T) {
+	ds, tr := fitted(t)
+	s, err := New(tr.Model, ds, Options{
+		Fanouts: serveFanouts, Workers: 2, MaxBatch: 16, Seed: serveSeed,
+		MaxDelay: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, v := range ds.Test[:20] {
+		if _, err := s.Submit(v); err != nil {
+			t.Fatalf("Submit(%d): %v", v, err)
+		}
+	}
+	st := s.Stats()
+	if st.Served != 20 {
+		t.Fatalf("served %d, want 20", st.Served)
+	}
+	if worst := time.Duration(st.Latency.Max * float64(time.Second)); worst >= 250*time.Millisecond {
+		t.Fatalf("latency max %v for a sequential client: the worker waited on an empty ring", worst)
+	}
+}
+
+// TestStatsNeverServedBeforeSubmitted: a request is counted as submitted
+// before any worker can see it, so no snapshot taken under load reports
+// more answers than accepted requests.
+func TestStatsNeverServedBeforeSubmitted(t *testing.T) {
+	ds, tr := fitted(t)
+	nodes := ds.Test[:32]
+	s, err := New(tr.Model, ds, Options{
+		Fanouts: serveFanouts, Workers: 2, MaxBatch: 8, QueueCapacity: 8, Seed: serveSeed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	const submitters, perSubmitter = 8, 32
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perSubmitter; i++ {
+				if _, err := s.Submit(nodes[(g+i)%len(nodes)]); err != nil && !errors.Is(err, ErrSaturated) {
+					t.Errorf("Submit: %v", err)
+					return
+				}
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	// Keep polling until the submitters finish, so a violation is reported
+	// only after no goroutine can still call t.Errorf.
+	var bad Stats
+	violated := false
+	for polling := true; polling; {
+		select {
+		case <-done:
+			polling = false
+		default:
+		}
+		if st := s.Stats(); st.Served > st.Submitted && !violated {
+			bad, violated = st, true
+		}
+	}
+	if violated {
+		t.Fatalf("snapshot under load: served %d > submitted %d", bad.Served, bad.Submitted)
+	}
+	st := s.Stats()
+	if st.Submitted+st.Rejected != submitters*perSubmitter || st.Served != st.Submitted {
+		t.Fatalf("final stats: submitted %d + rejected %d != %d, or served %d != submitted",
+			st.Submitted, st.Rejected, submitters*perSubmitter, st.Served)
+	}
 }
 
 func TestSaturationRejectsWithoutDeadlock(t *testing.T) {
@@ -169,7 +255,7 @@ func TestSaturationRejectsWithoutDeadlock(t *testing.T) {
 	// must still be answered correctly — no deadlock, no wrong rows.
 	s, err := New(tr.Model, ds, Options{
 		Fanouts: serveFanouts, Workers: 1, MaxBatch: 4,
-		MaxDelay: 0, QueueCapacity: 2, Seed: serveSeed,
+		QueueCapacity: 2, Seed: serveSeed,
 	})
 	if err != nil {
 		t.Fatal(err)
