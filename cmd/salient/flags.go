@@ -48,7 +48,6 @@ type cliFlags struct {
 	fleet       int
 	routing     string
 	routePolicy fleet.Routing
-	maxSkew     uint64
 	resultRows  int
 }
 
@@ -86,7 +85,6 @@ func (f *cliFlags) register(fs *flag.FlagSet) {
 	fs.Float64Var(&f.churn, "churn", 0, "with -dynamic: edge updates/sec streamed during the run")
 	fs.IntVar(&f.fleet, "fleet", 0, "serve: replicated fleet size (0 = single bare server)")
 	fs.StringVar(&f.routing, "routing", "hash", "serve with -fleet: request routing: hash|random")
-	fs.Uint64Var(&f.maxSkew, "maxskew", 0, "serve with -fleet -dynamic: max graph-version lag before routing skips a replica (0 = unbounded)")
 	fs.IntVar(&f.resultRows, "resultrows", 0, "serve with -fleet: versioned result-cache rows (0 = off)")
 }
 
@@ -231,19 +229,14 @@ func (f *cliFlags) validate(cmd string) error {
 		if f.resultRows < 0 {
 			return fmt.Errorf("-resultrows must be >= 0, got %d", f.resultRows)
 		}
-		if f.fleet == 0 && (f.maxSkew != 0 || f.resultRows != 0) {
-			return fmt.Errorf("-maxskew/-resultrows require -fleet >= 1")
+		if f.fleet == 0 && f.resultRows != 0 {
+			return fmt.Errorf("-resultrows requires -fleet >= 1")
 		}
-		if f.fleet > 0 {
-			if f.storeKind != "" {
-				return fmt.Errorf("-fleet builds each replica's store from -cachefrac/-cachepolicy; drop -store %s", f.storeKind)
-			}
-			if f.maxSkew != 0 && !f.dynamic {
-				return fmt.Errorf("-maxskew bounds graph-version lag and requires -dynamic")
-			}
+		if f.fleet > 0 && f.storeKind != "" {
+			return fmt.Errorf("-fleet builds its shared store and each replica's cache from -cachefrac/-cachepolicy; drop -store %s", f.storeKind)
 		}
-	} else if f.fleet != 0 || f.maxSkew != 0 || f.resultRows != 0 {
-		return fmt.Errorf("-fleet/-maxskew/-resultrows apply to serve only")
+	} else if f.fleet != 0 || f.resultRows != 0 {
+		return fmt.Errorf("-fleet/-resultrows apply to serve only")
 	}
 	return nil
 }

@@ -54,7 +54,7 @@ func TestValidate(t *testing.T) {
 		// Existing train/serve rejections.
 		{"serve", []string{"-fused"}, "-fused applies to train only"},
 		{"train", []string{"-arch", "MLP"}, `unknown -arch "MLP"`},
-		{"serve", []string{"-resultrows", "8"}, "-maxskew/-resultrows require -fleet >= 1"},
+		{"serve", []string{"-resultrows", "8"}, "-resultrows requires -fleet >= 1"},
 	} {
 		f := parse(t, tc.args...)
 		err := f.validate(tc.cmd)
@@ -94,6 +94,7 @@ func TestCommandExits(t *testing.T) {
 		{[]string{"fleet"}, 1, `unknown experiment "fleet"`},
 		{[]string{"all", "-trace", "out"}, 2, "-trace applies to fig1 only"},
 		{[]string{"serve", "-delay", "0"}, 2, "flag provided but not defined: -delay"},
+		{[]string{"serve", "-fleet", "2", "-dynamic", "-maxskew", "4"}, 2, "flag provided but not defined: -maxskew"},
 	} {
 		out, code := runSalient(t, tc.args...)
 		if code != tc.wantCode || !strings.Contains(out, tc.wantOut) {

@@ -79,17 +79,14 @@
 //	               results are bit-identical to the static baseline)
 //	-churn F       train/serve with -dynamic: stream F random edge
 //	               updates/sec into the graph while training epochs or
-//	               serving traffic run (default 0; with -fleet, updates fan
-//	               out to every replica through the router's watermarks)
+//	               serving traffic run (default 0; with -fleet, each update
+//	               is applied once to the graph every replica shares)
 //	-fleet R       serve: replicate the server R ways behind the affinity
 //	               router (default 0 = single bare server). The -cachefrac
 //	               budget is split across replicas; a 1-replica fleet is
 //	               bit-identical to the bare server.
 //	-routing P     serve with -fleet: request routing: hash (consistent-hash
 //	               affinity) | random (default hash)
-//	-maxskew K     serve with -fleet -dynamic: skip replicas whose graph
-//	               version lags the fleet maximum by more than K (default
-//	               0 = unbounded)
 //	-resultrows N  serve with -fleet: rows in the versioned result cache in
 //	               front of the router; entries invalidate when the graph
 //	               version advances (default 0 = off)
@@ -565,7 +562,7 @@ func runFleet(ds *dataset.Dataset, tr *train.Trainer, fanouts []int, f cliFlags)
 			CacheRows: perCache, CachePolicy: f.policy,
 			EmbCacheRows: f.embRows, EmbStaleness: f.embStale,
 		},
-		Routing: f.routePolicy, MaxSkew: f.maxSkew, ResultRows: f.resultRows,
+		Routing: f.routePolicy, ResultRows: f.resultRows,
 		Dynamic: f.dynamic, Seed: f.seed,
 	}, models...)
 	if err != nil {
@@ -623,8 +620,7 @@ func runFleet(ds *dataset.Dataset, tr *train.Trainer, fanouts []int, f cliFlags)
 		st.Latency.P50*1e3, st.Latency.P95*1e3, st.Latency.P99*1e3, st.Latency.Max*1e3)
 	fmt.Printf("routing    %v answered per replica\n", st.Routed)
 	if f.dynamic {
-		fmt.Printf("graph      %d edge updates applied, versions %v (skew %d, bound %d)\n",
-			churnApplied, st.Versions, st.Skew(), f.maxSkew)
+		fmt.Printf("graph      %d edge updates applied, version %d\n", churnApplied, st.MaxVersion)
 	}
 	if f.resultRows > 0 {
 		fmt.Printf("result memo  %d lookups, %d hits (%.0f%%), %d invalidated\n",

@@ -19,10 +19,10 @@
 //     occupancy crossed the class's share), and capacity sheds (ring
 //     full) instead of one bare "saturated" error.
 //
-//  4. Updates fan out with version watermarks. A graph mutation reaches
-//     every replica, the router tracks per-replica versions, and the
-//     result memo — keyed by (node, graph version) — invalidates the
-//     moment the version advances, so a memoized answer is never stale.
+//  4. Replicas share one graph, so a mutation is applied once and every
+//     replica sees it, and the result memo — keyed by (node, graph
+//     version) — invalidates the moment the version advances, so a
+//     memoized answer is never stale.
 package main
 
 import (
@@ -203,14 +203,14 @@ func main() {
 		st.ShedDeadlines, st.ShedPriorities, st.ShedCapacities)
 	fl.Close()
 
-	// 4. Versioned result memo + update fan-out with watermarks.
+	// 4. Versioned result memo over the shared graph.
 	models, err = fleet.Replicate(tr.Model, 2, build)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fl, err = fleet.New(ds, fleet.Options{
 		Replicas: 2, Serve: template, Dynamic: true,
-		ResultRows: 1024, MaxSkew: 2, Seed: seed,
+		ResultRows: 1024, Seed: seed,
 	}, models...)
 	if err != nil {
 		log.Fatal(err)
@@ -228,8 +228,9 @@ func main() {
 	fmt.Printf("\n4. result memo at graph v%d: repeat predict hit %d/%d lookups (answers %d == %d)\n",
 		p1.Version, rs.Hits, rs.Lookups, p1.Label, p2.Label)
 
-	// One mutation fans out to both replicas and advances every watermark;
-	// the memoized entry for the old version dies with it.
+	// One mutation, applied once to the shared graph, advances the version
+	// both replicas read; the memoized entry for the old version dies with
+	// it.
 	feat := make([]float32, ds.FeatDim)
 	id, ver, err := fl.AddNode(feat, 0, []int32{node})
 	if err != nil {
@@ -240,8 +241,8 @@ func main() {
 		log.Fatal(err)
 	}
 	st = fl.Stats()
-	fmt.Printf("  AddNode -> id %d, every replica at v%d (skew %d); re-predict is v%d, memo invalidated %d\n",
-		id, ver, st.Skew(), p3.Version, st.Result.Invalidated)
+	fmt.Printf("  AddNode -> id %d at v%d, replicas read v%d/v%d; re-predict is v%d, memo invalidated %d\n",
+		id, ver, st.PerReplica[0].GraphVersion, st.PerReplica[1].GraphVersion, p3.Version, st.Result.Invalidated)
 	fl.Close()
 
 	fmt.Println("\naffinity turns N small caches into one big one; admission")

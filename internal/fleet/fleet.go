@@ -13,6 +13,7 @@ import (
 	"salient/internal/graph"
 	"salient/internal/nn"
 	"salient/internal/serve"
+	"salient/internal/store"
 )
 
 // Routing selects how the router picks a replica for a request.
@@ -56,9 +57,10 @@ type Options struct {
 	// bit-identical to the bare server it wraps).
 	Replicas int
 	// Serve is the per-replica server template: every replica is built
-	// from this Options value with its own store and (under Dynamic) its
-	// own graph. Serve.Store and Serve.Graph must be nil — per-replica
-	// isolation is the fleet's job, shared backends would break it.
+	// from this Options value over the fleet's one base store and (under
+	// Dynamic) its one graph. Serve.Store and Serve.Graph must be nil —
+	// the fleet owns both. CacheRows still gives each replica its own
+	// feature cache over the shared base.
 	Serve serve.Options
 	// Routing selects the routing policy. Default RouteHash.
 	Routing Routing
@@ -80,21 +82,15 @@ type Options struct {
 	// priority retains the full queue. Default 1: no priority shedding,
 	// matching the bare server.
 	PriorityLevels int
-	// MaxSkew bounds how many graph versions a replica may lag the fleet
-	// watermark (the max replica version) before routing stops sending it
-	// traffic — the staleness bound on answers during update fan-out.
-	// 0 (default) is unbounded: any replica may answer.
-	MaxSkew uint64
 	// ResultRows enables the versioned result cache with the given
 	// capacity: answers are memoized by (node, graph version) and served
-	// without touching a replica while the fleet watermark still equals
+	// without touching a replica while the graph's version still equals
 	// the memoized version. 0 disables. Sound because serving is
 	// deterministic per (node, version).
 	ResultRows int
-	// Dynamic gives every replica its own graph.Dynamic over the
-	// dataset's graph, enabling Update/AddNode fan-out. Replicas apply
-	// the same update stream, so their versions advance in lockstep
-	// (skew appears only mid-fan-out or via direct per-replica updates).
+	// Dynamic builds one graph.Dynamic over the dataset's graph, shared by
+	// every replica, enabling Update/AddNode. A write is applied once and
+	// every replica's next micro-batch pins a snapshot that includes it.
 	Dynamic bool
 	// Seed keys the random-routing draw sequence. Default 1.
 	Seed uint64
@@ -105,10 +101,10 @@ func (o *Options) normalize() error {
 		o.Replicas = 1
 	}
 	if o.Serve.Store != nil {
-		return errors.New("fleet: Serve.Store must be nil (each replica builds its own store)")
+		return errors.New("fleet: Serve.Store must be nil (the fleet builds the base store its replicas share)")
 	}
 	if o.Serve.Graph != nil {
-		return errors.New("fleet: Serve.Graph must be nil (set Options.Dynamic for per-replica dynamic graphs)")
+		return errors.New("fleet: Serve.Graph must be nil (set Options.Dynamic for a shared dynamic graph)")
 	}
 	if o.PriorityLevels < 1 {
 		o.PriorityLevels = 1
@@ -119,29 +115,15 @@ func (o *Options) normalize() error {
 	return nil
 }
 
-// replica is one fleet member: its server, its in-flight request count
-// (the bounded-load signal) and its graph-version watermark (the skew
-// signal, advanced by update fan-outs and by the versions its own answers
-// report).
+// replica is one fleet member: its server and its in-flight request count
+// (the bounded-load signal).
 type replica struct {
 	srv      *serve.Server
-	dyn      *graph.Dynamic // nil when the fleet is static
 	inflight atomic.Int64
-	version  atomic.Uint64
 }
 
-// noteVersion raises the watermark to v (monotonic; racing writers keep
-// the max).
-func (r *replica) noteVersion(v uint64) {
-	for {
-		cur := r.version.Load()
-		if v <= cur || r.version.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// Fleet is a replicated serving front end over N in-process servers. It
+// Fleet is a replicated serving front end over N in-process servers that
+// share one base feature store and (under Dynamic) one graph. It
 // implements serve.Submitter, so every load driver that feeds a Server
 // feeds a Fleet unchanged. Create with New, submit from any number of
 // goroutines, Close when done.
@@ -149,14 +131,11 @@ type Fleet struct {
 	opts    Options
 	reps    []*replica
 	ring    *Ring
-	results *resultCache // nil when ResultRows == 0
+	results *resultCache   // nil when ResultRows == 0
+	base    *store.Flat    // the feature rows every replica gathers from
+	dyn     *graph.Dynamic // the shared graph; nil when the fleet is static
 
 	rr atomic.Uint64 // random-routing draw counter
-
-	// updateMu serializes Update/AddNode fan-outs so two concurrent
-	// writers cannot interleave per-replica application orders (which
-	// would make replica states diverge).
-	updateMu sync.Mutex
 
 	statsMu sync.Mutex
 	latency event.Recorder        // fleet-level submit->answer latency, seconds
@@ -186,27 +165,26 @@ func New(ds *dataset.Dataset, opts Options, models ...nn.Model) (*Fleet, error) 
 		opts:    opts,
 		ring:    NewRing(opts.VNodes),
 		results: newResultCache(opts.ResultRows),
+		base:    store.NewFlat(ds),
 		routed:  make([]int64, opts.Replicas),
 	}
-	for i := 0; i < opts.Replicas; i++ {
-		sopts := opts.Serve
-		rep := &replica{}
-		if opts.Dynamic {
-			dyn, err := graph.NewDynamic(ds.G, graph.DynamicOptions{})
-			if err != nil {
-				f.closeReplicas()
-				return nil, fmt.Errorf("fleet: replica %d graph: %w", i, err)
-			}
-			rep.dyn = dyn
-			sopts.Graph = dyn
+	sopts := opts.Serve
+	sopts.Store = f.base
+	if opts.Dynamic {
+		dyn, err := graph.NewDynamic(ds.G, graph.DynamicOptions{})
+		if err != nil {
+			return nil, fmt.Errorf("fleet: graph: %w", err)
 		}
+		f.dyn = dyn
+		sopts.Graph = dyn
+	}
+	for i := 0; i < opts.Replicas; i++ {
 		srv, err := serve.New(models[i], ds, sopts)
 		if err != nil {
 			f.closeReplicas()
 			return nil, fmt.Errorf("fleet: replica %d: %w", i, err)
 		}
-		rep.srv = srv
-		f.reps = append(f.reps, rep)
+		f.reps = append(f.reps, &replica{srv: srv})
 		if err := f.ring.Add(i); err != nil {
 			f.closeReplicas()
 			return nil, err
@@ -255,23 +233,23 @@ func (f *Fleet) Predict(node int32) (serve.Prediction, error) {
 }
 
 // PredictReq answers one request end to end: result-cache probe, routing
-// (affinity or random, skew-filtered, load-bounded), admission (deadline
+// (affinity or random, load-bounded), admission (deadline
 // feasibility against the replica's live p95, priority versus queue
 // occupancy), then the replica's own deadline-checked execution. Refusals
 // are *ShedError with the reason; replica-level failures pass through
 // (capacity saturations wrapped with their reason).
 func (f *Fleet) PredictReq(r serve.Request) (serve.Prediction, error) {
 	start := time.Now()
-	maxV := f.maxVersion()
 	if f.results != nil {
-		if label, ok := f.results.Get(r.Node, maxV); ok {
+		v := f.version()
+		if label, ok := f.results.Get(r.Node, v); ok {
 			f.statsMu.Lock()
 			f.latency.Add(time.Since(start).Seconds())
 			f.statsMu.Unlock()
-			return serve.Prediction{Label: label, Version: maxV}, nil
+			return serve.Prediction{Label: label, Version: v}, nil
 		}
 	}
-	idx := f.route(r.Node, maxV)
+	idx := f.route(r.Node)
 	rep := f.reps[idx]
 	if !r.Deadline.IsZero() {
 		if est := rep.srv.EstimateServiceTime(); est > 0 {
@@ -300,7 +278,6 @@ func (f *Fleet) PredictReq(r serve.Request) (serve.Prediction, error) {
 		}
 		return p, err
 	}
-	rep.noteVersion(p.Version)
 	if f.results != nil {
 		f.results.Put(r.Node, p.Label, p.Version)
 	}
@@ -329,32 +306,18 @@ func admitPriority(depth, qcap, levels, pri int) bool {
 	return depth*levels < qcap*(pri+1)
 }
 
-// route picks the replica for node given the current fleet watermark.
-// Hash routing walks the ring from node's home, skipping replicas lagging
-// past MaxSkew and (under LoadFactor) replicas over the load bound;
-// random routing draws a deterministic counter-keyed replica, rotated
-// past lagging ones. Falls back to the first skew-eligible replica (all
-// over bound), then to the home (transient all-lagging race) — routing
-// never fails outright, admission decides the rest.
-func (f *Fleet) route(node int32, maxV uint64) int {
+// route picks the replica for node. Hash routing walks the ring from
+// node's home, skipping (under LoadFactor) replicas over the load bound,
+// and falls back to the home when every replica is over it — routing
+// never fails outright, admission decides the rest. Random routing draws
+// a deterministic counter-keyed replica.
+func (f *Fleet) route(node int32) int {
 	n := len(f.reps)
 	if n == 1 {
 		return 0
 	}
-	eligible := func(i int) bool {
-		if f.opts.MaxSkew == 0 {
-			return true
-		}
-		return maxV-f.reps[i].version.Load() <= f.opts.MaxSkew
-	}
 	if f.opts.Routing == RouteRandom {
-		h := splitmix64(f.opts.Seed ^ f.rr.Add(1))
-		for i := 0; i < n; i++ {
-			if c := int((h + uint64(i)) % uint64(n)); eligible(c) {
-				return c
-			}
-		}
-		return int(h % uint64(n))
+		return int(splitmix64(f.opts.Seed^f.rr.Add(1)) % uint64(n))
 	}
 	key := keyHash(node)
 	bound := int64(math.MaxInt64)
@@ -365,14 +328,8 @@ func (f *Fleet) route(node int32, maxV uint64) int {
 		}
 		bound = int64(math.Ceil(f.opts.LoadFactor * float64(total+1) / float64(n)))
 	}
-	chosen, fallback := -1, -1
+	chosen := -1
 	f.ring.Walk(key, func(i int) bool {
-		if !eligible(i) {
-			return false
-		}
-		if fallback < 0 {
-			fallback = i
-		}
 		if f.reps[i].inflight.Load() < bound {
 			chosen = i
 			return true
@@ -381,9 +338,6 @@ func (f *Fleet) route(node int32, maxV uint64) int {
 	})
 	if chosen >= 0 {
 		return chosen
-	}
-	if fallback >= 0 {
-		return fallback
 	}
 	return f.ring.Home(key)
 }
@@ -394,88 +348,38 @@ func (f *Fleet) countShed(r ShedReason) {
 	f.statsMu.Unlock()
 }
 
-// maxVersion returns the fleet watermark: the highest graph version any
-// replica is known to have reached.
-func (f *Fleet) maxVersion() uint64 {
-	var max uint64
-	for _, rep := range f.reps {
-		if v := rep.version.Load(); v > max {
-			max = v
-		}
+// version returns the shared graph's latest version (0 for a static
+// fleet). Dynamic.Version takes the graph mutex, so reads call it only
+// when the result cache needs it.
+func (f *Fleet) version() uint64 {
+	if f.dyn == nil {
+		return 0
 	}
-	return max
+	return f.dyn.Version()
 }
 
-// RefreshVersions re-reads every dynamic replica's live graph version into
-// its watermark — the poll tests and monitors use after mutating a replica
-// directly (normal fan-out and answered predictions keep the watermarks
-// fresh on their own).
-func (f *Fleet) RefreshVersions() {
-	for _, rep := range f.reps {
-		if rep.dyn != nil {
-			rep.noteVersion(rep.dyn.Version())
-		}
-	}
-}
-
-// Update fans a batch of edge insertions out to every replica's graph in
-// replica order and returns the applied count and the fleet's new
-// watermark. Replicas apply identical streams (fan-outs are serialized),
-// so their applied counts and versions agree; a replica error aborts the
-// fan-out mid-way — the version watermark then reflects the skew, and
-// MaxSkew routing keeps answers within bound while the caller retries.
-// Stale memoized results below the new watermark are swept eagerly.
+// Update applies a batch of edge insertions to the shared graph once and
+// returns the applied count and the new version; every replica's next
+// micro-batch sees the edges. Memoized results below the new version are
+// swept eagerly.
 func (f *Fleet) Update(src, dst []int32) (int, uint64, error) {
-	f.updateMu.Lock()
-	defer f.updateMu.Unlock()
-	applied, maxVer := 0, uint64(0)
-	for i, rep := range f.reps {
-		a, v, err := rep.srv.Update(src, dst)
-		if err != nil {
-			return 0, f.maxVersion(), fmt.Errorf("fleet: replica %d update: %w", i, err)
-		}
-		rep.noteVersion(v)
-		if i == 0 {
-			applied = a
-		}
-		if v > maxVer {
-			maxVer = v
-		}
+	applied, v, err := f.reps[0].srv.Update(src, dst)
+	if err == nil && f.results != nil {
+		f.results.InvalidateBelow(v)
 	}
-	if f.results != nil {
-		f.results.InvalidateBelow(maxVer)
-	}
-	return applied, maxVer, nil
+	return applied, v, err
 }
 
-// AddNode fans one node insertion out to every replica (each appends the
-// feature row to its own store and grows its own graph) and returns the
-// new node ID — identical on every replica, enforced — plus the new
-// watermark.
+// AddNode appends one node to the shared store and graph and returns its
+// ID, answerable on every replica, plus the new version. Every fleet write
+// goes through replica 0's server, whose write lock keeps feature row and
+// node IDs aligned.
 func (f *Fleet) AddNode(feat []float32, label int32, neighbors []int32) (int32, uint64, error) {
-	f.updateMu.Lock()
-	defer f.updateMu.Unlock()
-	var id int32
-	var maxVer uint64
-	for i, rep := range f.reps {
-		nid, v, err := rep.srv.AddNode(feat, label, neighbors)
-		if err != nil {
-			return 0, f.maxVersion(), fmt.Errorf("fleet: replica %d addnode: %w", i, err)
-		}
-		if i == 0 {
-			id = nid
-		} else if nid != id {
-			return 0, f.maxVersion(), fmt.Errorf("fleet: replica %d assigned node %d, replica 0 assigned %d (replica states diverged)", i, nid, id)
-		}
-		rep.noteVersion(v)
-		if v > maxVer {
-			maxVer = v
-		}
+	id, v, err := f.reps[0].srv.AddNode(feat, label, neighbors)
+	if err == nil && f.results != nil {
+		f.results.InvalidateBelow(v)
 	}
-	if f.results != nil {
-		f.results.InvalidateBelow(maxVer)
-	}
-	return id, maxVer, nil
+	return id, v, err
 }
 
 // Close shuts every replica down (draining their queues).
@@ -500,7 +404,7 @@ func (f *Fleet) ResultCacheLen() int {
 
 // ResetStats zeroes the fleet's own counters, the result cache's traffic
 // counters, and every replica's stats — the warm-up/measure seam. Cached
-// rows, memoized results and version watermarks stay.
+// rows and memoized results stay.
 func (f *Fleet) ResetStats() {
 	f.statsMu.Lock()
 	f.latency = event.Recorder{}

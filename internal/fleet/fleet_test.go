@@ -2,12 +2,14 @@ package fleet
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"salient/internal/cache"
 	"salient/internal/dataset"
+	"salient/internal/graph"
 	"salient/internal/infer"
 	"salient/internal/nn"
 	"salient/internal/serve"
@@ -220,9 +222,9 @@ func TestFleetMultiReplicaMatchesOracle(t *testing.T) {
 
 	// Hash affinity is deterministic: the same node routes to the same
 	// replica every time (no load bound configured).
-	home := f.route(nodes[0], 0)
+	home := f.route(nodes[0])
 	for i := 0; i < 5; i++ {
-		if got := f.route(nodes[0], 0); got != home {
+		if got := f.route(nodes[0]); got != home {
 			t.Fatalf("route(%d) flapped %d -> %d", nodes[0], home, got)
 		}
 	}
@@ -355,73 +357,6 @@ func TestFleetPriorityShedsLowFirst(t *testing.T) {
 	}
 }
 
-// TestFleetSkewBoundedRouting pins the watermark machinery: a replica
-// lagging more than MaxSkew behind the fleet's max version stops
-// receiving traffic until it catches up.
-func TestFleetSkewBoundedRouting(t *testing.T) {
-	ds, _ := fitted(t)
-	f, err := New(ds, Options{
-		Replicas: 3, Serve: serveTemplate(), Dynamic: true, MaxSkew: 1,
-	}, cloneModels(t, 3)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	// Advance replica 0 three versions past its peers, bypassing the fleet
-	// (the operational analogue: a partial fan-out failure).
-	esrc, edst := freshEdges(t, 3)
-	for i := range esrc {
-		if _, _, err := f.Replica(0).Update(esrc[i:i+1], edst[i:i+1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f.RefreshVersions()
-
-	nodes := ds.Test[:30]
-	for _, v := range nodes {
-		p, err := f.Predict(v)
-		if err != nil {
-			t.Fatalf("Predict(%d) during skew: %v", v, err)
-		}
-		if p.Version != 3 {
-			t.Fatalf("Predict(%d) answered at version %d; laggards (v0) should be skipped (MaxSkew 1, watermark 3)", v, p.Version)
-		}
-	}
-	st := f.Stats()
-	if st.Routed[1] != 0 || st.Routed[2] != 0 {
-		t.Fatalf("lagging replicas served traffic: routed %v", st.Routed)
-	}
-	if st.Skew() != 3 || st.MaxVersion != 3 || st.MinVersion != 0 {
-		t.Fatalf("watermarks: %+v", st)
-	}
-
-	// Catch the laggards up; routing spreads again.
-	for _, rep := range []int{1, 2} {
-		for i := range esrc {
-			if _, _, err := f.Replica(rep).Update(esrc[i:i+1], edst[i:i+1]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	f.RefreshVersions()
-	f.ResetStats()
-	for _, v := range ds.Test[:60] {
-		if _, err := f.Predict(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	busy := 0
-	for _, c := range f.Stats().Routed {
-		if c > 0 {
-			busy++
-		}
-	}
-	if busy < 2 {
-		t.Fatalf("routing still pinned after laggards caught up: %v", f.Stats().Routed)
-	}
-}
-
 // TestFleetHashRoutingBeatsRandomOnCacheHits pins what affinity routing
 // buys: at one total cache budget split over two replicas, hash routing
 // sends each node's traffic to one replica, so that replica's VIP feature
@@ -517,9 +452,10 @@ func TestFleetResultCache(t *testing.T) {
 	}
 }
 
-// TestFleetUpdateFanOut pins write-path replication: one Update advances
-// every replica identically, and AddNode assigns the same ID fleet-wide.
-func TestFleetUpdateFanOut(t *testing.T) {
+// TestFleetUpdateAppliesOnce pins the write path over shared state: one
+// Update advances the graph every replica reads, and AddNode appends one
+// feature row and one node, not one per replica.
+func TestFleetUpdateAppliesOnce(t *testing.T) {
 	ds, _ := fitted(t)
 	f, err := New(ds, Options{Replicas: 2, Serve: serveTemplate(), Dynamic: true},
 		cloneModels(t, 2)...)
@@ -529,17 +465,16 @@ func TestFleetUpdateFanOut(t *testing.T) {
 	defer f.Close()
 
 	usrc, udst := freshEdges(t, 2)
-	_, ver, err := f.Update(usrc, udst)
+	applied, ver, err := f.Update(usrc, udst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ver != 1 {
-		t.Fatalf("fan-out version = %d, want 1", ver)
+	if applied != 2 || ver != 1 {
+		t.Fatalf("Update applied %d at version %d, want 2 at 1", applied, ver)
 	}
-	st := f.Stats()
-	for i, v := range st.Versions {
-		if v != 1 {
-			t.Fatalf("replica %d watermark %d after fan-out, want 1 (%v)", i, v, st.Versions)
+	for i := 0; i < f.NumReplicas(); i++ {
+		if v := f.Replica(i).Stats().GraphVersion; v != 1 {
+			t.Fatalf("replica %d reads graph version %d after Update, want 1", i, v)
 		}
 	}
 
@@ -556,21 +491,156 @@ func TestFleetUpdateFanOut(t *testing.T) {
 	if ver != 3 {
 		t.Fatalf("AddNode version = %d, want 3", ver)
 	}
+	if st := f.Stats(); st.MaxVersion != 3 {
+		t.Fatalf("fleet MaxVersion = %d, want 3", st.MaxVersion)
+	}
+	for i := 0; i < f.NumReplicas(); i++ {
+		if v := f.Replica(i).Stats().GraphVersion; v != 3 {
+			t.Fatalf("replica %d reads graph version %d after AddNode, want 3", i, v)
+		}
+		if rows := f.Replica(i).FeatureStore().NumNodes(); rows != int(ds.G.N)+1 {
+			t.Fatalf("replica %d store holds %d rows, want %d (one appended row)", i, rows, ds.G.N+1)
+		}
+	}
 	// The new node is immediately predictable through the router.
 	if _, err := f.Submit(id); err != nil {
 		t.Fatalf("Submit(new node %d): %v", id, err)
 	}
 }
 
+// TestDynamicFleetMatchesBareServer: replicas that share one graph answer
+// exactly as a bare server given the same writes — label and version —
+// after every write, and a node added through the fleet is answerable on
+// every replica without a per-replica write.
+func TestDynamicFleetMatchesBareServer(t *testing.T) {
+	ds, tr := fitted(t)
+	dyn, err := graph.NewDynamic(ds.G, graph.DynamicOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl := serveTemplate()
+	tmpl.Graph = dyn
+	bare, err := serve.New(tr.Model, ds, tmpl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close()
+	f, err := New(ds, Options{Replicas: 2, Serve: serveTemplate(), Dynamic: true},
+		cloneModels(t, 2)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	nodes := append([]int32(nil), ds.Test[:24]...)
+	check := func(when string) {
+		t.Helper()
+		for _, v := range nodes {
+			want, err := bare.Predict(v)
+			if err != nil {
+				t.Fatalf("%s: bare Predict(%d): %v", when, v, err)
+			}
+			for i := 0; i < f.NumReplicas(); i++ {
+				got, err := f.Replica(i).Predict(v)
+				if err != nil {
+					t.Fatalf("%s: replica %d Predict(%d): %v", when, i, v, err)
+				}
+				if got != want {
+					t.Fatalf("%s: replica %d Predict(%d) = %+v, bare server %+v", when, i, v, got, want)
+				}
+			}
+		}
+	}
+	check("before writes")
+	esrc, edst := freshEdges(t, 4)
+	for k := 0; k < 4; k += 2 {
+		if _, _, err := bare.Update(esrc[k:k+2], edst[k:k+2]); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := f.Update(esrc[k:k+2], edst[k:k+2]); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("after update %d", k/2+1))
+	}
+	feat := make([]float32, ds.FeatDim)
+	for j := range feat {
+		feat[j] = float32(j%7) / 7
+	}
+	bid, _, err := bare.AddNode(feat, 0, nodes[:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	fid, _, err := f.AddNode(feat, 0, nodes[:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fid != bid {
+		t.Fatalf("fleet AddNode id %d, bare server %d", fid, bid)
+	}
+	nodes = append(nodes, fid)
+	check("after AddNode")
+}
+
+// TestFleetTransferBillMatchesBareServer: replicas gather through one
+// shared base store, so the fleet's transfer bill over a request stream is
+// the bare server's — read once from the base when replicas have no
+// feature cache, and split into moved plus saved bytes when they do.
+func TestFleetTransferBillMatchesBareServer(t *testing.T) {
+	ds, tr := fitted(t)
+	nodes := ds.Test[:64]
+	bare, err := serve.New(tr.Model, ds, serveTemplate())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close()
+	for _, v := range nodes {
+		if _, err := bare.Predict(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := bare.Stats().BytesTransferred
+	if want == 0 {
+		t.Fatal("bare server billed no transfer")
+	}
+
+	bill := func(cacheRows int) Stats {
+		tmpl := serveTemplate()
+		tmpl.CacheRows = cacheRows
+		f, err := New(ds, Options{Replicas: 2, Serve: tmpl}, cloneModels(t, 2)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		for _, v := range nodes {
+			if _, err := f.Predict(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return f.Stats()
+	}
+	if st := bill(0); st.BytesTransferred != want || st.BytesSaved != 0 {
+		t.Fatalf("uncached fleet billed %d moved + %d saved bytes, bare server %d moved",
+			st.BytesTransferred, st.BytesSaved, want)
+	}
+	st := bill(int(ds.G.N) / 10)
+	if st.BytesSaved == 0 {
+		t.Fatal("cached fleet saved no bytes")
+	}
+	if got := st.BytesTransferred + st.BytesSaved; got != want {
+		t.Fatalf("cached fleet billed %d moved + %d saved = %d bytes, bare server %d",
+			st.BytesTransferred, st.BytesSaved, got, want)
+	}
+}
+
 // TestFleetConcurrentServeAndUpdate exercises the full concurrency matrix
-// under -race: readers through the router, update fan-outs, AddNode
-// growth, and watermark refreshes, all at once.
+// under -race: readers through the router, updates and AddNode growth on
+// the shared graph and store, all at once.
 func TestFleetConcurrentServeAndUpdate(t *testing.T) {
 	ds, _ := fitted(t)
 	tmpl := serveTemplate()
 	tmpl.QueueCapacity = 4096
 	f, err := New(ds, Options{
-		Replicas: 2, Serve: tmpl, Dynamic: true, MaxSkew: 4, ResultRows: 32,
+		Replicas: 2, Serve: tmpl, Dynamic: true, ResultRows: 32,
 	}, cloneModels(t, 2)...)
 	if err != nil {
 		t.Fatal(err)
@@ -599,7 +669,6 @@ func TestFleetConcurrentServeAndUpdate(t *testing.T) {
 				t.Errorf("Update: %v", err)
 				return
 			}
-			f.RefreshVersions()
 		}
 	}()
 	wg.Add(1)
@@ -616,11 +685,13 @@ func TestFleetConcurrentServeAndUpdate(t *testing.T) {
 	wg.Wait()
 
 	st := f.Stats()
-	if st.Versions[0] != st.Versions[1] {
-		t.Fatalf("replica versions diverged after quiesce: %v", st.Versions)
-	}
-	if n0, n1 := f.Replica(0).FeatureStore().NumNodes(), f.Replica(1).FeatureStore().NumNodes(); n0 != n1 {
-		t.Fatalf("replica stores diverged: %d vs %d rows", n0, n1)
+	for i, rs := range st.PerReplica {
+		if rs.GraphVersion != st.MaxVersion {
+			t.Fatalf("replica %d reads version %d, fleet %d", i, rs.GraphVersion, st.MaxVersion)
+		}
+		if rows := f.Replica(i).FeatureStore().NumNodes(); rows != int(ds.G.N)+3 {
+			t.Fatalf("replica %d store holds %d rows, want %d", i, rows, ds.G.N+3)
+		}
 	}
 }
 
@@ -636,6 +707,6 @@ func TestFleetOptionsValidation(t *testing.T) {
 	bad := serveTemplate()
 	bad.Store = store.NewFlat(ds)
 	if _, err := New(ds, Options{Replicas: 2, Serve: bad}, cloneModels(t, 2)...); err == nil {
-		t.Fatal("shared store accepted (replicas must own their stores)")
+		t.Fatal("user store accepted (the fleet builds the store its replicas share)")
 	}
 }

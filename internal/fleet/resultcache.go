@@ -30,7 +30,8 @@ type resultEntry struct {
 // a lookup hits only when the stored answer was computed at exactly the
 // version the caller requires, so a graph update invalidates every older
 // answer for free (lazily — entries age out via version mismatch and the
-// CLOCK hand — or eagerly via InvalidateBelow, the Update fan-out's sweep).
+// CLOCK hand — or eagerly via InvalidateBelow, the sweep every fleet write
+// runs).
 // Correctness leans on the serving layer's determinism: at a fixed graph
 // version, Submit(v) always returns the same label, so a memoized answer
 // IS the answer.
@@ -116,7 +117,7 @@ func (c *resultCache) Put(node, label int32, version uint64) {
 }
 
 // InvalidateBelow drops every entry computed before version — the eager
-// sweep the Update fan-out runs so a burst of stale entries doesn't linger
+// sweep Update and AddNode run so a burst of stale entries doesn't linger
 // occupying slots that can never hit again.
 func (c *resultCache) InvalidateBelow(version uint64) {
 	c.mu.Lock()

@@ -1,11 +1,11 @@
 // Package fleet is the replicated serving front end: a Router over N
-// in-process serve.Server replicas that keeps each replica's caches hot on
-// its own key slice (consistent-hash affinity with bounded-load spill),
-// sheds work that cannot or should not be done (deadline- and
-// priority-aware admission, with reasons), memoizes answers per graph
-// version (a versioned result cache), and bounds how stale a replica may
-// be before routing stops sending it traffic (the fleet version
-// watermark). A fleet of one is bit-identical to the bare server it wraps.
+// in-process serve.Server replicas that share one graph and one base
+// feature store, keeps each replica's own caches hot on its own key slice
+// (consistent-hash affinity with bounded-load spill), sheds work that
+// cannot or should not be done (deadline- and priority-aware admission,
+// with reasons), and memoizes answers per graph version (a versioned
+// result cache). A fleet of one is bit-identical to the bare server it
+// wraps.
 package fleet
 
 import (

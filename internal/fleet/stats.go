@@ -6,12 +6,15 @@ import (
 )
 
 // Stats is the fleet-aggregate view: replica counters summed, the fleet's
-// own admission/latency accounting, per-replica watermarks, and the raw
-// per-replica snapshots for drill-down. Counter fields are exact sums of
-// PerReplica (the aggregation test pins that); Latency is measured at the
-// fleet boundary — submit to answer through routing, admission and the
-// result cache — so it is the latency a client of the fleet observes, not
-// a merge of replica-local distributions.
+// own admission/latency accounting, the shared graph's version, and the
+// raw per-replica snapshots for drill-down. Request counters are exact
+// sums of PerReplica (the aggregation test pins that). The transfer bill
+// is a sum only when every replica has its own feature cache; without
+// one, each replica reports the shared base store's counters, and the
+// fleet reads them once. Latency is measured at the fleet boundary —
+// submit to answer through routing, admission and the result cache — so
+// it is the latency a client of the fleet observes, not a merge of
+// replica-local distributions.
 type Stats struct {
 	Replicas int
 
@@ -37,17 +40,16 @@ type Stats struct {
 	// affinity balance view.
 	Routed []int64
 
-	// Versions are the per-replica graph watermarks; Min/MaxVersion
-	// bracket the fleet's current skew.
-	Versions   []uint64
-	MinVersion uint64
+	// MaxVersion is the shared graph's latest version (0 for a static
+	// fleet).
 	MaxVersion uint64
 
 	// Result is the versioned result cache's traffic (zero when disabled).
 	Result ResultStats
 
 	// Cache sums over replicas: device feature-cache and historical
-	// embedding-cache traffic, and the transfer bill.
+	// embedding-cache traffic, and the transfer bill (read once from the
+	// shared base store when the replicas have no feature cache).
 	CacheLookups     int64
 	CacheHits        int64
 	EmbLookups       int64
@@ -56,7 +58,7 @@ type Stats struct {
 	BytesSaved       int64
 
 	// PerReplica holds each replica's own snapshot, index-aligned with
-	// Routed and Versions.
+	// Routed.
 	PerReplica []serve.Stats
 }
 
@@ -78,14 +80,10 @@ func (s Stats) CombinedCacheHitRate() float64 {
 	return float64(s.CacheHits+s.EmbHits) / float64(lookups)
 }
 
-// Skew returns MaxVersion - MinVersion, the fleet's current version
-// spread.
-func (s Stats) Skew() uint64 { return s.MaxVersion - s.MinVersion }
-
 // Stats snapshots the fleet: every replica's stats (summed and kept), the
-// router's own accounting, and the version watermarks.
+// router's own accounting, and the graph version.
 func (f *Fleet) Stats() Stats {
-	s := Stats{Replicas: len(f.reps)}
+	s := Stats{Replicas: len(f.reps), MaxVersion: f.version()}
 	for _, rep := range f.reps {
 		rs := rep.srv.Stats()
 		s.PerReplica = append(s.PerReplica, rs)
@@ -100,14 +98,10 @@ func (f *Fleet) Stats() Stats {
 		s.EmbHits += rs.EmbHits
 		s.BytesTransferred += rs.BytesTransferred
 		s.BytesSaved += rs.BytesSaved
-		v := rep.version.Load()
-		s.Versions = append(s.Versions, v)
-		if v > s.MaxVersion {
-			s.MaxVersion = v
-		}
-		if len(s.Versions) == 1 || v < s.MinVersion {
-			s.MinVersion = v
-		}
+	}
+	if f.opts.Serve.CacheRows == 0 {
+		bs := f.base.Stats()
+		s.BytesTransferred, s.BytesSaved = bs.BytesMoved, bs.BytesSaved
 	}
 	if f.results != nil {
 		s.Result = f.results.Stats()

@@ -51,15 +51,6 @@ func DriveClosedLoop(s Submitter, nodes []int32, clients, requests int) time.Dur
 	return time.Since(start)
 }
 
-// DriveOpenLoop offers `requests` requests at a fixed rate (one dispatch per
-// 1/rate seconds, fire-and-forget), the open-loop client that exposes
-// latency and rejection behaviour under a set offered load. It returns the
-// wall time from first dispatch until every outstanding request completed;
-// rejections land in the server's Stats.
-func DriveOpenLoop(s Submitter, nodes []int32, rate float64, requests int) time.Duration {
-	return DriveOpenLoopProcess(s, nodes, rate, requests, ArrivalUniform, 0)
-}
-
 // Arrival selects the inter-dispatch process of the open-loop driver.
 type Arrival int
 
@@ -74,9 +65,13 @@ const (
 	ArrivalPoisson
 )
 
-// DriveOpenLoopProcess is DriveOpenLoop with a selectable arrival process;
-// seed keys the Poisson gap stream (ignored for ArrivalUniform). Mean
-// offered load equals rate for both processes.
+// DriveOpenLoopProcess offers `requests` requests at mean rate `rate`
+// (fire-and-forget dispatches spaced by the arrival process proc), the
+// open-loop client that exposes latency and rejection behaviour under a
+// set offered load; seed keys the Poisson gap stream (ignored for
+// ArrivalUniform). It returns the wall time from first dispatch until
+// every outstanding request completed; rejections land in the server's
+// Stats.
 func DriveOpenLoopProcess(s Submitter, nodes []int32, rate float64, requests int, proc Arrival, seed uint64) time.Duration {
 	r := rng.New(seed)
 	var wg sync.WaitGroup
