@@ -95,6 +95,12 @@ func TestCommandExits(t *testing.T) {
 		{[]string{"all", "-trace", "out"}, 2, "-trace applies to fig1 only"},
 		{[]string{"serve", "-delay", "0"}, 2, "flag provided but not defined: -delay"},
 		{[]string{"serve", "-fleet", "2", "-dynamic", "-maxskew", "4"}, 2, "flag provided but not defined: -maxskew"},
+		// Happy paths, each well under a second at these scales.
+		{[]string{"train", "-scale", "0.05", "-epochs", "1"}, 0, "epoch  0"},
+		{[]string{"serve", "-scale", "0.08", "-epochs", "1", "-requests", "500", "-cachepolicy", "vip", "-embrows", "256"}, 0, "latency    p50"},
+		// Result-memo hits count as served: every one of the 1500 requests
+		// is answered.
+		{[]string{"serve", "-scale", "0.08", "-epochs", "1", "-requests", "1500", "-fleet", "2", "-dynamic", "-churn", "2000", "-resultrows", "500"}, 0, "served     1500 requests"},
 	} {
 		out, code := runSalient(t, tc.args...)
 		if code != tc.wantCode || !strings.Contains(out, tc.wantOut) {

@@ -613,8 +613,10 @@ func runFleet(ds *dataset.Dataset, tr *train.Trainer, fanouts []int, f cliFlags)
 	}
 
 	st := fl.Stats()
+	// A result-memo hit is answered at the router, so no replica counts it.
+	answered := st.Served + st.Result.Hits
 	fmt.Printf("\nserved     %d requests in %v (%.0f rps), %d rejected, %d shed (deadline %d, priority %d, capacity %d)\n",
-		st.Served, wall.Round(time.Millisecond), float64(st.Served)/wall.Seconds(),
+		answered, wall.Round(time.Millisecond), float64(answered)/wall.Seconds(),
 		st.Rejected, st.TotalSheds(), st.ShedDeadlines, st.ShedPriorities, st.ShedCapacities)
 	fmt.Printf("latency    p50 %.2fms  p95 %.2fms  p99 %.2fms  max %.2fms\n",
 		st.Latency.P50*1e3, st.Latency.P95*1e3, st.Latency.P99*1e3, st.Latency.Max*1e3)

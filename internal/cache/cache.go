@@ -103,8 +103,7 @@ type lruNode struct {
 	prev, next *lruNode
 }
 
-// Options configures NewWithOptions beyond the basic (capacity, policy)
-// pair.
+// Options configures New.
 type Options struct {
 	// Capacity is the cache's row capacity (capped at the node count).
 	Capacity int
@@ -125,13 +124,8 @@ type Options struct {
 	DecayEvery int64
 }
 
-// New builds a cache of the given row capacity over topology g.
-func New(g graph.Topology, capacity int, policy Policy) (*Cache, error) {
-	return NewWithOptions(g, Options{Capacity: capacity, Policy: policy})
-}
-
-// NewWithOptions builds a cache over topology g with full option control.
-func NewWithOptions(g graph.Topology, o Options) (*Cache, error) {
+// New builds a cache over topology g configured by o.
+func New(g graph.Topology, o Options) (*Cache, error) {
 	if o.Capacity < 0 {
 		return nil, fmt.Errorf("cache: negative capacity %d", o.Capacity)
 	}
@@ -314,17 +308,6 @@ func (c *Cache) Touch(v int32) bool {
 		c.insert(v)
 	}
 	return false
-}
-
-// TouchBatch records accesses for all nodes of a sampled neighborhood and
-// returns the number of misses (rows that must be transferred).
-func (c *Cache) TouchBatch(nodeIDs []int32) (misses int) {
-	for _, v := range nodeIDs {
-		if !c.Touch(v) {
-			misses++
-		}
-	}
-	return misses
 }
 
 func (c *Cache) insert(v int32) {

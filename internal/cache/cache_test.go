@@ -42,7 +42,7 @@ func starGraph(t testing.TB, leaves int32) *graph.CSR {
 
 func TestStaticDegreePinsHubs(t *testing.T) {
 	g := starGraph(t, 50)
-	c, err := New(g, 1, StaticDegree)
+	c, err := New(g, Options{Capacity: 1, Policy: StaticDegree})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestStaticDegreePinsHubs(t *testing.T) {
 
 func TestStaticNeverEvicts(t *testing.T) {
 	g := starGraph(t, 10)
-	c, err := New(g, 1, StaticDegree)
+	c, err := New(g, Options{Capacity: 1, Policy: StaticDegree})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestStaticNeverEvicts(t *testing.T) {
 
 func TestLRUEvictsLeastRecent(t *testing.T) {
 	g := lineGraph(t, 100)
-	c, err := New(g, 2, LRU)
+	c, err := New(g, Options{Capacity: 2, Policy: LRU})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestLRUCapacityInvariant(t *testing.T) {
 	g := lineGraph(t, 500)
 	f := func(raw []uint16, capRaw uint8) bool {
 		capacity := int(capRaw%16) + 1
-		c, err := New(g, capacity, LRU)
+		c, err := New(g, Options{Capacity: capacity, Policy: LRU})
 		if err != nil {
 			return false
 		}
@@ -119,16 +119,14 @@ func TestLRUCapacityInvariant(t *testing.T) {
 
 func TestLRUSecondPassAllHits(t *testing.T) {
 	g := lineGraph(t, 50)
-	c, err := New(g, 10, LRU)
+	c, err := New(g, Options{Capacity: 10, Policy: LRU})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ids := []int32{3, 7, 9, 11, 13}
-	c.TouchBatch(ids)
+	touchAll(c, ids)
 	c.ResetStats()
-	if misses := c.TouchBatch(ids); misses != 0 {
-		t.Fatalf("%d misses on resident working set", misses)
-	}
+	touchAll(c, ids)
 	if c.Stats().HitRate() != 1 {
 		t.Fatalf("hit rate %v, want 1", c.Stats().HitRate())
 	}
@@ -137,7 +135,7 @@ func TestLRUSecondPassAllHits(t *testing.T) {
 func TestZeroCapacity(t *testing.T) {
 	g := lineGraph(t, 10)
 	for _, p := range []Policy{StaticDegree, LRU} {
-		c, err := New(g, 0, p)
+		c, err := New(g, Options{Capacity: 0, Policy: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,14 +146,14 @@ func TestZeroCapacity(t *testing.T) {
 			t.Fatalf("%v: resident rows with zero capacity", p)
 		}
 	}
-	if _, err := New(g, -1, LRU); err == nil {
+	if _, err := New(g, Options{Capacity: -1, Policy: LRU}); err == nil {
 		t.Fatal("negative capacity accepted")
 	}
 }
 
 func TestCapacityClampedToGraph(t *testing.T) {
 	g := lineGraph(t, 10)
-	c, err := New(g, 1000, StaticDegree)
+	c, err := New(g, Options{Capacity: 1000, Policy: StaticDegree})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +175,7 @@ func TestStaticCacheAbsorbsPowerLawTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(ds.G, int(ds.G.N)/10, StaticDegree) // 10% of rows
+	c, err := New(ds.G, Options{Capacity: int(ds.G.N) / 10, Policy: StaticDegree}) // 10% of rows
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +184,7 @@ func TestStaticCacheAbsorbsPowerLawTraffic(t *testing.T) {
 	for b := 0; b < 8; b++ {
 		lo := (b * 32) % (len(ds.Train) - 32)
 		m := sm.Sample(r, ds.Train[lo:lo+32])
-		c.TouchBatch(m.NodeIDs)
+		touchAll(c, m.NodeIDs)
 	}
 	if hr := c.Stats().HitRate(); hr < 0.18 {
 		t.Fatalf("10%% degree cache absorbed only %.1f%% of traffic on a power-law graph", 100*hr)
@@ -196,5 +194,12 @@ func TestStaticCacheAbsorbsPowerLawTraffic(t *testing.T) {
 func TestPolicyString(t *testing.T) {
 	if StaticDegree.String() != "static-degree" || LRU.String() != "lru" {
 		t.Fatal("policy names wrong")
+	}
+}
+
+// touchAll records one access for each of ids.
+func touchAll(c *Cache, ids []int32) {
+	for _, v := range ids {
+		c.Touch(v)
 	}
 }

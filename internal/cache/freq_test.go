@@ -262,7 +262,7 @@ func TestPlanVIPUnitCostMatchesTopK(t *testing.T) {
 
 func TestVIPCachePlanFollowsTraffic(t *testing.T) {
 	g := lineGraph(t, 16)
-	c, err := New(g, 2, VIP)
+	c, err := New(g, Options{Capacity: 2, Policy: VIP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestVIPCachePlanFollowsTraffic(t *testing.T) {
 
 func TestVIPCacheDecayShiftsPlacement(t *testing.T) {
 	g := lineGraph(t, 8)
-	c, err := New(g, 1, VIP)
+	c, err := New(g, Options{Capacity: 1, Policy: VIP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestPerShardBudgets(t *testing.T) {
 	g := lineGraph(t, 12)
 	const parts = 3
 	partOf := func(v int32) int32 { return v % parts }
-	c, err := NewWithOptions(g, Options{
+	c, err := New(g, Options{
 		Capacity: 5, // 2 + 2 + 1 across shards 0,1,2
 		Policy:   VIP,
 		PartOf:   partOf,
@@ -371,7 +371,7 @@ func TestPerShardBudgetsStaticDegree(t *testing.T) {
 	// (even/odd), the hub takes shard 0's slot and shard 1 still gets its
 	// own best node instead of being starved by global ranking.
 	g := starGraph(t, 6) // nodes 0..6, node 0 has degree 6, leaves degree 1
-	c, err := NewWithOptions(g, Options{
+	c, err := New(g, Options{
 		Capacity: 2,
 		Policy:   StaticDegree,
 		PartOf:   func(v int32) int32 { return v % 2 },

@@ -8,6 +8,7 @@ import (
 	"salient/internal/cache"
 	"salient/internal/dataset"
 	"salient/internal/device"
+	"salient/internal/half"
 	"salient/internal/nn"
 	"salient/internal/partition"
 	"salient/internal/prep"
@@ -198,11 +199,11 @@ func TestPerReplicaStoresDoNotChangeTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := store.NewSharded(ds, a)
+	sharded, err := store.NewSharded(ds, a, half.FP16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := store.NewCached(store.NewFlat(ds), ds.G, int(ds.G.N)/4, cache.StaticDegree)
+	cached, err := store.NewCached(store.NewFlat(ds), ds.G, store.CacheOptions{Rows: int(ds.G.N) / 4, Policy: cache.StaticDegree})
 	if err != nil {
 		t.Fatal(err)
 	}

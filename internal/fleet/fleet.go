@@ -393,15 +393,6 @@ func (f *Fleet) closeReplicas() {
 	}
 }
 
-// ResultCacheLen returns the number of memoized answers (0 when the
-// result cache is disabled).
-func (f *Fleet) ResultCacheLen() int {
-	if f.results == nil {
-		return 0
-	}
-	return f.results.Len()
-}
-
 // ResetStats zeroes the fleet's own counters, the result cache's traffic
 // counters, and every replica's stats — the warm-up/measure seam. Cached
 // rows and memoized results stay.

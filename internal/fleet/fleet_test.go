@@ -435,7 +435,7 @@ func TestFleetResultCache(t *testing.T) {
 		t.Fatalf("result cache stats %+v, want 1 hit of 2 lookups", st.Result)
 	}
 
-	// A graph update advances the watermark: the memo can no longer answer.
+	// A graph update advances the version: the memo can no longer answer.
 	usrc, udst := freshEdges(t, 1)
 	if _, ver, err := f.Update(usrc, udst); err != nil || ver != 1 {
 		t.Fatalf("Update: ver=%d err=%v", ver, err)
@@ -447,8 +447,27 @@ func TestFleetResultCache(t *testing.T) {
 	if third.Version != 1 {
 		t.Fatalf("post-update answer at version %d, want 1", third.Version)
 	}
-	if st := f.Stats(); st.Submitted != 2 {
-		t.Fatalf("replica Submitted = %d after invalidation, want 2", st.Submitted)
+	if st := f.Stats(); st.Submitted != 2 || st.Result.Invalidated != 1 {
+		t.Fatalf("replica Submitted = %d, memo invalidated %d after Update, want 2 and 1",
+			st.Submitted, st.Result.Invalidated)
+	}
+
+	// AddNode is a write too: it sweeps the version-1 answer, and the next
+	// read is recomputed at the new version.
+	_, ver, err := f.AddNode(make([]float32, ds.FeatDim), 0, []int32{v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fourth, err := f.Predict(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fourth.Version != ver {
+		t.Fatalf("post-AddNode answer at version %d, want %d", fourth.Version, ver)
+	}
+	if st := f.Stats(); st.Submitted != 3 || st.Result.Invalidated != 2 {
+		t.Fatalf("replica Submitted = %d, memo invalidated %d after AddNode, want 3 and 2",
+			st.Submitted, st.Result.Invalidated)
 	}
 }
 

@@ -14,16 +14,16 @@
 //   - LDGMultiPass: LDG with refinement passes, re-placing each node given
 //     the current assignment (label-propagation-style improvement).
 //
-// Quality is evaluated by edge cut, balance, and the sampling-specific
-// metric the paper calls for: the expected fraction of sampled multi-hop
-// neighbors that live off-part (SampleCut), measured on real MFGs.
+// Quality is evaluated by edge cut and balance (Evaluate). The
+// sampling-specific cost, the share of sampled rows fetched off-part, is
+// measured where it is paid: the sharded feature store's remote-row
+// accounting.
 package partition
 
 import (
 	"fmt"
 
 	"salient/internal/graph"
-	"salient/internal/mfg"
 )
 
 // Assignment maps each node to a part in [0, Parts).
@@ -175,30 +175,4 @@ func Evaluate(g graph.Topology, a *Assignment) Quality {
 		q.EdgeCut = float64(cut) / float64(e)
 	}
 	return q
-}
-
-// SampleCut measures the paper's sampling-aware objective on a real sampled
-// mini-batch: the fraction of sampled MFG edges whose endpoints live on
-// different parts. In a distributed sampler each hop expands from the node
-// that owns the frontier vertex, so every cross-part sampled edge is one
-// remote neighbor-list lookup plus one remote feature-row fetch; SampleCut
-// is the network share of the batch's expansion traffic.
-func SampleCut(m *mfg.MFG, a *Assignment) float64 {
-	var cross, total int64
-	for li := range m.Blocks {
-		blk := &m.Blocks[li]
-		for d := int32(0); d < blk.NumDst; d++ {
-			pd := a.Part[m.NodeIDs[d]]
-			for _, src := range blk.Neighbors(d) {
-				total++
-				if a.Part[m.NodeIDs[src]] != pd {
-					cross++
-				}
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(cross) / float64(total)
 }

@@ -6,8 +6,6 @@ import (
 
 	"salient/internal/dataset"
 	"salient/internal/graph"
-	"salient/internal/rng"
-	"salient/internal/sampler"
 )
 
 func productsGraph(t testing.TB) *dataset.Dataset {
@@ -95,30 +93,6 @@ func TestMultiPassImprovesOrMatchesCut(t *testing.T) {
 	}
 }
 
-func TestSampleCutTracksEdgeCut(t *testing.T) {
-	// The sampling-aware metric: LDG should also reduce the fraction of
-	// sampled neighbors fetched off-part.
-	ds := productsGraph(t)
-	ra, _ := Random(ds.G, 4, 1)
-	la, _ := LDG(ds.G, 4)
-
-	sm := sampler.New(ds.G, []int{10, 5}, sampler.FastConfig())
-	r := rng.New(3)
-	var randomCut, ldgCut float64
-	const batches = 10
-	for b := 0; b < batches; b++ {
-		lo := (b * 64) % (len(ds.Train) - 64)
-		m := sm.Sample(r, ds.Train[lo:lo+64])
-		randomCut += SampleCut(m, ra)
-		ldgCut += SampleCut(m, la)
-	}
-	randomCut /= batches
-	ldgCut /= batches
-	if ldgCut >= randomCut {
-		t.Fatalf("LDG sample cut %.3f not below random %.3f", ldgCut, randomCut)
-	}
-}
-
 func TestEvaluateSinglePart(t *testing.T) {
 	ds := productsGraph(t)
 	a, err := LDG(ds.G, 1)
@@ -176,17 +150,6 @@ func TestPartitionProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSampleCutBounds(t *testing.T) {
-	ds := productsGraph(t)
-	a, _ := Random(ds.G, 8, 2)
-	sm := sampler.New(ds.G, []int{5, 5}, sampler.FastConfig())
-	m := sm.Sample(rng.New(1), ds.Train[:32])
-	c := SampleCut(m, a)
-	if c < 0 || c > 1 {
-		t.Fatalf("sample cut %v out of [0,1]", c)
 	}
 }
 

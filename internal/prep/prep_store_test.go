@@ -7,6 +7,7 @@ import (
 
 	"salient/internal/cache"
 	"salient/internal/dataset"
+	"salient/internal/half"
 	"salient/internal/partition"
 	"salient/internal/sampler"
 	"salient/internal/slicing"
@@ -104,11 +105,11 @@ func TestShardedStoreBatchesBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := store.NewSharded(ds, a)
+	sharded, err := store.NewSharded(ds, a, half.FP16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := store.NewCached(store.NewFlat(ds), ds.G, int(ds.G.N)/4, cache.StaticDegree)
+	cached, err := store.NewCached(store.NewFlat(ds), ds.G, store.CacheOptions{Rows: int(ds.G.N) / 4, Policy: cache.StaticDegree})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func TestEmbReuseStalenessZeroBitIdentical(t *testing.T) {
 	if st.EmbHits != 0 {
 		t.Fatalf("staleness 0 served %d hits", st.EmbHits)
 	}
-	if s.EmbCache().Len() == 0 {
+	if s.emb.Len() == 0 {
 		t.Fatal("window 0 must still absorb embeddings")
 	}
 }
@@ -159,7 +159,7 @@ func TestEmbReuseConcurrentWithInvalidation(t *testing.T) {
 				return
 			default:
 			}
-			s.EmbCache().Invalidate(i % 64)
+			s.emb.Invalidate(i % 64)
 			time.Sleep(300 * time.Microsecond)
 		}
 	}()

@@ -279,15 +279,6 @@ func (s Stats) EmbHitRate() float64 {
 	return float64(s.EmbHits) / float64(s.EmbLookups)
 }
 
-// CacheHitRate returns the fraction of feature-row lookups served from the
-// device cache.
-func (s Stats) CacheHitRate() float64 {
-	if s.CacheLookups == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(s.CacheLookups)
-}
-
 // Server is an online sampled-inference server over a trained model. Create
 // with New, submit with Submit from any number of goroutines, and Close when
 // done.
@@ -390,7 +381,7 @@ func New(m nn.Model, ds *dataset.Dataset, opts Options) (*Server, error) {
 	}
 	s.store = base
 	if opts.CacheRows > 0 {
-		cached, err := store.NewCached(base, ds.G, opts.CacheRows, opts.CachePolicy)
+		cached, err := store.NewCached(base, ds.G, store.CacheOptions{Rows: opts.CacheRows, Policy: opts.CachePolicy})
 		if err != nil {
 			return nil, err
 		}
@@ -960,10 +951,6 @@ func mergedFrontierPos(slots []mfg.MFG, req, loc int) int {
 	}
 	panic("serve: frontier position out of range") //lint:allow panicdiscipline the truncate hook is consulted only for level-1 frontier entries, so an overflow here is a sampler/merge invariant violation
 }
-
-// EmbCache returns the server's historical layer-embedding cache, or nil
-// when Options.EmbCacheRows was 0.
-func (s *Server) EmbCache() *embcache.Cache { return s.emb }
 
 // ResetStats zeroes the server's counters and latency/occupancy recorders
 // along with the feature store's transfer accounting and the embedding

@@ -360,7 +360,7 @@ func TestServeThroughShardedStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := store.NewSharded(ds, a)
+	sharded, err := store.NewSharded(ds, a, half.FP16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,8 +37,7 @@ type Cached struct {
 	stats Stats
 }
 
-// CacheOptions configures NewCachedOpts beyond the basic (rows, policy)
-// pair.
+// CacheOptions configures NewCached.
 type CacheOptions struct {
 	// Rows is the cache's row capacity.
 	Rows int
@@ -59,16 +58,10 @@ type CacheOptions struct {
 	DecayEvery int64
 }
 
-// NewCached wraps inner with a cache of the given row capacity and policy
-// over topology g (the degree source for static placement).
-func NewCached(inner FeatureStore, g graph.Topology, rows int, policy cache.Policy) (*Cached, error) {
-	return NewCachedOpts(inner, g, CacheOptions{Rows: rows, Policy: policy})
-}
-
-// NewCachedOpts wraps inner with a cache configured by o over topology g
-// (the degree source for static placement, the shard map source for
-// per-shard budgets).
-func NewCachedOpts(inner FeatureStore, g graph.Topology, o CacheOptions) (*Cached, error) {
+// NewCached wraps inner with a cache configured by o over topology g (the
+// degree source for static placement, the shard map source for per-shard
+// budgets).
+func NewCached(inner FeatureStore, g graph.Topology, o CacheOptions) (*Cached, error) {
 	if int(g.NumNodes()) != inner.NumNodes() {
 		return nil, fmt.Errorf("store: cache graph has %d nodes, store holds %d", g.NumNodes(), inner.NumNodes())
 	}
@@ -81,7 +74,7 @@ func NewCachedOpts(inner FeatureStore, g graph.Topology, o CacheOptions) (*Cache
 		copts.PartOf = sh.Part
 		copts.Parts = sh.Parts()
 	}
-	c, err := cache.NewWithOptions(g, copts)
+	c, err := cache.New(g, copts)
 	if err != nil {
 		return nil, err
 	}

@@ -40,15 +40,15 @@ func precStores(t testing.TB, ds *dataset.Dataset, prec half.Precision) map[stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := NewShardedPrec(ds, a, prec)
+	sharded, err := NewSharded(ds, a, prec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := NewCached(NewFlatPrec(ds, prec), ds.G, int(ds.G.N)/5, cache.StaticDegree)
+	cached, err := NewCached(NewFlatPrec(ds, prec), ds.G, CacheOptions{Rows: int(ds.G.N) / 5, Policy: cache.StaticDegree})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cachedSharded, err := NewCached(sharded, ds.G, int(ds.G.N)/5, cache.StaticDegree)
+	cachedSharded, err := NewCached(sharded, ds.G, CacheOptions{Rows: int(ds.G.N) / 5, Policy: cache.StaticDegree})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestPrecisionByteAccounting(t *testing.T) {
 		moved[prec] = got.BytesMoved
 
 		fused := NewFlatPrec(ds, prec)
-		sharded, err := NewShardedPrec(ds, a, prec)
+		sharded, err := NewSharded(ds, a, prec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -170,7 +170,7 @@ func NewRemote(ds *dataset.Dataset, a *partition.Assignment, home int32, peers [
 	}
 
 	// Lay out the home shard: rows of home-assigned nodes in placement
-	// order, encoded from the fp16 master exactly as NewShardedPrec encodes
+	// order, encoded from the fp16 master exactly as NewSharded encodes
 	// a shard — so every store of one dataset derives from identical inputs.
 	s.rows = newRowMat(prec, s.dim, int(counts[home]))
 	s.labels = make([]int32, counts[home])

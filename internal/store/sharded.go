@@ -39,16 +39,11 @@ type Sharded struct {
 	stats Stats
 }
 
-// NewSharded builds the sharded store over ds at the seed precision (fp16),
-// physically re-laying the feature rows per assignment a.
-func NewSharded(ds *dataset.Dataset, a *partition.Assignment) (*Sharded, error) {
-	return NewShardedPrec(ds, a, half.FP16)
-}
-
-// NewShardedPrec builds the sharded store at an explicit storage precision,
-// re-encoding each row from the dataset's fp16 master values as it is laid
-// into its shard.
-func NewShardedPrec(ds *dataset.Dataset, a *partition.Assignment, prec half.Precision) (*Sharded, error) {
+// NewSharded builds the sharded store over ds at storage precision prec,
+// physically re-laying the feature rows per assignment a and re-encoding
+// each row from the dataset's fp16 master values as it is laid into its
+// shard.
+func NewSharded(ds *dataset.Dataset, a *partition.Assignment, prec half.Precision) (*Sharded, error) {
 	n := int(ds.G.N)
 	if len(a.Part) != n {
 		return nil, fmt.Errorf("store: assignment covers %d nodes, dataset has %d", len(a.Part), n)

@@ -78,7 +78,7 @@ func Build(ds *dataset.Dataset, spec Spec) (FeatureStore, error) {
 		if err != nil {
 			return nil, err
 		}
-		return NewShardedPrec(ds, a, spec.Precision)
+		return NewSharded(ds, a, spec.Precision)
 	}
 	var base FeatureStore
 	var err error
@@ -103,7 +103,7 @@ func Build(ds *dataset.Dataset, spec Spec) (FeatureStore, error) {
 	if spec.PerShardCache && spec.Kind != "sharded+cached" {
 		return nil, fmt.Errorf("store: per-shard cache budgets need kind sharded+cached, got %q", spec.Kind)
 	}
-	return NewCachedOpts(base, ds.G, CacheOptions{
+	return NewCached(base, ds.G, CacheOptions{
 		Rows:         rows,
 		Policy:       spec.CachePolicy,
 		PerShard:     spec.PerShardCache,

@@ -6,6 +6,7 @@ import (
 
 	"salient/internal/cache"
 	"salient/internal/dataset"
+	"salient/internal/half"
 	"salient/internal/partition"
 	"salient/internal/rng"
 	"salient/internal/sampler"
@@ -102,15 +103,15 @@ func TestAllStoresStageIdenticalBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := NewSharded(ds, ldg)
+	sharded, err := NewSharded(ds, ldg, half.FP16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := NewCached(NewFlat(ds), ds.G, int(ds.G.N)/4, cache.StaticDegree)
+	cached, err := NewCached(NewFlat(ds), ds.G, CacheOptions{Rows: int(ds.G.N) / 4, Policy: cache.StaticDegree})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cachedSharded, err := NewCached(sharded, ds.G, int(ds.G.N)/4, cache.LRU)
+	cachedSharded, err := NewCached(sharded, ds.G, CacheOptions{Rows: int(ds.G.N) / 4, Policy: cache.LRU})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestFlatStripedMatchesSerial(t *testing.T) {
 func TestCachedForwardsStripedGather(t *testing.T) {
 	ds := testDS(t)
 	lists, batches := sampleLists(t, ds, 2, 32)
-	cached, err := NewCached(NewFlat(ds), ds.G, int(ds.G.N)/4, cache.StaticDegree)
+	cached, err := NewCached(NewFlat(ds), ds.G, CacheOptions{Rows: int(ds.G.N) / 4, Policy: cache.StaticDegree})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +188,11 @@ func TestGatherRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := NewSharded(ds, ldg)
+	sharded, err := NewSharded(ds, ldg, half.FP16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := NewCached(NewFlat(ds), ds.G, 16, cache.StaticDegree)
+	cached, err := NewCached(NewFlat(ds), ds.G, CacheOptions{Rows: 16, Policy: cache.StaticDegree})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestCachedMovesFewerBytesThanFlat(t *testing.T) {
 	lists, batches := sampleLists(t, ds, 6, 64)
 	flat := NewFlat(ds)
 	gatherAll(t, flat, lists, batches)
-	cached, err := NewCached(NewFlat(ds), ds.G, int(ds.G.N)/4, cache.StaticDegree)
+	cached, err := NewCached(NewFlat(ds), ds.G, CacheOptions{Rows: int(ds.G.N) / 4, Policy: cache.StaticDegree})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +306,7 @@ func TestLDGPlacementCutsCrossShardTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	remoteFrac := func(a *partition.Assignment) float64 {
-		st, err := NewSharded(ds, a)
+		st, err := NewSharded(ds, a, half.FP16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +330,7 @@ func TestLDGPlacementCutsCrossShardTraffic(t *testing.T) {
 func TestConcurrentGathersAreSafeAndAccounted(t *testing.T) {
 	ds := testDS(t)
 	lists, batches := sampleLists(t, ds, 8, 32)
-	cached, err := NewCached(NewFlat(ds), ds.G, int(ds.G.N)/4, cache.LRU)
+	cached, err := NewCached(NewFlat(ds), ds.G, CacheOptions{Rows: int(ds.G.N) / 4, Policy: cache.LRU})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,11 +409,11 @@ func TestCachedShardedComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := NewSharded(ds, a)
+	sharded, err := NewSharded(ds, a, half.FP16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := NewCached(sharded, ds.G, int(ds.G.N)/4, cache.StaticDegree)
+	cached, err := NewCached(sharded, ds.G, CacheOptions{Rows: int(ds.G.N) / 4, Policy: cache.StaticDegree})
 	if err != nil {
 		t.Fatal(err)
 	}

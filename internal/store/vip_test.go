@@ -71,11 +71,11 @@ func TestVIPCachedMovesFewerBytesThanDegree(t *testing.T) {
 	capRows := n / 10
 	const warmBatches, measureBatches, batchSize = 40, 40, 256
 
-	deg, err := NewCached(NewFlatPrec(ds, half.FP16), ds.G, capRows, cache.StaticDegree)
+	deg, err := NewCached(NewFlatPrec(ds, half.FP16), ds.G, CacheOptions{Rows: capRows, Policy: cache.StaticDegree})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vip, err := NewCachedOpts(NewFlatPrec(ds, half.FP16), ds.G, CacheOptions{
+	vip, err := NewCached(NewFlatPrec(ds, half.FP16), ds.G, CacheOptions{
 		Rows: capRows, Policy: cache.VIP,
 	})
 	if err != nil {
@@ -115,7 +115,7 @@ func TestCachedRefreshRateLimited(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCachedOpts(NewFlatPrec(ds, half.FP16), ds.G, CacheOptions{
+	c, err := NewCached(NewFlatPrec(ds, half.FP16), ds.G, CacheOptions{
 		Rows: 1, Policy: cache.VIP, RefreshEvery: 10,
 	})
 	if err != nil {

@@ -293,26 +293,10 @@ func (t *Dense) Sub(o *Dense) {
 	}
 }
 
-// Mul computes t *= o elementwise (Hadamard).
-func (t *Dense) Mul(o *Dense) {
-	t.assertSameShape(o)
-	for i, v := range o.Data {
-		t.Data[i] *= v
-	}
-}
-
 // Scale multiplies all elements by s.
 func (t *Dense) Scale(s float32) {
 	for i := range t.Data {
 		t.Data[i] *= s
-	}
-}
-
-// AddScaled computes t += s*o.
-func (t *Dense) AddScaled(o *Dense, s float32) {
-	t.assertSameShape(o)
-	for i, v := range o.Data {
-		t.Data[i] += s * v
 	}
 }
 
@@ -337,21 +321,6 @@ func Gather(dst, src *Dense, idx []int32) {
 	}
 	for i, id := range idx {
 		copy(dst.Row(i), src.Row(int(id)))
-	}
-}
-
-// ScatterAdd adds the rows of src into dst at positions idx
-// (dst.Row(idx[i]) += src.Row(i)). Backward of Gather.
-func ScatterAdd(dst, src *Dense, idx []int32) {
-	if dst.Cols != src.Cols || src.Rows != len(idx) {
-		panic("tensor: scatterAdd shape") //lint:allow panicdiscipline shape contract: the zero-alloc kernels document panics on shape errors
-	}
-	for i, id := range idx {
-		drow := dst.Row(int(id))
-		srow := src.Row(i)
-		for j, v := range srow {
-			drow[j] += v
-		}
 	}
 }
 

@@ -281,22 +281,13 @@ func TestElementwiseOps(t *testing.T) {
 	if a.At(0, 0) != 1 {
 		t.Fatalf("Sub: %v", a.Data)
 	}
-	a.Mul(b)
-	if a.At(0, 1) != 40 {
-		t.Fatalf("Mul: %v", a.Data)
-	}
 	a.Scale(0.5)
-	if a.At(0, 1) != 20 {
+	if a.At(0, 1) != 1 {
 		t.Fatalf("Scale: %v", a.Data)
 	}
-	c := FromSlice(2, 2, []float32{1, 1, 1, 1})
-	c.AddScaled(b, 0.1)
-	if !almostEq(float64(c.At(1, 0)), 4, 1e-6) {
-		t.Fatalf("AddScaled: %v", c.Data)
-	}
-	c.AddRowVec([]float32{100, 200})
-	if !almostEq(float64(c.At(1, 1)), 205, 1e-5) {
-		t.Fatalf("AddRowVec: %v", c.Data)
+	a.AddRowVec([]float32{100, 200})
+	if !almostEq(float64(a.At(1, 1)), 202, 1e-5) {
+		t.Fatalf("AddRowVec: %v", a.Data)
 	}
 }
 
@@ -312,17 +303,6 @@ func TestGatherScatterRoundTrip(t *testing.T) {
 				t.Fatalf("gather mismatch at (%d,%d)", i, j)
 			}
 		}
-	}
-	// ScatterAdd of ones counts row occurrences.
-	ones := New(4, 4)
-	ones.Fill(1)
-	acc := New(10, 4)
-	ScatterAdd(acc, ones, idx)
-	if acc.At(3, 0) != 2 {
-		t.Fatalf("scatterAdd duplicate handling: %v", acc.At(3, 0))
-	}
-	if acc.At(7, 0) != 1 || acc.At(0, 0) != 0 {
-		t.Fatal("scatterAdd wrong rows")
 	}
 }
 
@@ -579,9 +559,6 @@ func TestShapePanics(t *testing.T) {
 	mustPanic("MatMulBT shape", func() { MatMulBT(New(2, 2), New(2, 3), New(2, 4)) })
 	mustPanic("Gather range", func() {
 		Gather(New(1, 2), FromSlice(2, 2, []float32{1, 2, 3, 4}), []int32{5})
-	})
-	mustPanic("ScatterAdd range", func() {
-		ScatterAdd(FromSlice(2, 2, []float32{1, 2, 3, 4}), New(1, 2), []int32{-1})
 	})
 	mustPanic("AddRowVec len", func() { New(2, 3).AddRowVec([]float32{1}) })
 	mustPanic("ReLU mask len", func() { New(2, 2).ReLU(make([]bool, 1)) })
