@@ -539,15 +539,9 @@ func runServe(f cliFlags) error {
 // router and drives it with the same traffic shapes as the single-server
 // path, then prints fleet-level routing/admission/cache statistics.
 func runFleet(ds *dataset.Dataset, tr *train.Trainer, fanouts []int, f cliFlags) error {
-	build := func() (nn.Model, error) {
-		return train.NewModel(f.arch, nn.ModelConfig{
-			In: ds.FeatDim, Hidden: 64, Out: ds.NumClasses,
-			Layers: len(fanouts), Seed: f.seed,
-		})
-	}
-	models, err := fleet.Replicate(tr.Model, f.fleet, build)
-	if err != nil {
-		return err
+	models := make([]nn.Model, f.fleet)
+	for i := range models {
+		models[i] = tr.Model
 	}
 	// The total -cachefrac budget is split across replicas, so growing the
 	// fleet redistributes the same cache capacity instead of adding more.

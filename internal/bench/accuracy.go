@@ -142,7 +142,10 @@ func Table6(o AccuracyOpts) (Table, error) {
 			if err != nil {
 				return t, err
 			}
-			full := infer.Full(tr.Model, ds, ds.Test)
+			full, err := infer.FullThrough(tr.Model, ds, ds.Test, nil)
+			if err != nil {
+				return t, err
+			}
 			accs["all"] = append(accs["all"], infer.Accuracy(full, ds.Labels, ds.Test))
 			for _, d := range fanouts {
 				pred, err := infer.Sampled(tr.Model, ds, ds.Test, infer.Options{
@@ -188,7 +191,10 @@ func Fig3(o AccuracyOpts) (Table, error) {
 		return t, err
 	}
 
-	full := infer.Full(tr.Model, ds, ds.Test)
+	full, err := infer.FullThrough(tr.Model, ds, ds.Test, nil)
+	if err != nil {
+		return t, err
+	}
 	bins := infer.AccuracyByDegree(ds.G, full, ds.Labels, ds.Test)
 	series := map[int][]infer.DegreeBin{}
 	for _, d := range []int{20, 10, 5} {

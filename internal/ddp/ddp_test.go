@@ -83,7 +83,7 @@ func TestSimulateEpochPanicsOnZeroReplicas(t *testing.T) {
 // buildReplicas trains R model replicas on disjoint shards of one batch and
 // returns models plus per-replica inputs.
 func gradOn(m nn.Model, x *tensor.Dense, g *mfg.MFG, labels []int32) {
-	logp := m.Forward(x, g, false) // no dropout: gradients must be comparable
+	logp := m.Forward(x, g, true)
 	grad := tensor.New(logp.Rows, logp.Cols)
 	tensor.NLLLoss(logp, labels, grad)
 	nn.ZeroGrad(m.Params())
@@ -99,7 +99,9 @@ func TestAverageGradientsEqualsUnionBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := nn.ModelConfig{In: ds.FeatDim, Hidden: 16, Out: ds.NumClasses, Layers: 2, Seed: 9}
+	// One SAGE layer has no dropout, so its training-mode forward, which
+	// Backward needs, is deterministic and the gradients are comparable.
+	cfg := nn.ModelConfig{In: ds.FeatDim, Hidden: 16, Out: ds.NumClasses, Layers: 1, Seed: 9}
 	const shard = 32
 
 	mkModel := func() nn.Model { return nn.NewGraphSAGE(cfg) }
@@ -109,7 +111,7 @@ func TestAverageGradientsEqualsUnionBatch(t *testing.T) {
 	SyncParams([][]*nn.Param{union.Params(), repA.Params(), repB.Params()})
 
 	// Full-neighborhood "sampling" makes shard MFGs deterministic.
-	fan := []int{1000, 1000}
+	fan := []int{1000}
 	sm := sampler.New(ds.G, fan, sampler.FastConfig())
 	seedsA := ds.Train[:shard]
 	seedsB := ds.Train[shard : 2*shard]

@@ -313,9 +313,6 @@ func (t *Trainer) paramSets() [][]*nn.Param {
 // replica's parameters are bit-identical, so the leader speaks for all.
 func (t *Trainer) Model() nn.Model { return t.reps[0].model }
 
-// ReplicaModel returns replica r's model, for consistency inspection.
-func (t *Trainer) ReplicaModel(r int) nn.Model { return t.reps[r].model }
-
 // FeatureStore returns the store replica r gathers through.
 func (t *Trainer) FeatureStore(r int) store.FeatureStore { return t.reps[r].store }
 

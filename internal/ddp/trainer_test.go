@@ -84,7 +84,7 @@ func TestTrainerMatchesUnionBitForBit(t *testing.T) {
 		assertParamsBitEqual(t, "union vs leader", un.Model().Params(), tr.Model().Params())
 		// And every replica must agree with the leader, bit for bit.
 		for r := 1; r < R; r++ {
-			assertParamsBitEqual(t, "leader vs replica", tr.Model().Params(), tr.ReplicaModel(r).Params())
+			assertParamsBitEqual(t, "leader vs replica", tr.Model().Params(), tr.reps[r].model.Params())
 		}
 	}
 }
@@ -119,7 +119,7 @@ func TestTrainerPartialFinalStepMatchesUnion(t *testing.T) {
 	}
 	assertParamsBitEqual(t, "partial-step union vs leader", un.Model().Params(), tr.Model().Params())
 	for r := 1; r < R; r++ {
-		assertParamsBitEqual(t, "partial-step replicas", tr.Model().Params(), tr.ReplicaModel(r).Params())
+		assertParamsBitEqual(t, "partial-step replicas", tr.Model().Params(), tr.reps[r].model.Params())
 	}
 }
 
@@ -398,7 +398,7 @@ func TestBatchNormArchBroadcastsBuffers(t *testing.T) {
 	assertParamsBitEqual(t, "GIN union vs leader", un.Model().Params(), tr.Model().Params())
 
 	lead := tr.Model().(nn.BufferModel).StatBuffers()
-	other := tr.ReplicaModel(1).(nn.BufferModel).StatBuffers()
+	other := tr.reps[1].model.(nn.BufferModel).StatBuffers()
 	if len(lead) == 0 || len(lead) != len(other) {
 		t.Fatalf("expected matching BatchNorm buffer sets, got %d vs %d", len(lead), len(other))
 	}

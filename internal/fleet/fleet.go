@@ -143,23 +143,15 @@ type Fleet struct {
 	routed  []int64               // successful answers per replica
 }
 
-// New builds a fleet of opts.Replicas servers over ds, one model per
-// replica (models[i] is replica i's — replicas must not share a model, its
-// forward scratch is serialized per server). Use Replicate to clone a
-// trained model fleet-wide.
+// New builds a fleet of opts.Replicas servers over ds; models[i] is
+// replica i's model. Eval forwards write no model state, so every replica
+// may serve the same model, as it shares the graph and the base store.
 func New(ds *dataset.Dataset, opts Options, models ...nn.Model) (*Fleet, error) {
 	if err := opts.normalize(); err != nil {
 		return nil, err
 	}
 	if len(models) != opts.Replicas {
 		return nil, fmt.Errorf("fleet: %d replicas need %d models, got %d", opts.Replicas, opts.Replicas, len(models))
-	}
-	for i, m := range models {
-		for j := i + 1; j < len(models); j++ {
-			if m == models[j] {
-				return nil, fmt.Errorf("fleet: replicas %d and %d share a model (forwards would contend; use Replicate)", i, j)
-			}
-		}
 	}
 	f := &Fleet{
 		opts:    opts,
@@ -193,21 +185,13 @@ func New(ds *dataset.Dataset, opts Options, models ...nn.Model) (*Fleet, error) 
 	return f, nil
 }
 
-// Replicate builds n models with build and copies src's trained state
-// (parameters and stat buffers) into each — the fleet-construction helper:
-// build must construct the same architecture/config src was trained with
-// (e.g. a train.NewModel closure).
+// Replicate returns src n times; build is never called.
+//
+// Deprecated: replicas share one model, so pass it to New once per replica.
 func Replicate(src nn.Model, n int, build func() (nn.Model, error)) ([]nn.Model, error) {
 	out := make([]nn.Model, n)
 	for i := range out {
-		m, err := build()
-		if err != nil {
-			return nil, fmt.Errorf("fleet: replicate model %d: %w", i, err)
-		}
-		if err := nn.CopyState(m, src); err != nil {
-			return nil, fmt.Errorf("fleet: replicate model %d: %w", i, err)
-		}
-		out[i] = m
+		out[i] = src
 	}
 	return out, nil
 }

@@ -62,17 +62,14 @@ const fleetSeed = 7
 
 var fleetFanouts = []int{10, 5}
 
-// cloneModels replicates the fitted model n times via Replicate.
-func cloneModels(t testing.TB, n int) []nn.Model {
+// sharedModel returns the fitted model once per replica: every replica
+// serves the same model.
+func sharedModel(t testing.TB, n int) []nn.Model {
 	t.Helper()
-	ds, tr := fitted(t)
-	models, err := Replicate(tr.Model, n, func() (nn.Model, error) {
-		return train.NewModel("SAGE", nn.ModelConfig{
-			In: ds.FeatDim, Hidden: 32, Out: ds.NumClasses, Layers: 2, Seed: 3,
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
+	_, tr := fitted(t)
+	models := make([]nn.Model, n)
+	for i := range models {
+		models[i] = tr.Model
 	}
 	return models
 }
@@ -143,7 +140,7 @@ func TestFleetOfOneBitIdentical(t *testing.T) {
 	}
 	defer bare.Close()
 
-	f, err := New(ds, Options{Replicas: 1, Serve: serveTemplate()}, cloneModels(t, 1)...)
+	f, err := New(ds, Options{Replicas: 1, Serve: serveTemplate()}, sharedModel(t, 1)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +169,7 @@ func TestFleetMultiReplicaMatchesOracle(t *testing.T) {
 	nodes := ds.Test[:60]
 	want := singleShot(t, nodes)
 
-	f, err := New(ds, Options{Replicas: 3, Serve: serveTemplate()}, cloneModels(t, 3)...)
+	f, err := New(ds, Options{Replicas: 3, Serve: serveTemplate()}, sharedModel(t, 3)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +232,7 @@ func TestFleetMultiReplicaMatchesOracle(t *testing.T) {
 // admission — with the reason, the replica, and both numbers attached.
 func TestFleetDeadlineShedsInfeasible(t *testing.T) {
 	ds, _ := fitted(t)
-	f, err := New(ds, Options{Replicas: 1, Serve: serveTemplate()}, cloneModels(t, 1)...)
+	f, err := New(ds, Options{Replicas: 1, Serve: serveTemplate()}, sharedModel(t, 1)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +308,7 @@ func TestFleetPriorityShedsLowFirst(t *testing.T) {
 	tmpl.Workers = 1
 	tmpl.MaxBatch = 2
 	tmpl.QueueCapacity = 4
-	f, err := New(ds, Options{Replicas: 1, Serve: tmpl, PriorityLevels: 2}, cloneModels(t, 1)...)
+	f, err := New(ds, Options{Replicas: 1, Serve: tmpl, PriorityLevels: 2}, sharedModel(t, 1)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +374,7 @@ func TestFleetHashRoutingBeatsRandomOnCacheHits(t *testing.T) {
 		tmpl.EmbCacheRows = n * 3 / 10 / replicas
 		tmpl.EmbStaleness = 1
 		f, err := New(ds, Options{Replicas: replicas, Serve: tmpl, Routing: routing, Seed: fleetSeed},
-			cloneModels(t, replicas)...)
+			sharedModel(t, replicas)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -409,7 +406,7 @@ func TestFleetResultCache(t *testing.T) {
 	ds, _ := fitted(t)
 	f, err := New(ds, Options{
 		Replicas: 1, Serve: serveTemplate(), Dynamic: true, ResultRows: 64,
-	}, cloneModels(t, 1)...)
+	}, sharedModel(t, 1)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +474,7 @@ func TestFleetResultCache(t *testing.T) {
 func TestFleetUpdateAppliesOnce(t *testing.T) {
 	ds, _ := fitted(t)
 	f, err := New(ds, Options{Replicas: 2, Serve: serveTemplate(), Dynamic: true},
-		cloneModels(t, 2)...)
+		sharedModel(t, 2)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +542,7 @@ func TestDynamicFleetMatchesBareServer(t *testing.T) {
 	}
 	defer bare.Close()
 	f, err := New(ds, Options{Replicas: 2, Serve: serveTemplate(), Dynamic: true},
-		cloneModels(t, 2)...)
+		sharedModel(t, 2)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -625,7 +622,7 @@ func TestFleetTransferBillMatchesBareServer(t *testing.T) {
 	bill := func(cacheRows int) Stats {
 		tmpl := serveTemplate()
 		tmpl.CacheRows = cacheRows
-		f, err := New(ds, Options{Replicas: 2, Serve: tmpl}, cloneModels(t, 2)...)
+		f, err := New(ds, Options{Replicas: 2, Serve: tmpl}, sharedModel(t, 2)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -660,7 +657,7 @@ func TestFleetConcurrentServeAndUpdate(t *testing.T) {
 	tmpl.QueueCapacity = 4096
 	f, err := New(ds, Options{
 		Replicas: 2, Serve: tmpl, Dynamic: true, ResultRows: 32,
-	}, cloneModels(t, 2)...)
+	}, sharedModel(t, 2)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -720,12 +717,9 @@ func TestFleetOptionsValidation(t *testing.T) {
 	if _, err := New(ds, Options{Replicas: 2, Serve: serveTemplate()}, tr.Model); err == nil {
 		t.Fatal("model count mismatch accepted")
 	}
-	if _, err := New(ds, Options{Replicas: 2, Serve: serveTemplate()}, tr.Model, tr.Model); err == nil {
-		t.Fatal("shared model accepted")
-	}
 	bad := serveTemplate()
 	bad.Store = store.NewFlat(ds)
-	if _, err := New(ds, Options{Replicas: 2, Serve: bad}, cloneModels(t, 2)...); err == nil {
+	if _, err := New(ds, Options{Replicas: 2, Serve: bad}, sharedModel(t, 2)...); err == nil {
 		t.Fatal("user store accepted (the fleet builds the store its replicas share)")
 	}
 }

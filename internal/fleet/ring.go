@@ -1,6 +1,6 @@
 // Package fleet is the replicated serving front end: a Router over N
-// in-process serve.Server replicas that share one graph and one base
-// feature store, keeps each replica's own caches hot on its own key slice
+// in-process serve.Server replicas that share one model, one graph and one
+// base feature store, keeps each replica's own caches hot on its own key slice
 // (consistent-hash affinity with bounded-load spill), sheds work that
 // cannot or should not be done (deadline- and priority-aware admission,
 // with reasons), and memoizes answers per graph version (a versioned

@@ -8,16 +8,19 @@
 //   - Full: layer-wise full-neighborhood inference, evaluating each layer
 //     over the whole graph and materializing every layer's representations
 //     in host memory — accurate but memory-hungry (it runs out of memory on
-//     ogbn-papers100M in the paper).
+//     ogbn-papers100M in the paper). It runs the model's one Forward over a
+//     whole-graph MFG, so both regimes share every layer's code.
 //
 // It also computes the accuracy-versus-degree profile of Figure 3.
 package infer
 
 import (
 	"fmt"
+	"math"
 
 	"salient/internal/dataset"
 	"salient/internal/graph"
+	"salient/internal/mfg"
 	"salient/internal/nn"
 	"salient/internal/prep"
 	"salient/internal/sampler"
@@ -121,41 +124,33 @@ func Sampled(m nn.Model, ds *dataset.Dataset, nodes []int32, opts Options) ([]in
 	return pred, nil
 }
 
-// Full runs layer-wise full-neighborhood inference over the whole graph and
-// returns predictions for the given nodes.
-func Full(m nn.Model, ds *dataset.Dataset, nodes []int32) []int32 {
-	pred, err := FullThrough(m, ds, nodes, nil)
-	if err != nil {
-		// Unreachable without a store: ds.Feat is used directly.
-		panic("infer: " + err.Error()) //lint:allow panicdiscipline documented unreachable: the direct-feature store never fails a gather
-	}
-	return pred
-}
-
-// FullThrough is Full reading the layer-0 feature matrix through st, so
-// full inference pays the same gather accounting as the rest of the data
-// path. The staged rows decode to exactly ds.Feat (the dataset keeps its
-// float32 master equal to the widened half-precision rows), so the store
-// changes accounting, never predictions; nil skips the gather and uses
-// ds.Feat directly, copy-free.
+// FullThrough runs layer-wise full-neighborhood inference over the whole
+// graph and returns predictions for the given nodes. It reads the layer-0
+// feature matrix through st, so full inference pays the same gather
+// accounting as the rest of the data path. The staged rows decode to
+// exactly ds.Feat (the dataset keeps its float32 master equal to the
+// widened half-precision rows), so the store changes accounting, never
+// predictions; nil skips the gather and uses ds.Feat directly, copy-free.
+// A graph with more adjacency entries than an MFG block's int32 edge
+// offsets can index is an error.
 func FullThrough(m nn.Model, ds *dataset.Dataset, nodes []int32, st store.FeatureStore) ([]int32, error) {
+	full, err := wholeGraphMFG(ds.G, m.Layers())
+	if err != nil {
+		return nil, err
+	}
 	x := ds.Feat
 	if st != nil {
 		if err := store.Validate(st, ds, store.ValidateOpts{}); err != nil {
 			return nil, fmt.Errorf("infer: %w", err)
 		}
-		ids := make([]int32, ds.G.N)
-		for i := range ids {
-			ids[i] = int32(i)
-		}
-		buf := slicing.NewPinned(len(ids), st.Dim(), 0)
-		if err := st.Gather(buf, ids, 0); err != nil {
+		buf := slicing.NewPinned(len(full.NodeIDs), st.Dim(), 0)
+		if err := st.Gather(buf, full.NodeIDs, 0); err != nil {
 			return nil, err
 		}
 		x = slicing.DecodeInto(nil, buf)
 	}
 
-	logp := m.InferFull(ds.G, x)
+	logp := m.Forward(x, full, false)
 	all := make([]int32, logp.Rows)
 	logp.ArgmaxRows(all)
 	pred := make([]int32, len(nodes))
@@ -163,6 +158,30 @@ func FullThrough(m nn.Model, ds *dataset.Dataset, nodes []int32, st store.Featur
 		pred[i] = all[v]
 	}
 	return pred, nil
+}
+
+// wholeGraphMFG returns the MFG of full-neighborhood inference over g: one
+// block in which every node is both a destination and a source and draws
+// its whole adjacency list, shared by all the given layers. Local IDs are
+// global IDs, so NodeIDs is the identity.
+func wholeGraphMFG(g graph.Topology, layers int) (*mfg.MFG, error) {
+	n, e := g.NumNodes(), g.NumEdges()
+	if e > math.MaxInt32 {
+		return nil, fmt.Errorf("infer: full inference over %d adjacency entries exceeds the int32 edge offsets of an MFG block", e)
+	}
+	blk := mfg.Block{DstPtr: make([]int32, 1, n+1), Src: make([]int32, 0, e), NumDst: n, NumSrc: n}
+	for v := int32(0); v < n; v++ {
+		blk.Src = append(blk.Src, g.Neighbors(v)...)
+		blk.DstPtr = append(blk.DstPtr, int32(len(blk.Src)))
+	}
+	full := &mfg.MFG{Blocks: make([]mfg.Block, layers), NodeIDs: make([]int32, n), Batch: n}
+	for i := range full.Blocks {
+		full.Blocks[i] = blk
+	}
+	for i := range full.NodeIDs {
+		full.NodeIDs[i] = int32(i)
+	}
+	return full, nil
 }
 
 // Accuracy returns the fraction of nodes whose prediction matches labels.

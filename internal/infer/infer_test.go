@@ -44,7 +44,10 @@ func TestSampledInferenceBeatsChance(t *testing.T) {
 
 func TestSampledTracksFullNeighborhood(t *testing.T) {
 	ds, tr := fitted(t)
-	full := Full(tr.Model, ds, ds.Test)
+	full, err := FullThrough(tr.Model, ds, ds.Test, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fullAcc := Accuracy(full, ds.Labels, ds.Test)
 
 	// The paper's Table 6 finding: fanout 20 matches full-neighborhood
@@ -104,7 +107,10 @@ func TestPredictionsAlignedWithNodes(t *testing.T) {
 // a store changes accounting, never predictions.
 func TestFullThroughStoreMatchesFull(t *testing.T) {
 	ds, tr := fitted(t)
-	want := Full(tr.Model, ds, ds.Test)
+	want, err := FullThrough(tr.Model, ds, ds.Test, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	st := store.NewFlat(ds)
 	got, err := FullThrough(tr.Model, ds, ds.Test, st)
 	if err != nil {
@@ -176,8 +182,8 @@ func TestBinOfBoundaries(t *testing.T) {
 // TestSampledDynamicZeroDeltaBitIdentical: sampled inference through a
 // Dynamic graph with no applied updates predicts exactly what the static
 // path predicts — the inference leg of the tentpole bit-identity oracle.
-// Full-neighborhood inference over a zero-delta snapshot agrees too (the
-// seam's InferFull now takes any Topology).
+// Full-neighborhood inference over a zero-delta snapshot's whole-graph MFG
+// agrees too.
 func TestSampledDynamicZeroDeltaBitIdentical(t *testing.T) {
 	ds, tr := fitted(t)
 	nodes := ds.Test
@@ -198,8 +204,8 @@ func TestSampledDynamicZeroDeltaBitIdentical(t *testing.T) {
 			t.Fatalf("node %d: static %d, dynamic(0 deltas) %d", nodes[i], want[i], got[i])
 		}
 	}
-	full := tr.Model.InferFull(ds.G, ds.Feat.Clone())
-	fullSnap := tr.Model.InferFull(dyn.Snapshot(), ds.Feat.Clone())
+	full := fullLogp(t, tr.Model, ds.G, ds.Feat.Clone())
+	fullSnap := fullLogp(t, tr.Model, dyn.Snapshot(), ds.Feat.Clone())
 	if d := full.MaxAbsDiff(fullSnap); d != 0 {
 		t.Fatalf("full inference diverges on a zero-delta snapshot by %v", d)
 	}

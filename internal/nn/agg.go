@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"salient/internal/graph"
 	"salient/internal/mfg"
 	"salient/internal/tensor"
 )
@@ -76,44 +75,4 @@ func aggregateSumBlockBackward(dx, dAgg *tensor.Dense, blk *mfg.Block) {
 			}
 		}
 	}
-}
-
-// aggregateMeanFull computes the full-neighborhood mean aggregation over the
-// whole graph (layer-wise inference path, §5): out[v] = mean over all
-// neighbors of v in g.
-func aggregateMeanFull(x *tensor.Dense, g graph.Topology) *tensor.Dense {
-	out := tensor.New(int(g.NumNodes()), x.Cols)
-	for v := int32(0); v < g.NumNodes(); v++ {
-		ns := g.Neighbors(v)
-		if len(ns) == 0 {
-			continue
-		}
-		orow := out.Row(int(v))
-		for _, u := range ns {
-			xrow := x.Row(int(u))
-			for j, f := range xrow {
-				orow[j] += f
-			}
-		}
-		inv := 1 / float32(len(ns))
-		for j := range orow {
-			orow[j] *= inv
-		}
-	}
-	return out
-}
-
-// aggregateSumFull is the full-graph sum aggregation.
-func aggregateSumFull(x *tensor.Dense, g graph.Topology) *tensor.Dense {
-	out := tensor.New(int(g.NumNodes()), x.Cols)
-	for v := int32(0); v < g.NumNodes(); v++ {
-		orow := out.Row(int(v))
-		for _, u := range g.Neighbors(v) {
-			xrow := x.Row(int(u))
-			for j, f := range xrow {
-				orow[j] += f
-			}
-		}
-	}
-	return out
 }

@@ -41,7 +41,8 @@ func NewBatchNorm(name string, dim int) *BatchNorm {
 }
 
 // Forward normalizes x. In training mode it uses batch statistics and
-// updates the running estimates; in eval mode it uses the running estimates.
+// updates the running estimates; in eval mode it uses the running estimates
+// and writes no field.
 func (bn *BatchNorm) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 	c := x.Cols
 	n := x.Rows
@@ -54,7 +55,6 @@ func (bn *BatchNorm) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 				yr[j] = bn.Gamma.W.Data[j]*(xr[j]-bn.RunningMean[j])*inv + bn.Beta.W.Data[j]
 			}
 		}
-		bn.xhat = nil
 		return y
 	}
 
@@ -107,7 +107,8 @@ func (bn *BatchNorm) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 	return y
 }
 
-// Backward (training mode only) returns dx and accumulates dGamma/dBeta.
+// Backward returns dx and accumulates dGamma/dBeta from the statistics of
+// the last training-mode Forward; eval-mode forwards leave them alone.
 func (bn *BatchNorm) Backward(dy *tensor.Dense) *tensor.Dense {
 	if bn.xhat == nil {
 		panic("nn: BatchNorm.Backward without a training-mode Forward") //lint:allow panicdiscipline API misuse guard: Backward without Forward has no saved statistics to use

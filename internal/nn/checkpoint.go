@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 )
 
 // Checkpoint container: named parameter tensors in a fixed little-endian
@@ -106,33 +105,4 @@ func LoadParams(r io.Reader, params []*Param) error {
 		return fmt.Errorf("nn: %d trailing bytes in checkpoint", br.Len())
 	}
 	return nil
-}
-
-// SaveParamsFile writes a checkpoint atomically to path.
-func SaveParamsFile(path string, params []*Param) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := SaveParams(f, params); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// LoadParamsFile reads a checkpoint from path into params.
-func LoadParamsFile(path string, params []*Param) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return LoadParams(f, params)
 }

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"bytes"
-	"path/filepath"
 	"testing"
 
 	"salient/internal/rng"
@@ -68,24 +67,5 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	}
 	if err := LoadParams(bytes.NewReader(raw[:8]), b.Params()); err == nil {
 		t.Fatal("truncated checkpoint accepted")
-	}
-}
-
-func TestCheckpointFile(t *testing.T) {
-	a, b := twoModels()
-	path := filepath.Join(t.TempDir(), "model.ckpt")
-	if err := SaveParamsFile(path, a.Params()); err != nil {
-		t.Fatal(err)
-	}
-	if err := LoadParamsFile(path, b.Params()); err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range a.Params() {
-		if d := p.W.MaxAbsDiff(b.Params()[i].W); d != 0 {
-			t.Fatalf("param %s differs after file round trip", p.Name)
-		}
-	}
-	if err := LoadParamsFile(filepath.Join(t.TempDir(), "nope.ckpt"), b.Params()); err == nil {
-		t.Fatal("missing file accepted")
 	}
 }

@@ -17,9 +17,13 @@ type Dropout struct {
 // NewDropout creates a dropout layer with drop probability p.
 func NewDropout(p float32) *Dropout { return &Dropout{P: p} }
 
-// Forward applies dropout in place on a copy of x and returns it.
+// Forward applies dropout in place on a copy of x and returns it. In eval
+// mode it returns x and writes no field.
 func (d *Dropout) Forward(x *tensor.Dense, train bool, r *rng.Rand) *tensor.Dense {
-	if !train || d.P <= 0 {
+	if !train {
+		return x
+	}
+	if d.P <= 0 {
 		d.mask = nil
 		return x
 	}
@@ -41,8 +45,9 @@ func (d *Dropout) Forward(x *tensor.Dense, train bool, r *rng.Rand) *tensor.Dens
 	return y
 }
 
-// Backward masks and rescales the upstream gradient. It is the identity if
-// the last Forward ran in eval mode.
+// Backward masks and rescales the upstream gradient by the mask of the last
+// training-mode Forward; eval-mode forwards leave that mask alone. It is the
+// identity if that Forward dropped nothing (P <= 0).
 func (d *Dropout) Backward(dy *tensor.Dense) *tensor.Dense {
 	if d.mask == nil {
 		return dy

@@ -3,7 +3,6 @@ package nn
 import (
 	"math"
 
-	"salient/internal/graph"
 	"salient/internal/mfg"
 	"salient/internal/rng"
 	"salient/internal/tensor"
@@ -70,20 +69,19 @@ func leaky(v float32) float32 {
 	return gatSlope * v
 }
 
-// Forward computes attention-weighted destination representations.
+// Forward computes attention-weighted destination representations, caching
+// what Backward needs when train is set.
 func (c *GATConv) Forward(x *tensor.Dense, blk *mfg.Block, train bool) *tensor.Dense {
-	c.x, c.blk = x, blk
 	out := c.W.W.Cols
 	z := tensor.New(x.Rows, out)
 	tensor.MatMul(z, x, c.W.W)
-	c.z = z
 
 	nDst := int(blk.NumDst)
 	nEdge := blk.NumEdges()
-	c.alpha = make([]float32, nEdge)
-	c.pre = make([]float32, nEdge)
-	c.selfA = make([]float32, nDst)
-	c.selfP = make([]float32, nDst)
+	alpha := make([]float32, nEdge)
+	pre := make([]float32, nEdge)
+	selfA := make([]float32, nDst)
+	selfP := make([]float32, nDst)
 
 	// Per-source and per-destination attention terms.
 	attnSrc := make([]float32, x.Rows)
@@ -103,21 +101,21 @@ func (c *GATConv) Forward(x *tensor.Dense, blk *mfg.Block, train bool) *tensor.D
 		for e := lo; e < hi; e++ {
 			u := blk.Src[e]
 			p := leaky(attnSrc[u] + attnDst[v])
-			c.pre[e] = attnSrc[u] + attnDst[v]
+			pre[e] = attnSrc[u] + attnDst[v]
 			if p > maxL {
 				maxL = p
 			}
 		}
 		selfPre := attnSrc[v] + attnDst[v]
-		c.selfP[v] = selfPre
+		selfP[v] = selfPre
 		if sp := leaky(selfPre); sp > maxL {
 			maxL = sp
 		}
 		// Softmax.
 		var sum float32
 		for e := lo; e < hi; e++ {
-			a := float32(math.Exp(float64(leaky(c.pre[e]) - maxL)))
-			c.alpha[e] = a
+			a := float32(math.Exp(float64(leaky(pre[e]) - maxL)))
+			alpha[e] = a
 			sum += a
 		}
 		selfExp := float32(math.Exp(float64(leaky(selfPre) - maxL)))
@@ -125,19 +123,23 @@ func (c *GATConv) Forward(x *tensor.Dense, blk *mfg.Block, train bool) *tensor.D
 		inv := 1 / sum
 		yrow := y.Row(v)
 		for e := lo; e < hi; e++ {
-			c.alpha[e] *= inv
+			alpha[e] *= inv
 			zrow := z.Row(int(blk.Src[e]))
-			a := c.alpha[e]
+			a := alpha[e]
 			for j, f := range zrow {
 				yrow[j] += a * f
 			}
 		}
 		sa := selfExp * inv
-		c.selfA[v] = sa
+		selfA[v] = sa
 		zrow := z.Row(v)
 		for j, f := range zrow {
 			yrow[j] += sa * f
 		}
+	}
+	if train {
+		c.x, c.z, c.blk = x, z, blk
+		c.alpha, c.pre, c.selfA, c.selfP = alpha, pre, selfA, selfP
 	}
 	return y
 }
@@ -238,54 +240,6 @@ func (c *GATConv) Backward(dy *tensor.Dense) *tensor.Dense {
 	dx := tensor.New(c.x.Rows, c.x.Cols)
 	tensor.MatMulBT(dx, dz, c.W.W)
 	return dx
-}
-
-// FullForward applies the attention convolution over the whole graph with
-// full neighborhoods plus self-edges (layer-wise inference).
-func (c *GATConv) FullForward(g graph.Topology, x *tensor.Dense) *tensor.Dense {
-	out := c.W.W.Cols
-	z := tensor.New(x.Rows, out)
-	tensor.MatMul(z, x, c.W.W)
-	attnSrc := make([]float32, x.Rows)
-	attnDst := make([]float32, x.Rows)
-	for i := 0; i < x.Rows; i++ {
-		attnSrc[i] = dot(z.Row(i), c.ASrc.W.Data)
-		attnDst[i] = dot(z.Row(i), c.ADst.W.Data)
-	}
-	y := tensor.New(int(g.NumNodes()), out)
-	for v := int32(0); v < g.NumNodes(); v++ {
-		ns := g.Neighbors(v)
-		maxL := leaky(attnSrc[v] + attnDst[v])
-		for _, u := range ns {
-			if p := leaky(attnSrc[u] + attnDst[v]); p > maxL {
-				maxL = p
-			}
-		}
-		var sum float32
-		selfExp := float32(math.Exp(float64(leaky(attnSrc[v]+attnDst[v]) - maxL)))
-		sum += selfExp
-		alphas := make([]float32, len(ns))
-		for i, u := range ns {
-			a := float32(math.Exp(float64(leaky(attnSrc[u]+attnDst[v]) - maxL)))
-			alphas[i] = a
-			sum += a
-		}
-		inv := 1 / sum
-		yrow := y.Row(int(v))
-		zrow := z.Row(int(v))
-		sa := selfExp * inv
-		for j, f := range zrow {
-			yrow[j] += sa * f
-		}
-		for i, u := range ns {
-			a := alphas[i] * inv
-			urow := z.Row(int(u))
-			for j, f := range urow {
-				yrow[j] += a * f
-			}
-		}
-	}
-	return y
 }
 
 // Params returns the trainable parameters.

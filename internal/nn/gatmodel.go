@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"salient/internal/graph"
 	"salient/internal/mfg"
 	"salient/internal/rng"
 	"salient/internal/tensor"
@@ -42,6 +41,9 @@ func NewGAT(cfg ModelConfig) *GATModel {
 // Name implements Model.
 func (m *GATModel) Name() string { return "GAT" }
 
+// Layers implements Model.
+func (m *GATModel) Layers() int { return len(m.convs) }
+
 // ReseedDropout re-keys the dropout RNG stream (nn.DropoutReseeder).
 func (m *GATModel) ReseedDropout(seed uint64) { m.r.Reseed(seed) }
 
@@ -51,14 +53,19 @@ func (m *GATModel) Forward(x *tensor.Dense, g *mfg.MFG, train bool) *tensor.Dens
 	for i := 0; i < L; i++ {
 		x = m.convs[i].Forward(x, &g.Blocks[i], train)
 		if i != L-1 {
-			mask := make([]bool, len(x.Data))
+			var mask []bool
+			if train {
+				mask = make([]bool, len(x.Data))
+				m.reluMasks[i] = mask
+			}
 			x.ReLU(mask)
-			m.reluMasks[i] = mask
 			x = m.drops[i].Forward(x, train, m.r)
 		}
 	}
 	x.LogSoftmaxRows()
-	m.logp = x
+	if train {
+		m.logp = x
+	}
 	return x
 }
 
@@ -82,17 +89,3 @@ func (m *GATModel) Backward(dLogp *tensor.Dense) {
 
 // Params implements Model.
 func (m *GATModel) Params() []*Param { return collectParams(m.convs) }
-
-// InferFull implements Model.
-func (m *GATModel) InferFull(g graph.Topology, x *tensor.Dense) *tensor.Dense {
-	L := len(m.convs)
-	for i := 0; i < L; i++ {
-		x = m.convs[i].FullForward(g, x)
-		if i != L-1 {
-			x.ReLU(nil)
-		}
-	}
-	out := x.Clone()
-	out.LogSoftmaxRows()
-	return out
-}

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"salient/internal/graph"
 	"salient/internal/mfg"
 	"salient/internal/rng"
 	"salient/internal/tensor"
@@ -41,8 +40,10 @@ func NewGINConv(name string, in, out int, r *rng.Rand) *GINConv {
 
 // Forward computes destination representations over the sampled block.
 func (c *GINConv) Forward(x *tensor.Dense, blk *mfg.Block, train bool) *tensor.Dense {
-	c.blk = blk
-	c.xRows, c.xCols = x.Rows, x.Cols
+	if train {
+		c.blk = blk
+		c.xRows, c.xCols = x.Rows, x.Cols
+	}
 	h := aggregateSumBlock(x, blk) // Σ neighbors
 	// + (1+ε)·x_target with ε = 0.
 	nDst := int(blk.NumDst)
@@ -63,8 +64,10 @@ func (c *GINConv) Forward(x *tensor.Dense, blk *mfg.Block, train bool) *tensor.D
 // value the staged path forms. Must only be used for the first layer of a
 // model, which has no source tensor to return an input gradient for.
 func (c *GINConv) ForwardFused(agg, xt *tensor.Dense, blk *mfg.Block, train bool) *tensor.Dense {
-	c.blk = blk
-	c.xRows, c.xCols = 0, 0
+	if train {
+		c.blk = blk
+		c.xRows, c.xCols = 0, 0
+	}
 	h := tensor.New(agg.Rows, agg.Cols)
 	for i, f := range agg.Data {
 		h.Data[i] = f + xt.Data[i]
@@ -73,21 +76,14 @@ func (c *GINConv) ForwardFused(agg, xt *tensor.Dense, blk *mfg.Block, train bool
 }
 
 // mlp applies the convolution's MLP (Linear → BN → ReLU → Linear → ReLU) to
-// the aggregated representation, caching the ReLU masks for Backward.
+// the aggregated representation, caching the ReLU masks for Backward when
+// train is set.
 func (c *GINConv) mlp(h *tensor.Dense, train bool) *tensor.Dense {
-	h = c.Lin1.Forward(h)
+	h = c.Lin1.Forward(h, train)
 	h = c.BN.Forward(h, train)
-	if cap(c.mask1) < len(h.Data) {
-		c.mask1 = make([]bool, len(h.Data))
-	}
-	c.mask1 = c.mask1[:len(h.Data)]
-	h.ReLU(c.mask1)
-	h = c.Lin2.Forward(h)
-	if cap(c.mask2) < len(h.Data) {
-		c.mask2 = make([]bool, len(h.Data))
-	}
-	c.mask2 = c.mask2[:len(h.Data)]
-	h.ReLU(c.mask2)
+	h.ReLU(reuseMask(&c.mask1, len(h.Data), train))
+	h = c.Lin2.Forward(h, train)
+	h.ReLU(reuseMask(&c.mask2, len(h.Data), train))
 	return h
 }
 
@@ -126,19 +122,6 @@ func (c *GINConv) Backward(dy *tensor.Dense) *tensor.Dense {
 		}
 	}
 	return dx
-}
-
-// FullForward applies the convolution with full neighborhoods (eval mode
-// batch norm).
-func (c *GINConv) FullForward(g graph.Topology, x *tensor.Dense) *tensor.Dense {
-	h := aggregateSumFull(x, g)
-	h.Add(x)
-	h = c.Lin1.Apply(h)
-	h = c.BN.Forward(h, false)
-	h.ReLU(nil)
-	h = c.Lin2.Apply(h)
-	h.ReLU(nil)
-	return h
 }
 
 // Params returns the trainable parameters of the inner MLP.

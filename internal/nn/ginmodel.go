@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"salient/internal/graph"
 	"salient/internal/mfg"
 	"salient/internal/rng"
 	"salient/internal/slicing"
@@ -44,6 +43,9 @@ func NewGIN(cfg ModelConfig) *GINModel {
 // Name implements Model.
 func (m *GINModel) Name() string { return "GIN" }
 
+// Layers implements Model.
+func (m *GINModel) Layers() int { return len(m.convs) }
+
 // ReseedDropout re-keys the dropout RNG stream (nn.DropoutReseeder).
 func (m *GINModel) ReseedDropout(seed uint64) { m.r.Reseed(seed) }
 
@@ -81,16 +83,14 @@ func (m *GINModel) finishForward(x *tensor.Dense, g *mfg.MFG, train bool) *tenso
 	for i := 1; i < len(m.convs); i++ {
 		x = m.convs[i].Forward(x, &g.Blocks[i], train)
 	}
-	x = m.lin1.Forward(x)
-	if cap(m.headMask) < len(x.Data) {
-		m.headMask = make([]bool, len(x.Data))
-	}
-	m.headMask = m.headMask[:len(x.Data)]
-	x.ReLU(m.headMask)
+	x = m.lin1.Forward(x, train)
+	x.ReLU(reuseMask(&m.headMask, len(x.Data), train))
 	x = m.drop.Forward(x, train, m.r)
-	x = m.lin2.Forward(x)
+	x = m.lin2.Forward(x, train)
 	x.LogSoftmaxRows()
-	m.logp = x
+	if train {
+		m.logp = x
+	}
 	return x
 }
 
@@ -125,16 +125,4 @@ func (m *GINModel) StatBuffers() [][]float32 {
 		out = append(out, bn.RunningMean, bn.RunningVar)
 	}
 	return out
-}
-
-// InferFull implements Model.
-func (m *GINModel) InferFull(g graph.Topology, x *tensor.Dense) *tensor.Dense {
-	for i := range m.convs {
-		x = m.convs[i].FullForward(g, x)
-	}
-	x = m.lin1.Apply(x)
-	x.ReLU(nil)
-	x = m.lin2.Apply(x)
-	x.LogSoftmaxRows()
-	return x
 }

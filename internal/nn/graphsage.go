@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 
-	"salient/internal/graph"
 	"salient/internal/mfg"
 	"salient/internal/rng"
 	"salient/internal/slicing"
@@ -51,6 +50,9 @@ func layerName(prefix string, l int) string {
 // Name implements Model.
 func (m *GraphSAGE) Name() string { return "SAGE" }
 
+// Layers implements Model.
+func (m *GraphSAGE) Layers() int { return len(m.convs) }
+
 // ReseedDropout re-keys the dropout RNG stream (nn.DropoutReseeder).
 func (m *GraphSAGE) ReseedDropout(seed uint64) { m.r.Reseed(seed) }
 
@@ -66,7 +68,7 @@ func (m *GraphSAGE) FusedOp() slicing.AggOp { return slicing.AggMean }
 // ForwardFused implements FusedModel: layer 0 consumes the pre-aggregated
 // batch, the rest of the stack is the staged path.
 func (m *GraphSAGE) ForwardFused(agg, xt *tensor.Dense, g *mfg.MFG, train bool) *tensor.Dense {
-	x := m.convs[0].(*SAGEConv).ForwardFused(agg, xt, &g.Blocks[0])
+	x := m.convs[0].(*SAGEConv).ForwardFused(agg, xt, &g.Blocks[0], train)
 	return m.finishForward(x, g, train)
 }
 
@@ -90,14 +92,19 @@ func (m *GraphSAGE) finishForward(x *tensor.Dense, g *mfg.MFG, train bool) *tens
 			x = m.convs[i].Forward(x, &g.Blocks[i], train)
 		}
 		if i != L-1 {
-			mask := make([]bool, len(x.Data))
+			var mask []bool
+			if train {
+				mask = make([]bool, len(x.Data))
+				m.reluMasks[i] = mask
+			}
 			x.ReLU(mask)
-			m.reluMasks[i] = mask
 			x = m.drops[i].Forward(x, train, m.r)
 		}
 	}
 	x.LogSoftmaxRows()
-	m.logp = x
+	if train {
+		m.logp = x
+	}
 	return x
 }
 
@@ -122,17 +129,3 @@ func (m *GraphSAGE) Backward(dLogp *tensor.Dense) {
 
 // Params implements Model.
 func (m *GraphSAGE) Params() []*Param { return collectParams(m.convs) }
-
-// InferFull implements Model: layer-wise full-neighborhood evaluation.
-func (m *GraphSAGE) InferFull(g graph.Topology, x *tensor.Dense) *tensor.Dense {
-	L := len(m.convs)
-	for i := 0; i < L; i++ {
-		x = m.convs[i].FullForward(g, x)
-		if i != L-1 {
-			x.ReLU(nil)
-		}
-	}
-	out := x.Clone()
-	out.LogSoftmaxRows()
-	return out
-}

@@ -57,7 +57,7 @@ func TestLinearForwardShapes(t *testing.T) {
 	r := rng.New(1)
 	l := NewLinear("l", 4, 3, true, r)
 	x := randInput(r, 5, 4)
-	y := l.Forward(x)
+	y := l.Forward(x, true)
 	if y.Rows != 5 || y.Cols != 3 {
 		t.Fatalf("shape %dx%d", y.Rows, y.Cols)
 	}
@@ -70,12 +70,12 @@ func TestLinearGradCheck(t *testing.T) {
 	labels := []int32{0, 1, 0, 1}
 
 	loss := func() float64 {
-		y := l.Apply(x)
+		y := l.Forward(x, false)
 		y.LogSoftmaxRows()
 		return tensor.NLLLoss(y, labels, nil)
 	}
 	runBackward := func() {
-		y := l.Forward(x)
+		y := l.Forward(x, true)
 		y.LogSoftmaxRows()
 		dLogp := tensor.New(y.Rows, y.Cols)
 		tensor.NLLLoss(y, labels, dLogp)
@@ -93,11 +93,11 @@ func TestLinearInputGradient(t *testing.T) {
 	labels := []int32{1, 0}
 
 	forwardLoss := func() float64 {
-		y := l.Apply(x)
+		y := l.Forward(x, false)
 		y.LogSoftmaxRows()
 		return tensor.NLLLoss(y, labels, nil)
 	}
-	y := l.Forward(x)
+	y := l.Forward(x, true)
 	y.LogSoftmaxRows()
 	dLogp := tensor.New(y.Rows, y.Cols)
 	tensor.NLLLoss(y, labels, dLogp)

@@ -23,19 +23,11 @@ func NewLinear(name string, in, out int, withBias bool, r *rng.Rand) *Linear {
 	return l
 }
 
-// Forward computes y = xW (+ b), caching x for backward.
-func (l *Linear) Forward(x *tensor.Dense) *tensor.Dense {
-	l.x = x
-	y := tensor.New(x.Rows, l.Weight.W.Cols)
-	tensor.MatMul(y, x, l.Weight.W)
-	if l.Bias != nil {
-		y.AddRowVec(l.Bias.W.Data)
+// Forward computes y = xW (+ b), caching x for backward when train is set.
+func (l *Linear) Forward(x *tensor.Dense, train bool) *tensor.Dense {
+	if train {
+		l.x = x
 	}
-	return y
-}
-
-// Apply computes the forward map without caching (inference path).
-func (l *Linear) Apply(x *tensor.Dense) *tensor.Dense {
 	y := tensor.New(x.Rows, l.Weight.W.Cols)
 	tensor.MatMul(y, x, l.Weight.W)
 	if l.Bias != nil {

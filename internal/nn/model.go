@@ -3,25 +3,30 @@ package nn
 import (
 	"fmt"
 
-	"salient/internal/graph"
 	"salient/internal/mfg"
 	"salient/internal/tensor"
 )
 
-// Model is a GNN architecture usable for both mini-batch training (over
-// sampled MFGs) and layer-wise full-neighborhood inference. Forward returns
+// Model is a GNN architecture evaluated over MFGs: sampled ones for
+// mini-batch training and inference, and the whole-graph MFG of
+// layer-wise full-neighborhood inference (infer.FullThrough). Forward returns
 // row-wise log-probabilities for the seed (batch) nodes; Backward consumes
 // the gradient w.r.t. those log-probabilities (as produced by
 // tensor.NLLLoss) and accumulates parameter gradients.
+//
+// An eval-mode forward (train == false) is a pure function of the
+// parameters, x and the MFG: it writes no model or layer field, so any
+// number of goroutines may run eval forwards through one model at once, as
+// long as none trains it. A training-mode forward caches the activations
+// its gradient needs, and Backward consumes the caches of the last
+// training-mode forward.
 type Model interface {
 	Name() string
+	// Layers returns the number of MFG blocks Forward consumes.
+	Layers() int
 	Forward(x *tensor.Dense, m *mfg.MFG, train bool) *tensor.Dense
 	Backward(dLogp *tensor.Dense)
 	Params() []*Param
-	// InferFull evaluates the model layer-wise over the whole graph with
-	// full neighborhoods (paper §5's non-sampling inference baseline) and
-	// returns log-probabilities for every node.
-	InferFull(g graph.Topology, x *tensor.Dense) *tensor.Dense
 }
 
 // DropoutReseeder is implemented by models whose stochastic layers
@@ -71,7 +76,6 @@ type conv interface {
 	// gradient w.r.t. its input, or nil for a model's first layer, whose
 	// input is the raw features.
 	Backward(dy *tensor.Dense) *tensor.Dense
-	FullForward(g graph.Topology, x *tensor.Dense) *tensor.Dense
 	Params() []*Param
 }
 
@@ -97,4 +101,17 @@ func collectParams(convs []conv, extra ...*Param) []*Param {
 		ps = append(ps, c.Params()...)
 	}
 	return append(ps, extra...)
+}
+
+// reuseMask returns *buf resized to n for a training-mode forward to record
+// a ReLU mask in, or nil in eval mode, which records none.
+func reuseMask(buf *[]bool, n int, train bool) []bool {
+	if !train {
+		return nil
+	}
+	if cap(*buf) < n {
+		*buf = make([]bool, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }

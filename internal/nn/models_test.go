@@ -187,51 +187,6 @@ func TestTrainingReducesLoss(t *testing.T) {
 	}
 }
 
-func TestInferFullShapes(t *testing.T) {
-	ds, _ := smallWorld(t)
-	for _, name := range allModelNames {
-		model := buildModel(name, ModelConfig{In: ds.FeatDim, Hidden: 8, Out: ds.NumClasses, Layers: 2, Seed: 4})
-		logp := model.InferFull(ds.G, ds.Feat.Clone())
-		if logp.Rows != int(ds.G.N) || logp.Cols != ds.NumClasses {
-			t.Fatalf("%s: InferFull %dx%d", name, logp.Rows, logp.Cols)
-		}
-		for i := 0; i < 5; i++ {
-			var sum float64
-			for _, v := range logp.Row(i) {
-				sum += math.Exp(float64(v))
-			}
-			if math.Abs(sum-1) > 1e-3 {
-				t.Fatalf("%s: InferFull row %d prob sum %v", name, i, sum)
-			}
-		}
-	}
-}
-
-// TestSampledInferenceApproachesFull checks the §5 phenomenon end to end at
-// tiny scale: with fanout >= max degree, sampled mini-batch inference equals
-// full-neighborhood inference exactly (for deterministic models).
-func TestSampledInferenceMatchesFullAtMaxFanout(t *testing.T) {
-	ds, _ := smallWorld(t)
-	model := NewGraphSAGE(ModelConfig{In: ds.FeatDim, Hidden: 8, Out: ds.NumClasses, Layers: 2, Seed: 4})
-	full := model.InferFull(ds.G, ds.Feat.Clone())
-
-	huge := int(ds.G.MaxDegree()) + 1
-	s := sampler.New(ds.G, []int{huge, huge}, sampler.FastConfig())
-	probe := ds.Test[:16]
-	m := s.Sample(rng.New(1), probe)
-	x := gatherFeatures(ds, m)
-	lp := model.Forward(x, m, false)
-	for i, node := range probe {
-		for c := 0; c < ds.NumClasses; c++ {
-			diff := math.Abs(float64(lp.At(i, c) - full.At(int(node), c)))
-			if diff > 1e-3 {
-				t.Fatalf("node %d class %d: sampled %.5f full %.5f",
-					node, c, lp.At(i, c), full.At(int(node), c))
-			}
-		}
-	}
-}
-
 func TestModelNames(t *testing.T) {
 	ds, _ := smallWorld(t)
 	cfg := ModelConfig{In: ds.FeatDim, Hidden: 4, Out: 3, Layers: 2, Seed: 1}

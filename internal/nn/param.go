@@ -3,10 +3,12 @@
 // trained with Adam on NLL loss over log-softmax outputs.
 //
 // The package plays the role of torch.nn + autograd in the paper's stack.
-// Backward passes are written by hand per layer; every layer caches exactly
-// the activations its gradient needs. Layers operate on MFG blocks for
-// mini-batch training/inference and expose a full-neighborhood path
-// (FullForward) for the layer-wise inference baseline of §5.
+// Backward passes are written by hand per layer; in training mode every
+// layer caches exactly the activations its gradient needs, and in eval mode
+// it caches nothing. Layers operate on MFG blocks only: mini-batch training
+// and inference run them over sampled MFGs, and the layer-wise
+// full-neighborhood inference baseline of §5 runs the same forward over a
+// whole-graph MFG (infer.FullThrough).
 package nn
 
 import (

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"salient/internal/graph"
 	"salient/internal/mfg"
 	"salient/internal/rng"
 	"salient/internal/tensor"
@@ -41,14 +40,15 @@ func NewSAGEConv(name string, in, out int, r *rng.Rand) *SAGEConv {
 }
 
 // Forward computes destination representations from source features x over
-// the sampled block.
+// the sampled block, caching what Backward needs when train is set.
 func (c *SAGEConv) Forward(x *tensor.Dense, blk *mfg.Block, train bool) *tensor.Dense {
-	c.x, c.blk = x, blk
-	c.fusedXT = nil
-	c.agg = aggregateMeanBlock(x, blk)
+	agg := aggregateMeanBlock(x, blk)
+	if train {
+		c.x, c.blk, c.agg, c.fusedXT = x, blk, agg, nil
+	}
 	// x_target is the NumDst prefix of x.
 	xt := tensor.FromSlice(int(blk.NumDst), x.Cols, x.Data[:int(blk.NumDst)*x.Cols])
-	return c.combine(xt, blk)
+	return c.combine(agg, xt, blk)
 }
 
 // ForwardFused consumes a fused gather+aggregate batch: agg is the
@@ -56,18 +56,18 @@ func (c *SAGEConv) Forward(x *tensor.Dense, blk *mfg.Block, train bool) *tensor.
 // (bit-identical to aggregateMeanBlock over the staged features) and xt the
 // widened x_target prefix. Must only be used for the first layer of a
 // model, which has no source tensor to return an input gradient for.
-func (c *SAGEConv) ForwardFused(agg, xt *tensor.Dense, blk *mfg.Block) *tensor.Dense {
-	c.x, c.blk = nil, blk
-	c.agg = agg
-	c.fusedXT = xt
-	return c.combine(xt, blk)
+func (c *SAGEConv) ForwardFused(agg, xt *tensor.Dense, blk *mfg.Block, train bool) *tensor.Dense {
+	if train {
+		c.x, c.blk, c.agg, c.fusedXT = nil, blk, agg, xt
+	}
+	return c.combine(agg, xt, blk)
 }
 
-// combine applies the two weight matrices to the cached aggregate and the
-// given x_target: y = agg·W_neigh + xt·W_root.
-func (c *SAGEConv) combine(xt *tensor.Dense, blk *mfg.Block) *tensor.Dense {
+// combine applies the two weight matrices to the aggregate and x_target:
+// y = agg·W_neigh + xt·W_root.
+func (c *SAGEConv) combine(agg, xt *tensor.Dense, blk *mfg.Block) *tensor.Dense {
 	y := tensor.New(int(blk.NumDst), c.WNeigh.W.Cols)
-	tensor.MatMul(y, c.agg, c.WNeigh.W)
+	tensor.MatMul(y, agg, c.WNeigh.W)
 	root := tensor.New(int(blk.NumDst), c.WRoot.W.Cols)
 	tensor.MatMul(root, xt, c.WRoot.W)
 	y.Add(root)
@@ -79,7 +79,7 @@ func (c *SAGEConv) combine(xt *tensor.Dense, blk *mfg.Block) *tensor.Dense {
 // Forward and ForwardFused alike: the raw-feature gradient has no consumer,
 // and the parameter grads need only the cached aggregate and x_target, so
 // they are the same either way. Backward consumes the forward caches: each
-// call needs a Forward or ForwardFused before it.
+// call needs a training-mode Forward or ForwardFused before it.
 func (c *SAGEConv) Backward(dy *tensor.Dense) *tensor.Dense {
 	defer c.release()
 	blk := c.blk
@@ -124,18 +124,6 @@ func (c *SAGEConv) Backward(dy *tensor.Dense) *tensor.Dense {
 // forward pass, which would otherwise hold both steps' at once.
 func (c *SAGEConv) release() {
 	c.x, c.agg, c.fusedXT = nil, nil, nil
-}
-
-// FullForward applies the convolution over the whole graph with full
-// neighborhoods (layer-wise inference).
-func (c *SAGEConv) FullForward(g graph.Topology, x *tensor.Dense) *tensor.Dense {
-	agg := aggregateMeanFull(x, g)
-	y := tensor.New(int(g.NumNodes()), c.WNeigh.W.Cols)
-	tensor.MatMul(y, agg, c.WNeigh.W)
-	root := tensor.New(int(g.NumNodes()), c.WRoot.W.Cols)
-	tensor.MatMul(root, x, c.WRoot.W)
-	y.Add(root)
-	return y
 }
 
 // Params returns the trainable parameters.

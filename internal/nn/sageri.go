@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"salient/internal/graph"
 	"salient/internal/mfg"
 	"salient/internal/rng"
 	"salient/internal/tensor"
@@ -62,6 +61,9 @@ func NewSAGERI(cfg ModelConfig) *SAGERI {
 // Name implements Model.
 func (m *SAGERI) Name() string { return "SAGE-RI" }
 
+// Layers implements Model.
+func (m *SAGERI) Layers() int { return len(m.convs) }
+
 // ReseedDropout re-keys the dropout RNG stream (nn.DropoutReseeder).
 func (m *SAGERI) ReseedDropout(seed uint64) { m.r.Reseed(seed) }
 
@@ -88,31 +90,33 @@ func addPrefix(dst, src *tensor.Dense) {
 // here a single mask covers the matrix (the prefix shares it). The
 // distribution of surviving units is identical.
 func (m *SAGERI) Forward(x *tensor.Dense, g *mfg.MFG, train bool) *tensor.Dense {
-	m.g = g
-	m.end = int(g.Batch)
+	end := int(g.Batch)
 	L := len(m.convs)
 
 	x = m.drop0.Forward(x, train, m.r)
 	collect := make([]*tensor.Dense, 0, L+1)
-	collect = append(collect, prefixClone(x, m.end))
+	collect = append(collect, prefixClone(x, end))
 
 	for i := 0; i < L; i++ {
 		blk := &g.Blocks[i]
 		xd := m.dropIn[i].Forward(x, train, m.r)
 		a := m.convs[i].Forward(xd, blk, train)
 		b := m.bns[i].Forward(a, train)
-		mask := make([]bool, len(b.Data))
+		var mask []bool
+		if train {
+			mask = make([]bool, len(b.Data))
+			m.leakyMasks[i] = mask
+		}
 		b.LeakyReLU(riSlope, mask)
-		m.leakyMasks[i] = mask
 		d := m.dropOut[i].Forward(b, train, m.r)
-		collect = append(collect, prefixClone(d, m.end))
+		collect = append(collect, prefixClone(d, end))
 
 		// x_{i+1} = d + res_i(x_target); res is a linear projection at layer
 		// 0 and identity afterwards.
 		xt := prefixClone(x, int(blk.NumDst))
 		var res *tensor.Dense
 		if i == 0 {
-			res = m.res0.Forward(xt)
+			res = m.res0.Forward(xt, train)
 		} else {
 			res = xt
 		}
@@ -122,29 +126,29 @@ func (m *SAGERI) Forward(x *tensor.Dense, g *mfg.MFG, train bool) *tensor.Dense 
 	}
 
 	// Inception head: concat collected prefixes, MLP, log-softmax.
-	m.collectSz = m.collectSz[:0]
 	catDim := 0
 	for _, c := range collect {
-		m.collectSz = append(m.collectSz, c.Cols)
 		catDim += c.Cols
 	}
-	cat := tensor.New(m.end, catDim)
+	cat := tensor.New(end, catDim)
 	off := 0
 	for _, c := range collect {
-		for i := 0; i < m.end; i++ {
+		for i := 0; i < end; i++ {
 			copy(cat.Row(i)[off:off+c.Cols], c.Row(i))
 		}
 		off += c.Cols
 	}
-	h := m.mlp1.Forward(cat)
-	if cap(m.mlpMask) < len(h.Data) {
-		m.mlpMask = make([]bool, len(h.Data))
-	}
-	m.mlpMask = m.mlpMask[:len(h.Data)]
-	h.ReLU(m.mlpMask)
-	out := m.mlp2.Forward(h)
+	h := m.mlp1.Forward(cat, train)
+	h.ReLU(reuseMask(&m.mlpMask, len(h.Data), train))
+	out := m.mlp2.Forward(h, train)
 	out.LogSoftmaxRows()
-	m.logp = out
+	if train {
+		m.g, m.end, m.logp = g, end, out
+		m.collectSz = m.collectSz[:0]
+		for _, c := range collect {
+			m.collectSz = append(m.collectSz, c.Cols)
+		}
+	}
 	return out
 }
 
@@ -231,45 +235,6 @@ func (m *SAGERI) StatBuffers() [][]float32 {
 	for _, bn := range m.bns {
 		out = append(out, bn.RunningMean, bn.RunningVar)
 	}
-	return out
-}
-
-// InferFull implements Model: layer-wise full-neighborhood inference in eval
-// mode (no dropout, running batch-norm statistics).
-func (m *SAGERI) InferFull(g graph.Topology, x *tensor.Dense) *tensor.Dense {
-	L := len(m.convs)
-	n := int(g.NumNodes())
-	collect := []*tensor.Dense{x.Clone()}
-	for i := 0; i < L; i++ {
-		a := m.convs[i].FullForward(g, x)
-		b := m.bns[i].Forward(a, false)
-		b.LeakyReLU(riSlope, nil)
-		collect = append(collect, b.Clone())
-		var res *tensor.Dense
-		if i == 0 {
-			res = m.res0.Apply(x)
-		} else {
-			res = x
-		}
-		b.Add(res)
-		x = b
-	}
-	catDim := 0
-	for _, c := range collect {
-		catDim += c.Cols
-	}
-	cat := tensor.New(n, catDim)
-	off := 0
-	for _, c := range collect {
-		for i := 0; i < n; i++ {
-			copy(cat.Row(i)[off:off+c.Cols], c.Row(i))
-		}
-		off += c.Cols
-	}
-	h := m.mlp1.Apply(cat)
-	h.ReLU(nil)
-	out := m.mlp2.Apply(h)
-	out.LogSoftmaxRows()
 	return out
 }
 

@@ -14,7 +14,9 @@
 // block-diagonal MFG merge (mfg.Merge), one gather through the feature store
 // (internal/store) into a pinned staging buffer, and one model forward. All
 // of that scratch is released for reuse as soon as the micro-batch's
-// responses are delivered. Transfer and cache accounting live in the store;
+// responses are delivered. The forward runs in eval mode, which writes no
+// model state, so workers run theirs concurrently through one model, and
+// several servers may share that model too. Transfer and cache accounting live in the store;
 // the server just snapshots them into its Stats.
 //
 // Determinism: each request is sampled independently with the RNG a
@@ -295,10 +297,6 @@ type Server struct {
 	// the ring so an idle long-lived server costs no CPU.
 	doorbell chan struct{}
 	stop     chan struct{}
-
-	// modelMu serializes forwards: models keep internal backward scratch, and
-	// the modeled system has one GPU compute stream anyway.
-	modelMu sync.Mutex
 
 	// store is the feature-access layer; it owns all transfer and cache
 	// accounting (Cached-wrapped when Options.CacheRows > 0).
@@ -813,7 +811,6 @@ func (s *Server) execute(ws *workerState, batch []*request) {
 	}
 	ws.x = slicing.DecodeInto(ws.x, buf)
 
-	s.modelMu.Lock()
 	var logp *tensor.Dense
 	if ws.emb != nil {
 		// Split forward: compute layer 1, swap in cached embeddings for the
@@ -831,7 +828,6 @@ func (s *Server) execute(ws *workerState, batch []*request) {
 	}
 	pred := ws.pred[:logp.Rows]
 	logp.ArgmaxRows(pred)
-	s.modelMu.Unlock()
 	s.pool.Put(buf)
 
 	now = time.Now()
