@@ -79,9 +79,6 @@ func (s *Sketch) SetDecayWindow(window int64) {
 	s.window = window
 }
 
-// DecayWindow returns the configured automatic-aging window (0 = disabled).
-func (s *Sketch) DecayWindow() int64 { return s.window }
-
 // maybeDecay halves the sketch when the observation window has filled.
 // One observer wins the election (TryLock); the rest proceed without
 // blocking — an extra observation or two past the boundary is noise, a

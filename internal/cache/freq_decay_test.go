@@ -42,9 +42,6 @@ func TestSketchDecayWindowMatchesModel(t *testing.T) {
 		window := int64(1 + r.Intn(32))
 		s := NewSketch(n)
 		s.SetDecayWindow(window)
-		if got := s.DecayWindow(); got != window {
-			t.Fatalf("DecayWindow() = %d, want %d", got, window)
-		}
 		m := &sketchModel{counts: make([]uint32, n), window: window}
 		steps := 1 + r.Intn(400)
 		for i := 0; i < steps; i++ {
@@ -123,9 +120,6 @@ func TestSketchDecayNeverUndercountsWithinWindow(t *testing.T) {
 func TestSketchDecayWindowDisabled(t *testing.T) {
 	s := NewSketch(4)
 	s.SetDecayWindow(-3) // clamps to 0 = disabled
-	if got := s.DecayWindow(); got != 0 {
-		t.Fatalf("DecayWindow() after negative set = %d, want 0", got)
-	}
 	for i := 0; i < 100; i++ {
 		s.Observe(2)
 	}

@@ -222,9 +222,6 @@ func newReplica(ds *dataset.Dataset, cfg TrainConfig, pin graph.Viewer, r int) (
 		return nil, err
 	}
 	opt := nn.NewAdam(model.Params(), cfg.LR)
-	if cfg.WeightDecay > 0 {
-		opt.WithWeightDecay(cfg.WeightDecay)
-	}
 	exec, err := prep.NewSalient(ds, prep.Options{
 		Workers:     cfg.Workers,
 		BatchSize:   cfg.BatchSize,
@@ -345,13 +342,6 @@ func (t *Trainer) TrainEpoch(epoch int) (TrainStats, error) {
 	nb := prep.NumBatches(len(perm), t.Cfg.BatchSize)
 	steps := StepsFor(nb, R)
 
-	if t.Cfg.Schedule != nil {
-		factor := t.Cfg.Schedule(epoch)
-		for _, rep := range t.reps {
-			rep.opt.SetLRFactor(factor)
-		}
-	}
-
 	type repAcc struct {
 		stats         ReplicaStats
 		lossSum       float64
@@ -417,9 +407,6 @@ func (t *Trainer) TrainEpoch(epoch int) (TrainStats, error) {
 					return
 				}
 				uStart := time.Now()
-				if t.Cfg.ClipNorm > 0 {
-					nn.ClipGradNorm(rep.params, t.Cfg.ClipNorm)
-				}
 				rep.opt.Step(rep.params)
 				acc.stats.Compute += time.Since(uStart)
 			}
@@ -553,9 +540,6 @@ func NewUnion(ds *dataset.Dataset, cfg TrainConfig) (*Union, error) {
 		return nil, err
 	}
 	opt := nn.NewAdam(model.Params(), cfg.LR)
-	if cfg.WeightDecay > 0 {
-		opt.WithWeightDecay(cfg.WeightDecay)
-	}
 	exec, err := prep.NewSalient(ds, prep.Options{
 		Workers:   cfg.Workers,
 		BatchSize: cfg.BatchSize,
@@ -597,9 +581,6 @@ func (u *Union) TrainEpoch(epoch int) (TrainStats, error) {
 	R := u.Cfg.Replicas
 	epochSeed := train.EpochSeed(u.Cfg.Seed, epoch)
 	nb := prep.NumBatches(len(u.DS.Train), u.Cfg.BatchSize)
-	if u.Cfg.Schedule != nil {
-		u.opt.SetLRFactor(u.Cfg.Schedule(epoch))
-	}
 	st := TrainStats{
 		Epoch:      epoch,
 		Replicas:   R,
@@ -643,9 +624,6 @@ func (u *Union) TrainEpoch(epoch int) (TrainStats, error) {
 			AverageGradients(u.stash[:got])
 			for i, p := range u.params {
 				p.G.Copy(u.stash[0][i].G)
-			}
-			if u.Cfg.ClipNorm > 0 {
-				nn.ClipGradNorm(u.params, u.Cfg.ClipNorm)
 			}
 			u.opt.Step(u.params)
 			got = 0

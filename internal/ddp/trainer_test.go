@@ -57,16 +57,11 @@ func assertParamsBitEqual(t *testing.T, label string, a, b []*nn.Param) {
 // TestTrainerMatchesUnionBitForBit is the full-loop generalization of the
 // averaged-shard-equals-union-batch gradient property: R concurrent
 // replicas, whose per-step batches union to the single-replica schedule,
-// finish with parameters bit-identical to the serial Union oracle — with
-// clipping, weight decay, and an LR schedule in play.
+// finish with parameters bit-identical to the serial Union oracle.
 func TestTrainerMatchesUnionBitForBit(t *testing.T) {
 	ds := ddpDS(t)
 	for _, R := range []int{2, 4} {
 		cfg := ddpCfg(R)
-		cfg.ClipNorm = 5
-		cfg.WeightDecay = 1e-4
-		cfg.Schedule = nn.CosineLR(10, 0.1)
-
 		tr, err := NewTrainer(ds, cfg)
 		if err != nil {
 			t.Fatal(err)

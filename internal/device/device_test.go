@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"salient/internal/half"
 )
 
 func TestPaperProfileConstants(t *testing.T) {
@@ -206,56 +204,5 @@ func TestArchCalibrationsComputeDensityOrdering(t *testing.T) {
 	}
 	if !(byName["SAGE"] < byName["GIN"] && byName["GIN"] < byName["GAT"] && byName["GAT"] < byName["SAGE-RI"]) {
 		t.Fatalf("compute density not ordered SAGE<GIN<GAT<SAGE-RI: %v", byName)
-	}
-}
-
-func TestPrecisionTransferScale(t *testing.T) {
-	const dim = 128
-	if s := PrecisionTransferScale(half.FP16, dim); s != 1 {
-		t.Fatalf("fp16 scale %v, want 1", s)
-	}
-	if s := PrecisionTransferScale(half.FP32, dim); s != 2 {
-		t.Fatalf("fp32 scale %v, want 2", s)
-	}
-	// int8: (dim+4)/(2*dim) -- just over half.
-	want := float64(dim+4) / float64(2*dim)
-	if s := PrecisionTransferScale(half.Int8, dim); s != want {
-		t.Fatalf("int8 scale %v, want %v", s, want)
-	}
-
-	cal := Calibration("papers")
-	q := cal.WithPrecision(half.Int8, dim)
-	if q.TransferBytes >= cal.TransferBytes*0.52 || q.TransferBytes <= cal.TransferBytes*0.5 {
-		t.Fatalf("int8 papers transfer %v of baseline %v: expected just over half", q.TransferBytes, cal.TransferBytes)
-	}
-	if q.SliceSec >= cal.SliceSec {
-		t.Fatal("int8 slicing should shrink with the bytes staged")
-	}
-}
-
-func TestFusedTransferScale(t *testing.T) {
-	const dim = 128
-	// At the paper's layer-0 fanout of 15 and fp16 storage, fused ships
-	// 2 fp32 rows per seed instead of 16 fp16 rows: an exact 4x reduction.
-	if s := FusedTransferScale(15, half.FP16, dim); s != 0.25 {
-		t.Fatalf("fused fp16 fanout-15 scale %v, want 0.25", s)
-	}
-	// int8 storage makes the staged row cheaper, so fusing saves less.
-	s16 := FusedTransferScale(15, half.FP16, dim)
-	if s8 := FusedTransferScale(15, half.Int8, dim); s8 <= s16 {
-		t.Fatalf("fused int8 scale %v should exceed fp16's %v (smaller staged baseline)", s8, s16)
-	}
-	// Negative fanout clamps to 0: fused then quadruples fp16 payload
-	// (2 fp32 rows versus 1 fp16 row) -- fusing only pays off with fanout.
-	if s := FusedTransferScale(-3, half.FP16, dim); s != 4 {
-		t.Fatalf("fanout-0 fused scale %v, want 4", s)
-	}
-	cal := Calibration("papers")
-	f := cal.WithFused(15, half.FP16, dim)
-	if f.TransferBytes != cal.TransferBytes*0.25 {
-		t.Fatalf("fused papers transfer %v, want a quarter of %v", f.TransferBytes, cal.TransferBytes)
-	}
-	if f.SliceSec != cal.SliceSec {
-		t.Fatal("fusing must not change slicing time: stored rows are still touched once")
 	}
 }

@@ -17,10 +17,10 @@
 // the layer-1 activations the forward pass computes anyway are copied in
 // before the in-place ReLU destroys them.
 //
-// Concurrency: Lookup takes a read lock, Put/Invalidate take the write
-// lock. The hot Lookup path performs no allocation (//salient:noalloc,
-// CI-gated); eviction is CLOCK second-chance over atomically-marked
-// reference bits so lookups never upgrade to the write lock.
+// Concurrency: Lookup takes a read lock, Put takes the write lock. The hot
+// Lookup path performs no allocation (//salient:noalloc, CI-gated);
+// eviction is CLOCK second-chance over atomically-marked reference bits so
+// lookups never upgrade to the write lock.
 package embcache
 
 import (
@@ -68,7 +68,7 @@ type Cache struct {
 
 	mu    sync.RWMutex
 	data  []float32 // rows × dim, allocated at first Put
-	nodes []int32   // slot -> node (-1 = free)
+	nodes []int32   // slot -> node (slots [len(slot), rows) are unused)
 	vers  []uint64  // slot -> snapshot version the embedding was computed at
 	ref   []uint32  // slot -> CLOCK reference bit (atomic; set by Lookup)
 	slot  map[int32]int32
@@ -93,9 +93,6 @@ func New(o Options) (*Cache, error) {
 		vers:      make([]uint64, o.Rows),
 		ref:       make([]uint32, o.Rows),
 		slot:      make(map[int32]int32, o.Rows),
-	}
-	for i := range c.nodes {
-		c.nodes[i] = -1
 	}
 	return c, nil
 }
@@ -192,14 +189,11 @@ func (c *Cache) Put(node int32, version uint64, emb []float32) error {
 // hand, clearing reference bits; the first slot found unreferenced since
 // its last sweep is the victim.
 func (c *Cache) freeSlotLocked() int32 {
-	if len(c.slot) < c.rows {
-		for i := 0; i < c.rows; i++ {
-			s := (c.hand + i) % c.rows
-			if c.nodes[s] < 0 {
-				c.hand = (s + 1) % c.rows
-				return int32(s)
-			}
-		}
+	if n := len(c.slot); n < c.rows {
+		// Entries are only ever replaced, never dropped, so slots fill in
+		// order and the first unused one is slot n.
+		c.hand = (n + 1) % c.rows
+		return int32(n)
 	}
 	for {
 		s := c.hand
@@ -209,24 +203,8 @@ func (c *Cache) freeSlotLocked() int32 {
 			continue
 		}
 		delete(c.slot, c.nodes[s])
-		c.nodes[s] = -1
 		c.evicted++
 		return int32(s)
-	}
-}
-
-// Invalidate drops every entry older than minVersion — the hard flush for
-// callers that cannot tolerate bounded staleness across a structural
-// change (the soft path is automatic: entries age out of the window).
-func (c *Cache) Invalidate(minVersion uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for s, node := range c.nodes {
-		if node >= 0 && c.vers[s] < minVersion {
-			delete(c.slot, node)
-			c.nodes[s] = -1
-			c.evicted++
-		}
 	}
 }
 

@@ -7,7 +7,7 @@
 // end-to-end on neighborhood sampling. These containers are that layout:
 //
 //   - one contiguous control-byte array holding a 7-bit hash fragment per
-//     slot (or an empty/deleted marker), scanned in groups of 8 via
+//     slot (or an empty marker), scanned in groups of 8 via
 //     word-parallel byte tricks;
 //   - one contiguous slot array holding keys (and values for Map), so a probe
 //     touches at most two cache lines per group.
@@ -16,9 +16,8 @@ package flathash
 import "math/bits"
 
 const (
-	ctrlEmpty   = 0x80 // high bit set, low bits zero
-	ctrlDeleted = 0xfe
-	groupSize   = 8
+	ctrlEmpty = 0x80 // high bit set, low bits zero
+	groupSize = 8
 
 	loBits = 0x0101010101010101
 	hiBits = 0x8080808080808080
@@ -47,16 +46,10 @@ func matchByte(group uint64, b uint8) uint64 {
 	return (x - loBits) & ^x & hiBits
 }
 
-// matchEmpty returns the mask of empty control bytes in group.
+// matchEmpty returns the mask of empty control bytes in group. Full bytes
+// hold a 7-bit fragment and there are no tombstones, so a set high bit
+// means empty.
 func matchEmpty(group uint64) uint64 {
-	// Empty = 0x80: high bit set and (byte == 0x80). Since deleted (0xfe) and
-	// full (<0x80) differ, match exact byte.
-	return matchByte(group, ctrlEmpty)
-}
-
-// matchEmptyOrDeleted returns the mask of non-full control bytes.
-func matchEmptyOrDeleted(group uint64) uint64 {
-	// Non-full bytes have the high bit set.
 	return group & hiBits
 }
 
@@ -72,7 +65,6 @@ type Map struct {
 	mask uint64 // len(slots)-1; capacity is a power of two
 	size int
 	grow int // insertion budget before rehash (load factor 7/8)
-	dead int // deleted slot count
 }
 
 // NewMap returns a map pre-sized for at least capacity elements.
@@ -99,7 +91,6 @@ func (m *Map) init(slots int) {
 	m.vals = make([]int32, slots)
 	m.mask = uint64(slots - 1)
 	m.size = 0
-	m.dead = 0
 	m.grow = slots * 7 / 8
 }
 
@@ -154,7 +145,7 @@ func (m *Map) GetOrInsert(key, val int32) (got int32, added bool) {
 	h := hash32(key)
 	frag := h2(h)
 	pos := h1(h) & m.mask
-	firstFree := int64(-1)
+	var idx uint64
 	for stride := uint64(0); ; {
 		group := loadGroup(m.ctrl, pos)
 		match := matchByte(group, frag)
@@ -166,24 +157,16 @@ func (m *Map) GetOrInsert(key, val int32) (got int32, added bool) {
 			}
 			match &= match - 1
 		}
-		if firstFree < 0 {
-			if free := matchEmptyOrDeleted(group); free != 0 {
-				firstFree = int64((pos + trailingBytes(free)) & m.mask)
-			}
-		}
-		if matchEmpty(group) != 0 {
+		if empty := matchEmpty(group); empty != 0 {
+			idx = (pos + trailingBytes(empty)) & m.mask
 			break
 		}
 		stride += groupSize
 		pos = (pos + stride) & m.mask
 	}
-	if m.size+m.dead >= m.grow {
+	if m.size >= m.grow {
 		m.rehash()
 		return m.GetOrInsert(key, val)
-	}
-	idx := uint64(firstFree)
-	if m.ctrl[idx] == ctrlDeleted {
-		m.dead--
 	}
 	m.setCtrl(idx, frag)
 	m.keys[idx] = key
@@ -217,33 +200,6 @@ func (m *Map) Put(key, val int32) {
 	}
 }
 
-// Delete removes key if present and reports whether it was found.
-func (m *Map) Delete(key int32) bool {
-	h := hash32(key)
-	frag := h2(h)
-	pos := h1(h) & m.mask
-	for stride := uint64(0); ; {
-		group := loadGroup(m.ctrl, pos)
-		match := matchByte(group, frag)
-		for match != 0 {
-			bit := trailingBytes(match)
-			idx := (pos + bit) & m.mask
-			if m.keys[idx] == key && m.ctrl[idx] < 0x80 {
-				m.setCtrl(idx, ctrlDeleted)
-				m.dead++
-				m.size--
-				return true
-			}
-			match &= match - 1
-		}
-		if matchEmpty(group) != 0 {
-			return false
-		}
-		stride += groupSize
-		pos = (pos + stride) & m.mask
-	}
-}
-
 // setCtrl writes the control byte at idx, mirroring into the tail region so
 // wrap-around group loads see consistent bytes.
 func (m *Map) setCtrl(idx uint64, c uint8) {
@@ -261,27 +217,11 @@ func (m *Map) Reset() {
 		m.ctrl[i] = ctrlEmpty
 	}
 	m.size = 0
-	m.dead = 0
-}
-
-// Range calls fn for every (key, value) pair until fn returns false.
-func (m *Map) Range(fn func(key, val int32) bool) {
-	for i := range m.keys {
-		if m.ctrl[i] < 0x80 {
-			if !fn(m.keys[i], m.vals[i]) {
-				return
-			}
-		}
-	}
 }
 
 func (m *Map) rehash() {
 	oldCtrl, oldKeys, oldVals := m.ctrl, m.keys, m.vals
-	slots := len(oldKeys)
-	if m.size >= slots*7/16 {
-		slots <<= 1 // genuinely grow
-	}
-	m.init(slots)
+	m.init(2 * len(oldKeys))
 	for i := range oldKeys {
 		if oldCtrl[i] < 0x80 {
 			m.GetOrInsert(oldKeys[i], oldVals[i])

@@ -9,7 +9,6 @@ type Set struct {
 	mask uint64
 	size int
 	grow int
-	dead int
 }
 
 // NewSet returns a set pre-sized for at least capacity elements.
@@ -27,7 +26,6 @@ func (s *Set) init(slots int) {
 	s.keys = make([]int32, slots)
 	s.mask = uint64(slots - 1)
 	s.size = 0
-	s.dead = 0
 	s.grow = slots * 7 / 8
 }
 
@@ -64,7 +62,7 @@ func (s *Set) Add(key int32) bool {
 	h := hash32(key)
 	frag := h2(h)
 	pos := h1(h) & s.mask
-	firstFree := int64(-1)
+	var idx uint64
 	for stride := uint64(0); ; {
 		group := loadGroup(s.ctrl, pos)
 		match := matchByte(group, frag)
@@ -76,56 +74,21 @@ func (s *Set) Add(key int32) bool {
 			}
 			match &= match - 1
 		}
-		if firstFree < 0 {
-			if free := matchEmptyOrDeleted(group); free != 0 {
-				firstFree = int64((pos + trailingBytes(free)) & s.mask)
-			}
-		}
-		if matchEmpty(group) != 0 {
+		if empty := matchEmpty(group); empty != 0 {
+			idx = (pos + trailingBytes(empty)) & s.mask
 			break
 		}
 		stride += groupSize
 		pos = (pos + stride) & s.mask
 	}
-	if s.size+s.dead >= s.grow {
+	if s.size >= s.grow {
 		s.rehash()
 		return s.Add(key)
-	}
-	idx := uint64(firstFree)
-	if s.ctrl[idx] == ctrlDeleted {
-		s.dead--
 	}
 	s.setCtrl(idx, frag)
 	s.keys[idx] = key
 	s.size++
 	return true
-}
-
-// Remove deletes key if present and reports whether it was found.
-func (s *Set) Remove(key int32) bool {
-	h := hash32(key)
-	frag := h2(h)
-	pos := h1(h) & s.mask
-	for stride := uint64(0); ; {
-		group := loadGroup(s.ctrl, pos)
-		match := matchByte(group, frag)
-		for match != 0 {
-			bit := trailingBytes(match)
-			idx := (pos + bit) & s.mask
-			if s.keys[idx] == key && s.ctrl[idx] < 0x80 {
-				s.setCtrl(idx, ctrlDeleted)
-				s.dead++
-				s.size--
-				return true
-			}
-			match &= match - 1
-		}
-		if matchEmpty(group) != 0 {
-			return false
-		}
-		stride += groupSize
-		pos = (pos + stride) & s.mask
-	}
 }
 
 func (s *Set) setCtrl(idx uint64, c uint8) {
@@ -141,27 +104,11 @@ func (s *Set) Reset() {
 		s.ctrl[i] = ctrlEmpty
 	}
 	s.size = 0
-	s.dead = 0
-}
-
-// Range calls fn for every element until fn returns false.
-func (s *Set) Range(fn func(key int32) bool) {
-	for i := range s.keys {
-		if s.ctrl[i] < 0x80 {
-			if !fn(s.keys[i]) {
-				return
-			}
-		}
-	}
 }
 
 func (s *Set) rehash() {
 	oldCtrl, oldKeys := s.ctrl, s.keys
-	slots := len(oldKeys)
-	if s.size >= slots*7/16 {
-		slots <<= 1
-	}
-	s.init(slots)
+	s.init(2 * len(oldKeys))
 	for i := range oldKeys {
 		if oldCtrl[i] < 0x80 {
 			s.Add(oldKeys[i])

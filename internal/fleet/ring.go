@@ -100,20 +100,6 @@ func (r *Ring) Remove(replica int) {
 	r.points = kept
 }
 
-// Members returns the distinct replicas on the ring, ascending.
-func (r *Ring) Members() []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, p := range r.points {
-		if !seen[p.replica] {
-			seen[p.replica] = true
-			out = append(out, p.replica)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Home returns the replica owning key (its first vnode clockwise), or -1
 // for an empty ring.
 func (r *Ring) Home(key uint64) int {

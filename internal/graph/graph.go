@@ -196,24 +196,6 @@ func (g *CSR) Validate() error {
 	return nil
 }
 
-// HasEdge reports whether (u,v) exists, via binary search if the adjacency
-// list is sorted, else linear scan.
-func (g *CSR) HasEdge(u, v int32) bool {
-	ns := g.Neighbors(u)
-	// The lists produced by Undirected are sorted; fall back to linear scan
-	// for generality when they are not.
-	if len(ns) > 8 && sort.SliceIsSorted(ns, func(i, j int) bool { return ns[i] < ns[j] }) {
-		i := sort.Search(len(ns), func(i int) bool { return ns[i] >= v })
-		return i < len(ns) && ns[i] == v
-	}
-	for _, w := range ns {
-		if w == v {
-			return true
-		}
-	}
-	return false
-}
-
 // Induced extracts the subgraph induced by the given node set. The returned
 // CSR has len(nodes) vertices, with local ID i corresponding to nodes[i];
 // edges are retained only when both endpoints are in the set. Duplicate

@@ -65,6 +65,9 @@ func (o *Options) defaults() {
 // in inference mode (no dropout); the data path is the SALIENT executor.
 func Sampled(m nn.Model, ds *dataset.Dataset, nodes []int32, opts Options) ([]int32, error) {
 	opts.defaults()
+	if len(opts.Fanouts) != m.Layers() {
+		return nil, fmt.Errorf("infer: %d fanouts for a %d-layer %s", len(opts.Fanouts), m.Layers(), m.Name())
+	}
 	popts := prep.Options{
 		Workers:   opts.Workers,
 		BatchSize: opts.BatchSize,

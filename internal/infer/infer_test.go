@@ -5,6 +5,7 @@ import (
 
 	"salient/internal/dataset"
 	"salient/internal/graph"
+	"salient/internal/nn"
 	"salient/internal/store"
 	"salient/internal/train"
 )
@@ -27,6 +28,25 @@ func fitted(t testing.TB) (*dataset.Dataset, *train.Trainer) {
 		t.Fatal(err)
 	}
 	return ds, tr
+}
+
+// TestSampledRejectsFanoutLayerMismatch: one fanout per layer. Too few
+// fanouts would index past the MFG's blocks in the forward; too many would
+// sample hops the model never reads.
+func TestSampledRejectsFanoutLayerMismatch(t *testing.T) {
+	ds, err := dataset.Load(dataset.Arxiv, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := nn.NewGraphSAGE(nn.ModelConfig{In: ds.FeatDim, Hidden: 8, Out: ds.NumClasses, Layers: 2, Seed: 1})
+	for _, fanouts := range [][]int{{5}, {5, 5, 5}} {
+		if _, err := Sampled(m, ds, ds.Test[:4], Options{Fanouts: fanouts, Workers: 1}); err == nil {
+			t.Errorf("fanouts %v accepted for a 2-layer model", fanouts)
+		}
+	}
+	if _, err := Sampled(m, ds, ds.Test[:4], Options{Fanouts: []int{5, 5}, Workers: 1}); err != nil {
+		t.Fatalf("matching fanouts rejected: %v", err)
+	}
 }
 
 func TestSampledInferenceBeatsChance(t *testing.T) {

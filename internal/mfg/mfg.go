@@ -68,22 +68,6 @@ func (m *MFG) TransferBytes(featDim, bytesPerScalar int) int64 {
 	return b
 }
 
-// TransferBytesRows is TransferBytes for feature encodings whose row width
-// is not a whole number of bytes per scalar — int8 rows carry a 4-byte
-// dequantization scale, so their width is dim+4, not dim×1. rowBytes is the
-// full per-row byte count (half.Precision.RowBytes for stored precisions);
-// labels and index payloads are accounted exactly as TransferBytes does.
-func (m *MFG) TransferBytesRows(rowBytes int64) int64 {
-	var b int64
-	b += int64(m.TotalNodes()) * rowBytes
-	b += int64(m.Batch) * 8 // labels (int64 in torch)
-	for i := range m.Blocks {
-		b += int64(m.Blocks[i].NumEdges()) * 8 // src,dst int32 pairs
-		b += int64(len(m.Blocks[i].DstPtr)) * 4
-	}
-	return b
-}
-
 // Validate checks all structural invariants of the MFG:
 //   - the last block's destinations are the seed nodes;
 //   - destination sets are prefixes of source sets;

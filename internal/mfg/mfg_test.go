@@ -52,16 +52,6 @@ func TestTransferBytes(t *testing.T) {
 	if got := m.TransferBytes(8, 2); got != 136 {
 		t.Fatalf("TransferBytes = %d, want 136", got)
 	}
-	// The row-width variant agrees with TransferBytes when rows are a whole
-	// number of bytes per scalar...
-	if got, want := m.TransferBytesRows(16), m.TransferBytes(8, 2); got != want {
-		t.Fatalf("TransferBytesRows(16) = %d, want %d", got, want)
-	}
-	// ...and accounts int8's per-row scale exactly: 4 nodes × (8+4) = 48
-	// feature bytes in place of 64.
-	if got := m.TransferBytesRows(12); got != 136-64+48 {
-		t.Fatalf("TransferBytesRows(12) = %d, want %d", got, 136-64+48)
-	}
 }
 
 func TestValidateRejections(t *testing.T) {

@@ -17,9 +17,6 @@ type Adam struct {
 	t int
 	m []*tensor.Dense // first-moment estimates, aligned with params
 	v []*tensor.Dense // second-moment estimates
-
-	weightDecay float64 // decoupled (AdamW-style); 0 disables
-	baseLR      float64 // remembered by SetLRFactor
 }
 
 // NewAdam creates an optimizer for the given parameter list.
@@ -44,7 +41,6 @@ func (a *Adam) Step(params []*Param) {
 	a.t++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	decay := float32(a.LR * a.weightDecay)
 	for i, p := range params {
 		m, v := a.m[i], a.v[i]
 		b1, b2 := float32(a.Beta1), float32(a.Beta2)
@@ -53,7 +49,7 @@ func (a *Adam) Step(params []*Param) {
 			v.Data[j] = b2*v.Data[j] + (1-b2)*g*g
 			mHat := float64(m.Data[j]) / bc1
 			vHat := float64(v.Data[j]) / bc2
-			p.W.Data[j] -= float32(a.LR*mHat/(math.Sqrt(vHat)+a.Eps)) + decay*p.W.Data[j]
+			p.W.Data[j] -= float32(a.LR * mHat / (math.Sqrt(vHat) + a.Eps))
 		}
 	}
 }

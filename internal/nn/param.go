@@ -41,16 +41,3 @@ func (p *Param) GlorotInit(r *rng.Rand) {
 
 // ZeroGrad clears the gradient accumulator.
 func (p *Param) ZeroGrad() { p.G.Zero() }
-
-// NumElems returns the parameter element count.
-func (p *Param) NumElems() int { return len(p.W.Data) }
-
-// ParamBytes sums the byte size of a parameter list (float32 elements); the
-// DDP cost model uses this for gradient all-reduce volume.
-func ParamBytes(params []*Param) int64 {
-	var n int64
-	for _, p := range params {
-		n += int64(p.NumElems()) * 4
-	}
-	return n
-}

@@ -4,15 +4,13 @@
 // and the partitioning objective must account not just for edge cut and
 // load balance but for the cost of multi-hop neighborhood sampling.
 //
-// Three partitioners are provided:
+// Two partitioners are provided:
 //
 //   - Random: hash placement, the communication-oblivious baseline.
 //   - LDG (linear deterministic greedy, Stanton & Kliot 2012): streaming
 //     placement that scores each part by resident-neighbor count with a
 //     multiplicative balance penalty. One pass, near-METIS cut quality on
 //     power-law graphs, no external dependency.
-//   - LDGMultiPass: LDG with refinement passes, re-placing each node given
-//     the current assignment (label-propagation-style improvement).
 //
 // Quality is evaluated by edge cut and balance (Evaluate). The
 // sampling-specific cost, the share of sampled rows fetched off-part, is
@@ -64,36 +62,6 @@ func LDG(g graph.Topology, parts int) (*Assignment, error) {
 	neigh := make([]float64, parts)
 	for v := int32(0); v < g.NumNodes(); v++ {
 		place(g, a, v, sizes, capacity, neigh)
-	}
-	return a, nil
-}
-
-// LDGMultiPass runs LDG followed by `refine` re-placement passes.
-func LDGMultiPass(g graph.Topology, parts, refine int) (*Assignment, error) {
-	a, err := LDG(g, parts)
-	if err != nil {
-		return nil, err
-	}
-	sizes := make([]int64, parts)
-	for _, p := range a.Part {
-		sizes[p]++
-	}
-	capacity := float64(g.NumNodes())/float64(parts) + 1
-	neigh := make([]float64, parts)
-	for pass := 0; pass < refine; pass++ {
-		moved := 0
-		for v := int32(0); v < g.NumNodes(); v++ {
-			old := a.Part[v]
-			sizes[old]--
-			a.Part[v] = -1
-			place(g, a, v, sizes, capacity, neigh)
-			if a.Part[v] != old {
-				moved++
-			}
-		}
-		if moved == 0 {
-			break
-		}
 	}
 	return a, nil
 }

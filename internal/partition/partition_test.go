@@ -77,22 +77,6 @@ func TestLDGBeatsRandomOnEdgeCut(t *testing.T) {
 	}
 }
 
-func TestMultiPassImprovesOrMatchesCut(t *testing.T) {
-	ds := productsGraph(t)
-	one, err := LDG(ds.G, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi, err := LDGMultiPass(ds.G, 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q1, qm := Evaluate(ds.G, one), Evaluate(ds.G, multi)
-	if qm.EdgeCut > q1.EdgeCut*1.05 {
-		t.Fatalf("refinement worsened cut: %.3f -> %.3f", q1.EdgeCut, qm.EdgeCut)
-	}
-}
-
 func TestEvaluateSinglePart(t *testing.T) {
 	ds := productsGraph(t)
 	a, err := LDG(ds.G, 1)

@@ -102,11 +102,6 @@ func mul64(a, b uint64) (hi, lo uint64) {
 	return hi, lo
 }
 
-// Int31n is Intn specialized for int32 node IDs.
-func (r *Rand) Int31n(n int32) int32 {
-	return int32(r.Intn(int(n)))
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -156,44 +151,4 @@ func (r *Rand) Shuffle(s []int32) {
 		j := r.Intn(i + 1)
 		s[i], s[j] = s[j], s[i]
 	}
-}
-
-// SampleK writes k distinct elements drawn uniformly from src into dst and
-// returns dst[:k']. If k >= len(src) it copies all of src (the paper's
-// fanout semantics: fanout is an upper bound on sampled degree).
-//
-// For small k relative to len(src) it uses Floyd's algorithm against a
-// caller-provided scratch map-free approach: repeated draws with a linear
-// duplicate check over dst, which is cache-friendly for the fanouts used in
-// GNN sampling (k <= 20).
-func (r *Rand) SampleK(dst []int32, src []int32, k int) []int32 {
-	n := len(src)
-	if k >= n {
-		dst = append(dst[:0], src...)
-		return dst
-	}
-	dst = dst[:0]
-	if k > n/2 {
-		// Dense case: partial Fisher–Yates over an index range without
-		// materializing the full permutation is awkward; just copy and
-		// shuffle a prefix.
-		tmp := make([]int32, n)
-		copy(tmp, src)
-		for i := 0; i < k; i++ {
-			j := i + r.Intn(n-i)
-			tmp[i], tmp[j] = tmp[j], tmp[i]
-		}
-		return append(dst, tmp[:k]...)
-	}
-draw:
-	for len(dst) < k {
-		c := src[r.Intn(n)]
-		for _, d := range dst {
-			if d == c {
-				continue draw
-			}
-		}
-		dst = append(dst, c)
-	}
-	return dst
 }

@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -151,62 +150,6 @@ func TestPerm(t *testing.T) {
 	}
 }
 
-func TestSampleKProperties(t *testing.T) {
-	f := func(seed uint64, nRaw, kRaw uint8) bool {
-		n := int(nRaw%50) + 1
-		k := int(kRaw % 60)
-		src := make([]int32, n)
-		for i := range src {
-			src[i] = int32(i * 3) // distinct values
-		}
-		r := New(seed)
-		got := r.SampleK(nil, src, k)
-		wantLen := k
-		if k >= n {
-			wantLen = n
-		}
-		if len(got) != wantLen {
-			return false
-		}
-		seen := make(map[int32]bool)
-		valid := make(map[int32]bool)
-		for _, v := range src {
-			valid[v] = true
-		}
-		for _, v := range got {
-			if seen[v] || !valid[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSampleKCoverage(t *testing.T) {
-	// Every element should be sampled eventually: coarse uniformity check.
-	r := New(23)
-	src := []int32{0, 1, 2, 3, 4, 5, 6, 7}
-	counts := make(map[int32]int)
-	var buf []int32
-	for i := 0; i < 4000; i++ {
-		buf = r.SampleK(buf, src, 3)
-		for _, v := range buf {
-			counts[v]++
-		}
-	}
-	for _, v := range src {
-		c := counts[v]
-		// Expectation 4000*3/8 = 1500.
-		if c < 1300 || c > 1700 {
-			t.Errorf("element %d sampled %d times, want ~1500", v, c)
-		}
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	var sink uint64
@@ -214,17 +157,4 @@ func BenchmarkUint64(b *testing.B) {
 		sink += r.Uint64()
 	}
 	_ = sink
-}
-
-func BenchmarkSampleK15of64(b *testing.B) {
-	r := New(1)
-	src := make([]int32, 64)
-	for i := range src {
-		src[i] = int32(i)
-	}
-	buf := make([]int32, 0, 15)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = r.SampleK(buf, src, 15)
-	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"salient/internal/graph"
 	"salient/internal/mfg"
+	"salient/internal/nn"
 	"salient/internal/rng"
 	"salient/internal/sampler"
 )
@@ -101,17 +102,18 @@ func TestEmbReuseTruncatesAndPinsAccuracy(t *testing.T) {
 
 // TestEmbReuseRequiresResumeModelAndDepth: option validation fails loudly.
 func TestEmbReuseRequiresResumeModelAndDepth(t *testing.T) {
-	ds, tr := fitted(t)
-	if _, err := New(tr.Model, ds, Options{Fanouts: []int{10}, EmbCacheRows: 64}); err == nil {
+	ds, _ := fitted(t)
+	m := nn.NewGraphSAGE(nn.ModelConfig{In: ds.FeatDim, Hidden: 8, Out: ds.NumClasses, Layers: 1, Seed: 1})
+	if _, err := New(m, ds, Options{Fanouts: []int{10}, EmbCacheRows: 64}); err == nil {
 		t.Fatal("1-layer embedding reuse accepted")
 	}
 }
 
 // TestEmbReuseConcurrentWithInvalidation hammers a dynamic-graph server
-// with concurrent submitters while churn bumps the graph version and a
-// third party hard-flushes the embedding cache — the -race exercise for the
-// serve/embcache/sampler seams. Answers only need to be valid labels; the
-// point is that no interleaving of Lookup/Put/Invalidate with live
+// with concurrent submitters while churn bumps the graph version, so cached
+// embeddings age out of the staleness window mid-traffic — the -race
+// exercise for the serve/embcache/sampler seams. Answers only need to be
+// valid labels; the point is that no interleaving of Lookup/Put with live
 // truncating samplers races or deadlocks.
 func TestEmbReuseConcurrentWithInvalidation(t *testing.T) {
 	ds, tr := fitted(t)
@@ -148,19 +150,6 @@ func TestEmbReuseConcurrentWithInvalidation(t *testing.T) {
 				return
 			}
 			time.Sleep(200 * time.Microsecond)
-		}
-	}()
-	churners.Add(1)
-	go func() {
-		defer churners.Done()
-		for i := uint64(1); ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			s.emb.Invalidate(i % 64)
-			time.Sleep(300 * time.Microsecond)
 		}
 	}()
 

@@ -351,6 +351,9 @@ func New(m nn.Model, ds *dataset.Dataset, opts Options) (*Server, error) {
 	if err := opts.normalize(); err != nil {
 		return nil, err
 	}
+	if len(opts.Fanouts) != m.Layers() {
+		return nil, fmt.Errorf("serve: %d fanouts for a %d-layer %s", len(opts.Fanouts), m.Layers(), m.Name())
+	}
 	s := &Server{
 		model:    m,
 		ds:       ds,
@@ -368,7 +371,9 @@ func New(m nn.Model, ds *dataset.Dataset, opts Options) (*Server, error) {
 	} else {
 		s.topo = graph.Static(ds.G)
 	}
-	rows := maxRows(opts.MaxBatch, opts.Fanouts, int(s.topo.View().NumNodes()))
+	// mfg.Merge is a disjoint union (a node two requests sample is staged
+	// twice), so a full micro-batch bounds at MaxBatch single-request MFGs.
+	rows := opts.MaxBatch * prep.MaxRowsEstimate(1, opts.Fanouts, int(s.topo.View().NumNodes()))
 	s.pool = slicing.NewPool(opts.Workers, rows, ds.FeatDim, opts.MaxBatch)
 	base := opts.Store
 	if base == nil {
@@ -404,24 +409,6 @@ func New(m nn.Model, ds *dataset.Dataset, opts Options) (*Server, error) {
 		go s.worker()
 	}
 	return s, nil
-}
-
-// maxRows bounds the staged row count of a full micro-batch. Each request
-// expands to at most min(Π(fanout+1), n) nodes, and mfg.Merge is a disjoint
-// union (a node sampled by two requests is staged twice), so the batch bound
-// is batch × that per-request cap — not the graph size.
-func maxRows(batch int, fanouts []int, n int) int {
-	per := 1
-	for _, f := range fanouts {
-		if per >= n {
-			break
-		}
-		per *= f + 1
-	}
-	if per > n {
-		per = n
-	}
-	return batch * per
 }
 
 // Submit requests a prediction for node and blocks until it is answered or

@@ -56,6 +56,20 @@ const serveSeed = 7
 
 var serveFanouts = []int{10, 5}
 
+// TestNewRejectsFanoutLayerMismatch: a server needs one fanout per model
+// layer. With too few, every worker's forward would index past the MFG's
+// blocks and panic; with too many, it would answer from a partly used MFG.
+func TestNewRejectsFanoutLayerMismatch(t *testing.T) {
+	ds, tr := fitted(t)
+	for _, fanouts := range [][]int{{5}, {5, 5, 5}} {
+		s, err := New(tr.Model, ds, Options{Fanouts: fanouts, Workers: 1})
+		if err == nil {
+			s.Close()
+			t.Errorf("fanouts %v accepted for a %d-layer model", fanouts, tr.Model.Layers())
+		}
+	}
+}
+
 // singleShot computes the ground truth the server must match: one-shot
 // infer.Sampled on each node alone, with the server's seed and fanouts.
 func singleShot(t testing.TB, nodes []int32) map[int32]int32 {
@@ -286,14 +300,69 @@ func TestStatsNeverServedBeforeSubmitted(t *testing.T) {
 	}
 }
 
+// TestSaturationRejectsWithoutDeadlock: a full ring rejects with
+// ErrSaturated, every accepted request is still answered correctly, and a
+// server flooded by far more submitters than slots neither deadlocks nor
+// miscounts.
+//
+// The rejection leg fills the ring in-package while the only worker is
+// parked delivering an earlier answer, so it does not depend on how the Go
+// scheduler interleaves submitters with the worker: on one processor, each
+// closed-loop submitter can be served before the next one runs, and the
+// ring never fills.
 func TestSaturationRejectsWithoutDeadlock(t *testing.T) {
 	ds, tr := fitted(t)
 	nodes := ds.Test[:16]
 	want := singleShot(t, nodes)
 
-	// A two-slot ring and one worker against 32 hot submitters: admission
-	// control must shed load with ErrSaturated, and every accepted request
-	// must still be answered correctly — no deadlock, no wrong rows.
+	t.Run("full ring rejects", func(t *testing.T) {
+		s, err := New(tr.Model, ds, Options{
+			Fanouts: serveFanouts, Workers: 1, MaxBatch: 1,
+			QueueCapacity: 2, Seed: serveSeed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		push := func(v int32, done chan result) *request {
+			t.Helper()
+			req := &request{node: v, enq: time.Now(), done: done}
+			s.statsMu.Lock()
+			s.submitted++
+			s.statsMu.Unlock()
+			if !s.ring.TryPush(req) {
+				t.Fatalf("ring refused node %d", v)
+			}
+			return req
+		}
+		// The blocker's unbuffered done channel holds the worker in
+		// delivery until the test reads it.
+		blocker := push(nodes[0], make(chan result))
+		s.doorbell <- struct{}{}
+		for deadline := time.Now().Add(30 * time.Second); s.ring.Len() > 0; {
+			if time.Now().After(deadline) {
+				t.Fatal("worker never took the blocking request")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		accepted := []*request{blocker, push(nodes[1], make(chan result, 1)), push(nodes[2], make(chan result, 1))}
+		if _, err := s.PredictReq(Request{Node: nodes[3]}); !errors.Is(err, ErrSaturated) {
+			t.Fatalf("PredictReq on a full 2-slot ring: err %v, want ErrSaturated", err)
+		}
+		for _, req := range accepted {
+			res := <-req.done
+			if res.err != nil || res.label != want[req.node] {
+				t.Fatalf("node %d: label %d, err %v; want %d", req.node, res.label, res.err, want[req.node])
+			}
+		}
+		if st := s.Stats(); st.Rejected != 1 || st.Served != 3 || st.Submitted != 3 {
+			t.Fatalf("stats {submitted %d, rejected %d, served %d}, want {3, 1, 3}", st.Submitted, st.Rejected, st.Served)
+		}
+	})
+
+	// A two-slot ring and one worker against 32 hot submitters: every
+	// accepted request must be answered correctly — no deadlock, no wrong
+	// rows — and the counters must match what the submitters observed.
 	s, err := New(tr.Model, ds, Options{
 		Fanouts: serveFanouts, Workers: 1, MaxBatch: 4,
 		QueueCapacity: 2, Seed: serveSeed,
@@ -344,9 +413,6 @@ func TestSaturationRejectsWithoutDeadlock(t *testing.T) {
 		t.Fatal("saturated server deadlocked")
 	}
 
-	if rejected == 0 {
-		t.Fatal("no rejections despite a 2-slot ring under 32 hot submitters")
-	}
 	if served == 0 {
 		t.Fatal("every request rejected; server made no progress")
 	}

@@ -165,53 +165,6 @@ func GatherAggregate(dst *Fused, src Source, nodeIDs []int32, blk *mfg.Block, ba
 	return nil
 }
 
-// GatherAggregateStriped is the fused kernel with the work split into
-// nWorkers static stripes run by the provided runner (the striped
-// counterpart of SliceStriped). Flat float32 stripes the destination range
-// of the direct kernel; other sources run two striped phases — widen the
-// source rows into the working set, then aggregate the destination range.
-// Each destination's neighbor accumulation stays whole and in edge order
-// inside one stripe, so the result is bit-identical to the serial kernel.
-func GatherAggregateStriped(dst *Fused, src Source, nodeIDs []int32, blk *mfg.Block, batch int, op AggOp, nWorkers int, run func(stripes []func())) error {
-	if err := checkFused(src, nodeIDs, blk, batch, op); err != nil {
-		return err
-	}
-	if nWorkers < 1 {
-		nWorkers = 1
-	}
-	dst.Ensure(int(blk.NumDst), src.Dim(), batch)
-	dst.Op = op
-	stripe := func(n int, body func(lo, hi int)) {
-		stripes := make([]func(), 0, nWorkers)
-		for w := 0; w < nWorkers; w++ {
-			lo := n * w / nWorkers
-			hi := n * (w + 1) / nWorkers
-			if lo == hi {
-				continue
-			}
-			stripes = append(stripes, func() { body(lo, hi) })
-		}
-		run(stripes)
-	}
-	if directLayout(src) {
-		stripe(int(blk.NumDst), func(lo, hi int) {
-			fuseDirect(dst, src, nodeIDs, blk, op, lo, hi)
-		})
-	} else {
-		dst.ensureScratch(src, len(nodeIDs))
-		stripe(len(nodeIDs), func(lo, hi int) {
-			widenRange(dst, src, nodeIDs, lo, hi)
-		})
-		stripe(int(blk.NumDst), func(lo, hi int) {
-			fuseRange(dst, blk, op, lo, hi)
-		})
-	}
-	for i := 0; i < batch; i++ {
-		dst.Labels[i] = src.Label(nodeIDs[i])
-	}
-	return nil
-}
-
 // checkFused validates the fused-gather arguments: the block must be the
 // MFG's outermost (its sources index nodeIDs), and op must aggregate.
 func checkFused(src Source, nodeIDs []int32, blk *mfg.Block, batch int, op AggOp) error {

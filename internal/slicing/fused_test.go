@@ -131,48 +131,6 @@ func TestGatherAggregateMatchesStaged(t *testing.T) {
 	}
 }
 
-// TestGatherAggregateStripedMatchesSerial checks the striped kernel is
-// bit-identical to the serial one for every worker count, including more
-// workers than destinations.
-func TestGatherAggregateStripedMatchesSerial(t *testing.T) {
-	const n, dim, nDst, batch = 300, 8, 45, 30
-	srcs := sources(t, n, dim)
-	r := rng.New(31)
-	nodeIDs := make([]int32, 120)
-	for i := range nodeIDs {
-		nodeIDs[i] = int32(r.Intn(n))
-	}
-	blk := makeBlock(t, 7, nDst, len(nodeIDs), 5)
-	for prec, src := range srcs {
-		var serial Fused
-		if err := GatherAggregate(&serial, src, nodeIDs, blk, batch, AggMean); err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 7, 64} {
-			var striped Fused
-			err := GatherAggregateStriped(&striped, src, nodeIDs, blk, batch, AggMean, workers,
-				func(stripes []func()) {
-					for _, s := range stripes {
-						s()
-					}
-				})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range serial.Agg.Data {
-				if striped.Agg.Data[i] != serial.Agg.Data[i] {
-					t.Fatalf("%v workers=%d: agg scalar %d diverged", prec, workers, i)
-				}
-			}
-			for i := range serial.XT.Data {
-				if striped.XT.Data[i] != serial.XT.Data[i] {
-					t.Fatalf("%v workers=%d: x_target scalar %d diverged", prec, workers, i)
-				}
-			}
-		}
-	}
-}
-
 // TestGatherAggregateDegreeZeroAndEmpty: isolated destinations aggregate to
 // exact zeros (mean included — no 0/0 NaN), and a block with zero edges is
 // legal.

@@ -293,11 +293,6 @@ func SliceHalf(dst *Pinned, feat []half.Float16, featDim int, labels []int32, no
 	return Slice(dst, NewFlatSource(feat, featDim, labels), nodeIDs, batch)
 }
 
-// SliceHalfStriped is SliceStriped over the flat single-array layout.
-func SliceHalfStriped(dst *Pinned, feat []half.Float16, featDim int, labels []int32, nodeIDs []int32, batch, nWorkers int, run func(stripes []func())) error {
-	return SliceStriped(dst, NewFlatSource(feat, featDim, labels), nodeIDs, batch, nWorkers, run)
-}
-
 // DecodeFeatures converts a staged feature block into the float32 tensor
 // used by compute (the GPU-side widening in the paper: transfers stay at
 // storage width, kernels run single precision). fp16 rows widen exactly,
@@ -354,16 +349,6 @@ func NewPool(n, maxRows, featDim, maxBatch int) *Pool {
 
 // Get blocks until a free buffer is available.
 func (p *Pool) Get() *Pinned { return <-p.free }
-
-// TryGet returns a buffer if one is free.
-func (p *Pool) TryGet() (*Pinned, bool) {
-	select {
-	case b := <-p.free:
-		return b, true
-	default:
-		return nil, false
-	}
-}
 
 // Put returns a buffer to the pool. Putting more buffers than the pool size
 // panics, which catches double-free bugs early.

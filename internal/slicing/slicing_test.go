@@ -69,7 +69,7 @@ func TestSliceHalfStripedMatchesSerial(t *testing.T) {
 	}
 	for _, workers := range []int{1, 3, 8, 100} {
 		striped := NewPinned(1, dim, 1)
-		err := SliceHalfStriped(striped, feat, dim, labels, nodeIDs, 10, workers,
+		err := SliceStriped(striped, NewFlatSource(feat, dim, labels), nodeIDs, 10, workers,
 			func(stripes []func()) {
 				for _, s := range stripes {
 					s()
@@ -137,16 +137,13 @@ func TestPinnedBytes(t *testing.T) {
 func TestPoolLifecycle(t *testing.T) {
 	pool := NewPool(2, 8, 4, 8)
 	a := pool.Get()
-	b, ok := pool.TryGet()
-	if !ok {
-		t.Fatal("second TryGet failed")
-	}
-	if _, ok := pool.TryGet(); ok {
-		t.Fatal("empty pool handed out a buffer")
+	b := pool.Get()
+	if a == b {
+		t.Fatal("pool handed out one buffer twice")
 	}
 	pool.Put(a)
-	c, ok := pool.TryGet()
-	if !ok || c != a {
+	c := pool.Get()
+	if c != a {
 		t.Fatal("recycled buffer not returned")
 	}
 	pool.Put(b)
@@ -173,23 +170,6 @@ func TestPoolDoublePutSameBufferPanics(t *testing.T) {
 		}
 	}()
 	pool.Put(a)
-}
-
-func TestTryGetExhaustionAndRecovery(t *testing.T) {
-	pool := NewPool(1, 4, 4, 4)
-	a, ok := pool.TryGet()
-	if !ok || a == nil {
-		t.Fatal("fresh pool refused TryGet")
-	}
-	for i := 0; i < 3; i++ {
-		if b, ok := pool.TryGet(); ok || b != nil {
-			t.Fatal("exhausted pool handed out a buffer")
-		}
-	}
-	pool.Put(a)
-	if _, ok := pool.TryGet(); !ok {
-		t.Fatal("TryGet failed after Put")
-	}
 }
 
 func TestDecodeShapePanicsOnColumnMismatch(t *testing.T) {

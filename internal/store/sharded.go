@@ -167,9 +167,7 @@ func (s *Sharded) Gather(dst *slicing.Pinned, nodeIDs []int32, batch int) error 
 
 // GatherAggregate implements FusedGatherer over the sharded layout via
 // shardedSource. The fused kernel is destination-parallel rather than
-// shard-parallel, so it runs serially here; executors that want parallelism
-// stripe with slicing.GatherAggregateStriped over the same source. Transfer
-// accounting matches Gather — each row is still read once, remote rows
+// shard-parallel, so it runs serially here. Transfer accounting matches Gather — each row is still read once, remote rows
 // still cross a shard boundary.
 func (s *Sharded) GatherAggregate(dst *slicing.Fused, nodeIDs []int32, blk *mfg.Block, batch int, op slicing.AggOp) error {
 	if err := checkIDs(nodeIDs, s.n); err != nil {

@@ -297,7 +297,7 @@ func TestLDGPlacementCutsCrossShardTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	const parts = 4
-	ldgA, err := partition.LDGMultiPass(ds.G, parts, 2)
+	ldgA, err := partition.LDG(ds.G, parts)
 	if err != nil {
 		t.Fatal(err)
 	}

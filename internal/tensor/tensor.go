@@ -450,15 +450,6 @@ func (t *Dense) ArgmaxRows(out []int32) {
 	}
 }
 
-// Norm2 returns the Frobenius norm.
-func (t *Dense) Norm2() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
-}
-
 // MaxAbsDiff returns the max elementwise absolute difference between t and o.
 func (t *Dense) MaxAbsDiff(o *Dense) float64 {
 	t.assertSameShape(o)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"salient/internal/half"
+	"salient/internal/infer"
 	"salient/internal/store"
 )
 
@@ -59,36 +60,46 @@ func TestFusedTrainingBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFusedEvaluateMatchesStaged: sampled inference through the fused
-// pipeline scores identically to the staged path.
+// predictVal runs sampled inference over the validation split with the
+// trainer's batch size, workers, store and pipeline (staged or fused).
+func predictVal(t *testing.T, tr *Trainer, seed uint64) []int32 {
+	t.Helper()
+	pred, err := infer.Sampled(tr.Model, tr.DS, tr.DS.Val, infer.Options{
+		Fanouts:   []int{10, 5},
+		BatchSize: tr.Cfg.BatchSize,
+		Workers:   tr.Cfg.Workers,
+		Seed:      seed,
+		Store:     tr.Cfg.Store,
+		Fused:     tr.Cfg.Fused,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pred
+}
+
+// TestFusedEvaluateMatchesStaged: a model trained through the fused
+// pipeline and evaluated through it predicts exactly what a staged model
+// predicts through the staged path.
 func TestFusedEvaluateMatchesStaged(t *testing.T) {
 	ds := smallDS(t)
 	cfg := smallCfg()
-	tr, err := New(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
+	var preds [2][]int32
+	for i, fused := range []bool{false, true} {
+		cfg.Fused = fused
+		tr, err := New(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tr.Fit(1); err != nil {
+			t.Fatal(err)
+		}
+		preds[i] = predictVal(t, tr, 99)
 	}
-	if _, err := tr.Fit(1); err != nil {
-		t.Fatal(err)
-	}
-	accStaged, err := tr.Evaluate(ds.Val, []int{10, 5}, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Fused = true
-	trF, err := New(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := trF.Fit(1); err != nil {
-		t.Fatal(err)
-	}
-	accFused, err := trF.Evaluate(ds.Val, []int{10, 5}, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if accStaged != accFused {
-		t.Fatalf("fused evaluation accuracy %.6f, staged %.6f", accFused, accStaged)
+	for i := range preds[0] {
+		if preds[0][i] != preds[1][i] {
+			t.Fatalf("validation node %d: fused prediction %d, staged %d", ds.Val[i], preds[1][i], preds[0][i])
+		}
 	}
 }
 
@@ -126,11 +137,7 @@ func TestInt8AccuracyDelta(t *testing.T) {
 		if _, err := tr.Fit(3); err != nil {
 			t.Fatal(err)
 		}
-		acc, err := tr.Evaluate(ds.Val, []int{10, 5}, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return acc
+		return infer.Accuracy(predictVal(t, tr, 42), ds.Labels, ds.Val)
 	}
 	fp16 := run(half.FP16)
 	int8 := run(half.Int8)

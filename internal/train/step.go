@@ -76,7 +76,7 @@ func ReplicaStep(model nn.Model, dec *Decoder, b *prep.Batch, epochSeed uint64, 
 	if rs, ok := model.(nn.DropoutReseeder); ok {
 		rs.ReseedDropout(DropoutSeed(epochSeed, b.GlobalIndex))
 	}
-	logp := forwardBatch(model, dec, b, true)
+	logp := forwardBatch(model, dec, b)
 	labels := b.Labels()
 	grad := dec.Grad(logp.Rows, logp.Cols) // NLLLoss zeroes it before writing
 	st := StepStats{Rows: logp.Rows, Nodes: b.MFG.TotalNodes(), Edges: b.MFG.TotalEdges()}
@@ -98,14 +98,14 @@ func ReplicaStep(model nn.Model, dec *Decoder, b *prep.Batch, epochSeed uint64, 
 // widened and fed to the ordinary Forward. The two paths are bit-identical
 // for SAGE/GIN — the fused kernel aggregates in the same edge order the
 // first layer would.
-func forwardBatch(model nn.Model, dec *Decoder, b *prep.Batch, train bool) *tensor.Dense {
+func forwardBatch(model nn.Model, dec *Decoder, b *prep.Batch) *tensor.Dense {
 	if b.Fused != nil {
 		fm, ok := model.(nn.FusedModel)
 		if !ok {
 			panic("train: fused batch for a model without ForwardFused (executor/model wiring bug)") //lint:allow panicdiscipline wiring bug: New validates fused configs, so a fused batch reaching a non-fused model is programmer error
 		}
-		return fm.ForwardFused(b.Fused.Agg, b.Fused.XT, b.MFG, train)
+		return fm.ForwardFused(b.Fused.Agg, b.Fused.XT, b.MFG, true)
 	}
 	x := dec.Decode(b.Buf)
-	return model.Forward(x, b.MFG, train)
+	return model.Forward(x, b.MFG, true)
 }

@@ -47,13 +47,6 @@ type Config struct {
 	Executor  ExecutorKind
 	Seed      uint64
 
-	// WeightDecay enables decoupled (AdamW-style) weight decay.
-	WeightDecay float64
-	// ClipNorm, when positive, rescales gradients to this global L2 norm
-	// before each optimizer step.
-	ClipNorm float64
-	// Schedule maps epoch to a learning-rate multiplier (nil = constant).
-	Schedule nn.LRSchedule
 	// Store is the feature-access layer the executors gather batches
 	// through. Nil selects the flat store over the dataset; sharded and
 	// cached stores change transfer accounting, never batch contents.
@@ -165,9 +158,6 @@ func New(ds *dataset.Dataset, cfg Config) (*Trainer, error) {
 		return nil, err
 	}
 	tr := &Trainer{DS: ds, Model: model, Cfg: cfg, opt: nn.NewAdam(model.Params(), cfg.LR)}
-	if cfg.WeightDecay > 0 {
-		tr.opt.WithWeightDecay(cfg.WeightDecay)
-	}
 	tr.store = cfg.Store
 	if tr.store == nil {
 		tr.store = store.NewFlat(ds)
@@ -224,9 +214,6 @@ func (t *Trainer) epochSeed(epoch int) uint64 {
 // buffer) and is returned instead of panicking inside an executor worker.
 func (t *Trainer) TrainEpoch(epoch int) (EpochStats, error) {
 	st := EpochStats{Epoch: epoch}
-	if t.Cfg.Schedule != nil {
-		t.opt.SetLRFactor(t.Cfg.Schedule(epoch))
-	}
 	start := time.Now()
 	epochSeed := t.epochSeed(epoch)
 	stream := t.run(t.DS.Train, epochSeed)
@@ -254,9 +241,6 @@ func (t *Trainer) TrainEpoch(epoch int) (EpochStats, error) {
 		st.Loss += res.Loss
 		correct += res.Correct
 		total += res.Rows
-		if t.Cfg.ClipNorm > 0 {
-			nn.ClipGradNorm(t.Model.Params(), t.Cfg.ClipNorm)
-		}
 		t.opt.Step(t.Model.Params())
 
 		st.Batches++
@@ -291,88 +275,4 @@ func (t *Trainer) Fit(epochs int) ([]EpochStats, error) {
 		out = append(out, s)
 	}
 	return out, nil
-}
-
-// Evaluate runs sampled inference over the given nodes with the given
-// fanouts (paper §5's unified inference path) and returns accuracy.
-func (t *Trainer) Evaluate(nodes []int32, fanouts []int, seed uint64) (float64, error) {
-	opts := prep.Options{
-		Workers:   t.Cfg.Workers,
-		BatchSize: t.Cfg.BatchSize,
-		Fanouts:   fanouts,
-		Sampler:   sampler.FastConfig(),
-		Store:     t.store,
-		Graph:     t.Cfg.Graph,
-	}
-	if t.Cfg.Fused {
-		opts.Fused = t.Model.(nn.FusedModel).FusedOp()
-	}
-	ex, err := prep.NewSalient(t.DS, opts)
-	if err != nil {
-		return 0, err
-	}
-	stream := ex.Run(nodes, seed)
-	var firstErr error
-	correct, total := 0, 0
-	pred := make([]int32, t.Cfg.BatchSize)
-	for b := range stream.C {
-		if b.Err != nil || firstErr != nil {
-			if firstErr == nil {
-				firstErr = b.Err
-			}
-			b.Release()
-			continue
-		}
-		logp := forwardBatch(t.Model, &t.dec, b, false)
-		labels := b.Labels()
-		logp.ArgmaxRows(pred[:logp.Rows])
-		for i := 0; i < logp.Rows; i++ {
-			if pred[i] == labels[i] {
-				correct++
-			}
-		}
-		total += logp.Rows
-		b.Release()
-	}
-	stream.Wait()
-	if firstErr != nil {
-		return 0, firstErr
-	}
-	if total == 0 {
-		return 0, nil
-	}
-	return float64(correct) / float64(total), nil
-}
-
-// FitEarlyStop trains up to maxEpochs, evaluating validation accuracy with
-// the given inference fanouts after every epoch, and stops once validation
-// accuracy has not improved for `patience` consecutive epochs. It returns
-// the per-epoch stats, the best validation accuracy, and the epoch it was
-// achieved at.
-func (t *Trainer) FitEarlyStop(maxEpochs, patience int, evalFanouts []int) ([]EpochStats, float64, int, error) {
-	if patience < 1 {
-		patience = 1
-	}
-	var stats []EpochStats
-	best, bestEpoch, stale := -1.0, -1, 0
-	for e := 0; e < maxEpochs; e++ {
-		s, err := t.TrainEpoch(e)
-		if err != nil {
-			return stats, best, bestEpoch, err
-		}
-		stats = append(stats, s)
-		acc, err := t.Evaluate(t.DS.Val, evalFanouts, t.epochSeed(e)^0xace1)
-		if err != nil {
-			return stats, best, bestEpoch, err
-		}
-		if acc > best {
-			best, bestEpoch, stale = acc, e, 0
-		} else {
-			stale++
-			if stale >= patience {
-				break
-			}
-		}
-	}
-	return stats, best, bestEpoch, nil
 }

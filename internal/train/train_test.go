@@ -7,7 +7,6 @@ import (
 	"salient/internal/cache"
 	"salient/internal/dataset"
 	"salient/internal/half"
-	"salient/internal/nn"
 	"salient/internal/partition"
 	"salient/internal/store"
 )
@@ -196,61 +195,5 @@ func TestDefaultsMatchPaperTable5(t *testing.T) {
 	}
 	if len(c.Fanouts) != 3 || c.Fanouts[0] != 15 || c.Fanouts[1] != 10 || c.Fanouts[2] != 5 {
 		t.Fatalf("default fanouts %v, want (15,10,5)", c.Fanouts)
-	}
-}
-
-func TestEvaluateAndEarlyStop(t *testing.T) {
-	ds := smallDS(t)
-	cfg := smallCfg()
-	cfg.ClipNorm = 5
-	cfg.WeightDecay = 1e-4
-	cfg.Schedule = nn.CosineLR(20, 0.1)
-	tr, err := New(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, bestVal, bestEpoch, err := tr.FitEarlyStop(12, 3, []int{20, 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats) == 0 || len(stats) > 12 {
-		t.Fatalf("ran %d epochs", len(stats))
-	}
-	if bestVal <= 1.0/float64(ds.NumClasses)*2 {
-		t.Fatalf("best val accuracy %.4f barely above chance", bestVal)
-	}
-	if bestEpoch < 0 || bestEpoch >= len(stats) {
-		t.Fatalf("best epoch %d out of range", bestEpoch)
-	}
-	// Evaluate must be repeatable with a fixed seed.
-	a, err := tr.Evaluate(ds.Val, []int{20, 20}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := tr.Evaluate(ds.Val, []int{20, 20}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("Evaluate not deterministic: %v vs %v", a, b)
-	}
-}
-
-func TestClipAndDecayStillLearn(t *testing.T) {
-	ds := smallDS(t)
-	cfg := smallCfg()
-	cfg.ClipNorm = 1
-	cfg.WeightDecay = 1e-3
-	tr, err := New(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := tr.Fit(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(stats[3].Loss < stats[0].Loss) {
-		t.Fatalf("clipped+decayed training failed to reduce loss: %.4f -> %.4f",
-			stats[0].Loss, stats[3].Loss)
 	}
 }
