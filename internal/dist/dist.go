@@ -59,25 +59,14 @@ func (h *handler) FetchRows(ids []int32, dst *transport.Rows) error {
 	dim := h.hello.Dim
 	n := h.hello.NumNodes
 	dst.Ensure(len(ids), dim, h.hello.Precision)
-	var scratch []float32
-	if h.hello.Precision != half.FP16 {
-		scratch = make([]float32, dim)
-	}
+	dst.Labels = dst.Labels[:0]
+	scratch := make([]float32, dim)
 	for j, id := range ids {
 		if id < 0 || int(id) >= n {
 			return fmt.Errorf("dist: node %d out of range [0,%d)", id, n)
 		}
-		row := h.ds.FeatHalf[int(id)*dim : (int(id)+1)*dim]
-		switch h.hello.Precision {
-		case half.FP32:
-			half.DecodeSlice(dst.F[j*dim:(j+1)*dim], row)
-		case half.Int8:
-			half.DecodeSlice(scratch, row)
-			dst.Scales[j] = half.QuantizeRow(dst.Q[j*dim:(j+1)*dim], scratch)
-		default:
-			copy(dst.H[j*dim:(j+1)*dim], row)
-		}
-		dst.Labels[j] = h.ds.Labels[id]
+		dst.SetFromFP16(j, h.ds.FeatHalf[int(id)*dim:(int(id)+1)*dim], scratch)
+		dst.Labels = append(dst.Labels, h.ds.Labels[id])
 	}
 	return nil
 }

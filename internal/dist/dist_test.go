@@ -54,14 +54,14 @@ func sameStaged(t *testing.T, name string, got, want *slicing.Pinned, rows, dim,
 	switch prec {
 	case half.FP32:
 		for i := 0; i < rows*dim; i++ {
-			if got.Feat32[i] != want.Feat32[i] {
-				t.Fatalf("%s: fp32 scalar %d: %v vs %v", name, i, got.Feat32[i], want.Feat32[i])
+			if got.F[i] != want.F[i] {
+				t.Fatalf("%s: fp32 scalar %d: %v vs %v", name, i, got.F[i], want.F[i])
 			}
 		}
 	case half.Int8:
 		for i := 0; i < rows*dim; i++ {
-			if got.Feat8[i] != want.Feat8[i] {
-				t.Fatalf("%s: int8 scalar %d: %v vs %v", name, i, got.Feat8[i], want.Feat8[i])
+			if got.Q[i] != want.Q[i] {
+				t.Fatalf("%s: int8 scalar %d: %v vs %v", name, i, got.Q[i], want.Q[i])
 			}
 		}
 		for i := 0; i < rows; i++ {
@@ -71,8 +71,8 @@ func sameStaged(t *testing.T, name string, got, want *slicing.Pinned, rows, dim,
 		}
 	default:
 		for i := 0; i < rows*dim; i++ {
-			if got.Feat[i] != want.Feat[i] {
-				t.Fatalf("%s: fp16 scalar %d: %#x vs %#x", name, i, got.Feat[i], want.Feat[i])
+			if got.H[i] != want.H[i] {
+				t.Fatalf("%s: fp16 scalar %d: %#x vs %#x", name, i, got.H[i], want.H[i])
 			}
 		}
 	}
@@ -348,7 +348,7 @@ func TestClusterConcurrentRemoteGathers(t *testing.T) {
 					}
 					for j := range ids {
 						for k := 0; k < ds.FeatDim; k++ {
-							if buf.Feat[j*ds.FeatDim+k] != want.Feat[j*ds.FeatDim+k] {
+							if buf.H[j*ds.FeatDim+k] != want.H[j*ds.FeatDim+k] {
 								errs <- fmt.Errorf("part %d worker %d batch %d: row %d corrupt under concurrency", r, w, i, j)
 								return
 							}

@@ -134,8 +134,8 @@ func TestVIPMirrorStaysBitIdentical(t *testing.T) {
 		if err := v0.Gather(bufV, ids, 8); err != nil {
 			t.Fatal(err)
 		}
-		for i := range bufP.Feat {
-			if bufP.Feat[i] != bufV.Feat[i] {
+		for i := range bufP.H {
+			if bufP.H[i] != bufV.H[i] {
 				t.Fatalf("batch %d: staged fp16 scalar %d differs under VIP mirror", b, i)
 			}
 		}

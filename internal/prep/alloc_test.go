@@ -18,34 +18,35 @@ import (
 // kernel level: the composed pooled path — sample into a recycled MFG, then
 // gather features and labels through the store into a recycled pinned buffer
 // (exactly what a Salient worker does inside one arena) — performs zero heap
-// allocations per batch after warm-up.
+// allocations per batch after warm-up, at every storage precision.
 func TestPipelineSteadyStateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not exact under -race")
 	}
 	ds := testDataset(t)
-	st := store.NewFlat(ds)
 	sm := sampler.New(ds.G, []int{10, 5}, sampler.FastConfig())
 	seeds := ds.Train[:64]
 	r := rng.New(1)
-	var m mfg.MFG
-	buf := slicing.NewPinned(MaxRowsEstimate(64, []int{10, 5}, int(ds.G.N)), ds.FeatDim, 64)
-
-	prepareOnce := func(seed uint64) {
-		r.Reseed(seed) // identical draw per run: high-water marks cannot move
-		if err := sm.SampleInto(r, seeds, &m); err != nil {
-			t.Fatal(err)
+	for _, prec := range []half.Precision{half.FP16, half.FP32, half.Int8} {
+		st := store.NewFlatPrec(ds, prec)
+		var m mfg.MFG
+		buf := slicing.NewPinned(MaxRowsEstimate(64, []int{10, 5}, int(ds.G.N)), ds.FeatDim, 64)
+		prepareOnce := func(seed uint64) {
+			r.Reseed(seed) // identical draw per run: high-water marks cannot move
+			if err := sm.SampleInto(r, seeds, &m); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Gather(buf, m.NodeIDs, len(seeds)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := st.Gather(buf, m.NodeIDs, len(seeds)); err != nil {
-			t.Fatal(err)
+		for i := 0; i < 5; i++ {
+			prepareOnce(uint64(i))
 		}
-	}
-	for i := 0; i < 5; i++ {
-		prepareOnce(uint64(i))
-	}
-	allocs := testing.AllocsPerRun(100, func() { prepareOnce(3) })
-	if allocs != 0 {
-		t.Fatalf("steady-state sample+gather allocates %.1f objects/batch, want 0", allocs)
+		allocs := testing.AllocsPerRun(100, func() { prepareOnce(3) })
+		if allocs != 0 {
+			t.Fatalf("%s: steady-state sample+gather allocates %.1f objects/batch, want 0", prec, allocs)
+		}
 	}
 }
 

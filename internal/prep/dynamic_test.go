@@ -36,7 +36,7 @@ func drainEpoch(t *testing.T, ex *Salient, seeds []int32, epochSeed uint64) []sn
 			index:  b.Index,
 			seeds:  append([]int32(nil), b.Seeds...),
 			m:      b.MFG.Clone(),
-			feat:   append([]half.Float16(nil), b.Buf.Feat...),
+			feat:   append([]half.Float16(nil), b.Buf.H...),
 			labels: append([]int32(nil), b.Buf.Labels...),
 		})
 		b.Release()

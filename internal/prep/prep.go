@@ -204,7 +204,7 @@ type Options struct {
 	IndexStride int
 }
 
-func (o *Options) normalize(n int) error {
+func (o *Options) normalize() error {
 	if o.BatchSize < 1 {
 		return fmt.Errorf("prep: batch size %d < 1", o.BatchSize)
 	}
@@ -226,7 +226,6 @@ func (o *Options) normalize(n int) error {
 	if o.IndexStride == 0 {
 		o.IndexStride = 1
 	}
-	_ = n
 	return nil
 }
 
@@ -341,12 +340,6 @@ func NumBatches(n, batchSize int) int {
 	return (n + batchSize - 1) / batchSize
 }
 
-// cloneMFG copies an MFG out of sampler scratch space into one contiguous
-// allocation owned by the batch. Only the PyG executor pays it (twice: once
-// out of scratch, once more to model worker→main IPC); the SALIENT executor
-// samples directly into its recycled batch arenas and never copies.
-func cloneMFG(m *mfg.MFG) *mfg.MFG { return m.Clone() }
-
 // storeFor resolves the configured feature store, defaulting to the flat
 // layout over ds, and rejects dimensionality mismatches up front. Under a
 // dynamic graph the store may already have grown past the dataset, so only
@@ -436,7 +429,7 @@ type Salient struct {
 // staging plus MFG buffers) and the per-worker samplers are allocated once
 // and recycled across batches and epochs.
 func NewSalient(ds *dataset.Dataset, opts Options) (*Salient, error) {
-	if err := opts.normalize(int(ds.G.N)); err != nil {
+	if err := opts.normalize(); err != nil {
 		return nil, err
 	}
 	st, err := storeFor(ds, opts)
@@ -643,7 +636,7 @@ func NewPyG(ds *dataset.Dataset, opts Options) (*PyG, error) {
 	if opts.Fused != slicing.AggNone {
 		return nil, fmt.Errorf("prep: the PyG executor has no fused gather+aggregate pipeline (use the Salient executor)")
 	}
-	if err := opts.normalize(int(ds.G.N)); err != nil {
+	if err := opts.normalize(); err != nil {
 		return nil, err
 	}
 	st, err := storeFor(ds, opts)
@@ -710,9 +703,13 @@ func (e *PyG) Run(seeds []int32, epochSeed uint64) *Stream {
 			for idx := w; idx < nb; idx += p {
 				start := time.Now()
 				sd := batchSeeds(perm, e.opts.BatchSize, idx)
-				m := cloneMFG(sm.Sample(BatchRNG(epochSeed, e.opts.globalIndex(idx)), sd))
-				// Second copy: pickling across the process boundary.
-				sb := sampled{idx: idx, seeds: sd, m: cloneMFG(m)}
+				// The first Clone copies the MFG out of sampler scratch into
+				// one allocation the batch owns; the second models pickling
+				// across the worker→main process boundary. Only the PyG
+				// executor pays these copies: the SALIENT executor samples
+				// straight into its recycled batch arenas.
+				m := sm.Sample(BatchRNG(epochSeed, e.opts.globalIndex(idx)), sd).Clone()
+				sb := sampled{idx: idx, seeds: sd, m: m.Clone()}
 				s.workerBusy[w] += time.Since(start)
 				s.workerBatches[w]++
 				raw <- sb

@@ -247,7 +247,7 @@ func batchSignature(b *Batch) string {
 	for _, id := range b.MFG.NodeIDs {
 		mix(uint64(uint32(id)))
 	}
-	for _, f := range b.Buf.Feat[:b.Buf.Rows*b.Buf.Dim] {
+	for _, f := range b.Buf.H[:b.Buf.N*b.Buf.Dim] {
 		mix(uint64(uint16(f)))
 	}
 	for _, l := range b.Buf.Labels {
@@ -297,7 +297,7 @@ func TestSlicedFeaturesMatchMaster(t *testing.T) {
 		for i, id := range b.MFG.NodeIDs {
 			for j := 0; j < ds.FeatDim; j++ {
 				want := ds.FeatHalf[int(id)*ds.FeatDim+j]
-				got := b.Buf.Feat[i*ds.FeatDim+j]
+				got := b.Buf.H[i*ds.FeatDim+j]
 				if want != got {
 					t.Fatalf("batch %d row %d col %d: staged %v want %v", b.Index, i, j, got, want)
 				}
@@ -486,8 +486,8 @@ func capture(t testing.TB, s *Stream) map[int]capturedBatch {
 		if b.Err != nil {
 			t.Fatalf("batch %d errored: %v", b.Index, b.Err)
 		}
-		feat := make([]uint16, b.Buf.Rows*b.Buf.Dim)
-		for i, f := range b.Buf.Feat[:len(feat)] {
+		feat := make([]uint16, b.Buf.N*b.Buf.Dim)
+		for i, f := range b.Buf.H[:len(feat)] {
 			feat[i] = uint16(f)
 		}
 		out[b.GlobalIndex] = capturedBatch{

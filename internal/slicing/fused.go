@@ -16,11 +16,10 @@
 //
 // Bit-exactness contract: for each destination the fused kernel accumulates
 // neighbors in Block edge order — the identical order nn's
-// aggregateMeanBlock/aggregateSumBlock walk — and widens rows with the exact
-// expressions DecodeFeatures uses (fp16→f32 widening is exact; int8 rows
-// dequantize as float32(q)·scale). Fused output is therefore bit-identical
-// to the staged Decode→aggregate oracle, serial or striped (striping splits
-// the destination range, never a destination's neighbor list).
+// aggregateMeanBlock/aggregateSumBlock walk — and widens rows through the
+// same half.Matrix.Decode that DecodeFeatures runs (fp16→f32 widening is
+// exact; int8 rows dequantize as float32(q)·scale). Fused output is
+// therefore bit-identical to the staged Decode→aggregate oracle.
 package slicing
 
 import (
@@ -77,15 +76,13 @@ type Fused struct {
 	// float32 rows. Kernel-internal; never transferred. The direct float32
 	// path leaves it nil.
 	scratch *tensor.Dense
-	// stageH/stageQ are storage-width staging strips for the widen phase:
-	// scattered master rows are first copied here, then the whole hot strip
-	// converts to float32 in one bulk pass. Splitting the scattered loads
-	// from the branchy per-scalar conversion lets the copy loop keep many
-	// cache misses in flight, where converting at the scattered rows would
-	// serialize on one miss per row. Kernel-internal, recycled, and only the
-	// strip matching the store's precision is ever grown.
-	stageH []half.Float16
-	stageQ []int8
+	// stage is the storage-width staging strip for the widen phase:
+	// scattered stored rows are first gathered here, then the whole hot strip
+	// converts to float32 in one Decode. Splitting the scattered loads from
+	// the per-scalar conversion lets the copy loop keep many cache misses in
+	// flight, where converting at the scattered rows would serialize on one
+	// miss per row. Kernel-internal and recycled.
+	stage half.Matrix
 }
 
 // Ensure shapes the staging tensors and label buffer for a batch, recycling
@@ -104,26 +101,14 @@ func (f *Fused) Ensure(nDst, dim, batch int) {
 }
 
 // ensureScratch shapes the generic path's widened working set and the
-// precision-matched staging strip, recycling both across batches. Growth
-// happens here — before any striping — so concurrent widen stripes only ever
-// write disjoint ranges of fixed-size buffers. The direct flat-source kernels
-// never touch either, so those stores carry no working-set footprint at all.
+// staging strip at src's precision, recycling both across batches. The
+// direct flat-float32 kernel never touches either, so that store carries no
+// working-set footprint at all.
 //
 //salient:noalloc
 func (f *Fused) ensureScratch(src Source, nSrc int) {
 	f.scratch = tensor.Reshape(f.scratch, nSrc, f.Dim)
-	switch src.(type) {
-	case flatSource:
-		if cap(f.stageH) < nSrc*f.Dim {
-			f.stageH = make([]half.Float16, nSrc*f.Dim)
-		}
-		f.stageH = f.stageH[:nSrc*f.Dim]
-	case int8Source:
-		if cap(f.stageQ) < nSrc*f.Dim {
-			f.stageQ = make([]int8, nSrc*f.Dim)
-		}
-		f.stageQ = f.stageQ[:nSrc*f.Dim]
-	}
+	f.stage.Ensure(nSrc, f.Dim, src.Precision())
 }
 
 // Bytes returns the host-to-device payload of the fused staging: the two
@@ -154,10 +139,12 @@ func GatherAggregate(dst *Fused, src Source, nodeIDs []int32, blk *mfg.Block, ba
 	}
 	dst.Ensure(int(blk.NumDst), src.Dim(), batch)
 	dst.Op = op
-	if !fuseDirect(dst, src, nodeIDs, blk, op, 0, int(blk.NumDst)) {
+	if s, ok := src.(flatSource); ok && s.m.Prec == half.FP32 {
+		fuseDirect(dst, s.m.F, nodeIDs, blk, op)
+	} else {
 		dst.ensureScratch(src, len(nodeIDs))
-		widenRange(dst, src, nodeIDs, 0, len(nodeIDs))
-		fuseRange(dst, blk, op, 0, int(blk.NumDst))
+		widen(dst, src, nodeIDs)
+		fuseRange(dst, blk, op)
 	}
 	for i := 0; i < batch; i++ {
 		dst.Labels[i] = src.Label(nodeIDs[i])
@@ -183,42 +170,22 @@ func checkFused(src Source, nodeIDs []int32, blk *mfg.Block, batch int, op AggOp
 	return nil
 }
 
-// widenRange decodes stored rows [lo,hi) of nodeIDs into the float32
-// working set — each stored row is read exactly once, through one accessor
-// call per row with the precision dispatch hoisted out of the loop. The
-// widening expressions are the ones DecodeFeatures uses (exact fp16→f32
-// widening; int8 as float32(q)·scale via DequantizeRow), so the working-set
-// values are bit-identical to the staged path's decoded tensor.
-//
-// directLayout reports whether src is a layout the fused kernel aggregates
-// straight out of, with no widened working set: only the flat float32
-// layout qualifies. Its rows need no per-scalar conversion, so re-reading a
-// row per edge costs nothing extra; for fp16/int8 a sampled batch's heavy
-// source deduplication (each unique row feeds many edges) would multiply
-// the widening work by the average in-degree, so those layouts widen each
-// unique row once into scratch instead.
-func directLayout(src Source) bool {
-	_, ok := src.(flat32Source)
-	return ok
-}
-
-// fuseDirect computes aggregate and x_target rows for destinations [lo,hi)
-// straight from the flat float32 master array — no scratch working set, no
-// per-row interface calls, and the only writes are the NumDst×dim output
-// tensors. Neighbors accumulate in Block edge order from the identical
-// float32 values the staged path decodes, so the result is bit-identical to
-// the staged oracle and to the scratch-based generic path. Returns false
-// (having written nothing) when src is not the flat float32 layout.
+// fuseDirect computes every destination's aggregate and x_target row
+// straight from the flat float32 master array feat — no scratch working
+// set, no per-row interface calls, and the only writes are the NumDst×dim
+// output tensors. Only the flat float32 layout runs it: its rows need no
+// per-scalar conversion, so re-reading a row per edge costs nothing extra,
+// while for fp16/int8 a sampled batch's heavy source deduplication (each
+// unique row feeds many edges) would multiply the widening work by the
+// average in-degree. Neighbors accumulate in Block edge order from the
+// identical float32 values the staged path decodes, so the result is
+// bit-identical to the staged oracle and to the scratch-based generic path.
 //
 //salient:noalloc
-func fuseDirect(dst *Fused, src Source, nodeIDs []int32, blk *mfg.Block, op AggOp, lo, hi int) bool {
-	s, ok := src.(flat32Source)
-	if !ok {
-		return false
-	}
+func fuseDirect(dst *Fused, feat []float32, nodeIDs []int32, blk *mfg.Block, op AggOp) {
 	aggD, xtD := dst.Agg.Data, dst.XT.Data
-	feat, dim := s.feat, s.dim
-	for v := lo; v < hi; v++ {
+	dim := dst.Dim
+	for v := 0; v < dst.NumDst; v++ {
 		r := int(nodeIDs[v]) * dim
 		copy(xtD[v*dim:(v+1)*dim], feat[r:r+dim])
 		orow := aggD[v*dim : (v+1)*dim]
@@ -263,75 +230,35 @@ func fuseDirect(dst *Fused, src Source, nodeIDs []int32, blk *mfg.Block, op AggO
 			}
 		}
 	}
-	return true
 }
 
-//salient:noalloc
-func widenRange(dst *Fused, src Source, nodeIDs []int32, lo, hi int) {
-	x := dst.scratch
-	// Devirtualize this package's own flat layouts: bulk row copies into the
-	// staging strip, then one bulk conversion over the hot bytes — instead of
-	// an interface dispatch per row. Any other Source takes the generic
-	// accessor path below.
-	switch s := src.(type) {
-	case flatSource:
-		feat, dim := s.feat, s.dim
-		stage := dst.stageH
-		for i := lo; i < hi; i++ {
-			r := int(nodeIDs[i]) * dim
-			copy(stage[i*dim:(i+1)*dim], feat[r:r+dim])
-		}
-		half.DecodeSlice(x.Data[lo*dim:hi*dim], stage[lo*dim:hi*dim])
-		return
-	case int8Source:
-		feat, scales, dim := s.feat, s.scales, s.dim
-		stage := dst.stageQ
-		for i := lo; i < hi; i++ {
-			r := int(nodeIDs[i]) * dim
-			copy(stage[i*dim:(i+1)*dim], feat[r:r+dim])
-		}
-		for i := lo; i < hi; i++ {
-			half.DequantizeRow(x.Data[i*dim:(i+1)*dim], stage[i*dim:(i+1)*dim], scales[nodeIDs[i]])
-		}
-		return
-	}
-	switch src.Precision() {
-	case half.FP32:
-		for i := lo; i < hi; i++ {
-			copy(x.Row(i), src.Row32(nodeIDs[i]))
-		}
-	case half.Int8:
-		for i := lo; i < hi; i++ {
-			q, scale := src.Row8(nodeIDs[i])
-			half.DequantizeRow(x.Row(i), q, scale)
-		}
-	default:
-		for i := lo; i < hi; i++ {
-			xrow := x.Row(i)
-			for j, h := range src.Row(nodeIDs[i]) {
-				xrow[j] = h.Float32()
-			}
-		}
-	}
-}
-
-// fuseRange computes aggregate and x_target rows for destinations [lo,hi)
-// from the widened working set — the shared body of the serial and striped
-// fused kernels. Pure float32 adds over cache-hot rows; destination nodes
-// are a source prefix, so row v of the working set is destination v's self
-// row.
+// widen decodes the stored rows of nodeIDs into the float32 working set:
+// each stored row is gathered once into the staging strip, then the strip
+// widens in one Decode — the expressions DecodeFeatures uses, so the
+// working-set values are bit-identical to the staged path's decoded tensor.
 //
 //salient:noalloc
-func fuseRange(dst *Fused, blk *mfg.Block, op AggOp, lo, hi int) {
+func widen(dst *Fused, src Source, nodeIDs []int32) {
+	gatherRows(&dst.stage, src, nodeIDs, 0, len(nodeIDs))
+	dst.stage.Decode(dst.scratch.Data)
+}
+
+// fuseRange computes every destination's aggregate and x_target row from
+// the widened working set. Pure float32 adds over cache-hot rows;
+// destination nodes are a source prefix, so row v of the working set is
+// destination v's self row.
+//
+//salient:noalloc
+func fuseRange(dst *Fused, blk *mfg.Block, op AggOp) {
 	// Hoist the backing arrays into locals: slice headers reached through the
 	// Dense pointers would otherwise reload on every iteration (the compiler
 	// cannot prove Neighbors leaves them unchanged).
-	dim := dst.Dim
+	dim, nDst := dst.Dim, dst.NumDst
 	aggD, xtD, xD := dst.Agg.Data, dst.XT.Data, dst.scratch.Data
-	// Destination self rows are the working set's prefix, so the stripe's
-	// whole x_target block is one contiguous copy instead of a copy per row.
-	copy(xtD[lo*dim:hi*dim], xD[lo*dim:hi*dim])
-	for v := lo; v < hi; v++ {
+	// Destination self rows are the working set's prefix, so the whole
+	// x_target block is one contiguous copy instead of a copy per row.
+	copy(xtD, xD[:nDst*dim])
+	for v := 0; v < nDst; v++ {
 		orow := aggD[v*dim : (v+1)*dim]
 		ns := blk.Neighbors(int32(v))
 		n := len(ns)

@@ -35,22 +35,15 @@ func makeBlock(t testing.TB, seed uint64, nDst, nSrc, fanout int) *mfg.Block {
 }
 
 // sources builds one Source per storage precision over the same fp16 master
-// rows, mirroring how the stores derive fp32/int8 layouts.
+// rows, derived exactly as the stores derive their fp32/int8 layouts.
 func sources(t testing.TB, n, dim int) map[half.Precision]Source {
 	t.Helper()
 	feat, labels := makeFeatures(t, n, dim)
-	f32 := make([]float32, n*dim)
-	half.DecodeSlice(f32, feat)
-	q := make([]int8, n*dim)
-	scales := make([]float32, n)
-	for v := 0; v < n; v++ {
-		scales[v] = half.QuantizeRow(q[v*dim:(v+1)*dim], f32[v*dim:(v+1)*dim])
+	srcs := make(map[half.Precision]Source)
+	for _, prec := range []half.Precision{half.FP16, half.FP32, half.Int8} {
+		srcs[prec] = NewSource(half.FromFP16(feat, dim, n, prec), labels)
 	}
-	return map[half.Precision]Source{
-		half.FP16: NewFlatSource(feat, dim, labels),
-		half.FP32: NewFloat32Source(f32, dim, labels),
-		half.Int8: NewInt8Source(q, scales, dim, labels),
-	}
+	return srcs
 }
 
 // stagedOracle runs the three-pass reference path: Slice the storage rows
@@ -62,7 +55,7 @@ func stagedOracle(t testing.TB, src Source, nodeIDs []int32, blk *mfg.Block, bat
 	if err := Slice(p, src, nodeIDs, batch); err != nil {
 		t.Fatal(err)
 	}
-	x := tensor.New(p.Rows, p.Dim)
+	x := tensor.New(p.N, p.Dim)
 	DecodeFeatures(x, p)
 	dim := src.Dim()
 	agg = tensor.New(int(blk.NumDst), dim)

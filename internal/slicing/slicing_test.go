@@ -30,12 +30,12 @@ func TestSliceHalf(t *testing.T) {
 	if err := SliceHalf(dst, feat, dim, labels, nodeIDs, 3); err != nil {
 		t.Fatal(err)
 	}
-	if dst.Rows != len(nodeIDs) || dst.Dim != dim {
-		t.Fatalf("staged shape %dx%d", dst.Rows, dst.Dim)
+	if dst.N != len(nodeIDs) || dst.Dim != dim {
+		t.Fatalf("staged shape %dx%d", dst.N, dst.Dim)
 	}
 	for i, id := range nodeIDs {
 		for j := 0; j < dim; j++ {
-			if dst.Feat[i*dim+j] != feat[int(id)*dim+j] {
+			if dst.H[i*dim+j] != feat[int(id)*dim+j] {
 				t.Fatalf("row %d col %d mismatch", i, j)
 			}
 		}
@@ -69,7 +69,7 @@ func TestSliceHalfStripedMatchesSerial(t *testing.T) {
 	}
 	for _, workers := range []int{1, 3, 8, 100} {
 		striped := NewPinned(1, dim, 1)
-		err := SliceStriped(striped, NewFlatSource(feat, dim, labels), nodeIDs, 10, workers,
+		err := SliceStriped(striped, NewSource(half.FromFP16(feat, dim, len(labels), half.FP16), labels), nodeIDs, 10, workers,
 			func(stripes []func()) {
 				for _, s := range stripes {
 					s()
@@ -78,8 +78,8 @@ func TestSliceHalfStripedMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range serial.Feat {
-			if striped.Feat[i] != serial.Feat[i] {
+		for i := range serial.H {
+			if striped.H[i] != serial.H[i] {
 				t.Fatalf("workers=%d: feature %d differs", workers, i)
 			}
 		}
@@ -113,7 +113,7 @@ func TestDecodeFeatures(t *testing.T) {
 
 func TestDecodeShapePanics(t *testing.T) {
 	p := NewPinned(3, 4, 3)
-	p.Rows, p.Dim = 3, 4
+	p.N, p.Dim = 3, 4
 	defer func() {
 		if recover() == nil {
 			t.Fatal("shape mismatch did not panic")
@@ -174,7 +174,7 @@ func TestPoolDoublePutSameBufferPanics(t *testing.T) {
 
 func TestDecodeShapePanicsOnColumnMismatch(t *testing.T) {
 	p := NewPinned(3, 4, 3)
-	p.Rows, p.Dim = 3, 4
+	p.N, p.Dim = 3, 4
 	defer func() {
 		if recover() == nil {
 			t.Fatal("column mismatch did not panic")
@@ -186,21 +186,16 @@ func TestDecodeShapePanicsOnColumnMismatch(t *testing.T) {
 // stridedSource stores rows reversed to prove the kernels only ever go
 // through the Source interface, never assume the flat layout.
 type stridedSource struct {
-	feat   []half.Float16
-	dim    int
-	n      int
+	m      *half.Matrix
 	labels []int32
 }
 
-func (s stridedSource) Dim() int                  { return s.dim }
-func (s stridedSource) Precision() half.Precision { return half.FP16 }
-func (s stridedSource) Row(id int32) []half.Float16 {
-	r := s.n - 1 - int(id)
-	return s.feat[r*s.dim : (r+1)*s.dim]
+func (s stridedSource) Dim() int                  { return s.m.Dim }
+func (s stridedSource) Precision() half.Precision { return s.m.Prec }
+func (s stridedSource) Row(id int32) (*half.Matrix, int) {
+	return s.m, s.m.N - 1 - int(id)
 }
-func (s stridedSource) Row32(id int32) []float32        { return nil }
-func (s stridedSource) Row8(id int32) ([]int8, float32) { return nil, 0 }
-func (s stridedSource) Label(id int32) int32            { return s.labels[id] + 100 }
+func (s stridedSource) Label(id int32) int32 { return s.labels[id] + 100 }
 
 func TestSliceHonorsCustomSource(t *testing.T) {
 	const n, dim = 50, 4
@@ -209,7 +204,7 @@ func TestSliceHonorsCustomSource(t *testing.T) {
 	for v := 0; v < n; v++ {
 		copy(rev[(n-1-v)*dim:(n-v)*dim], feat[v*dim:(v+1)*dim])
 	}
-	src := stridedSource{feat: rev, dim: dim, n: n, labels: labels}
+	src := stridedSource{m: half.FromFP16(rev, dim, n, half.FP16), labels: labels}
 	nodeIDs := []int32{7, 0, 49, 7}
 	serial := NewPinned(1, dim, 1)
 	if err := Slice(serial, src, nodeIDs, 2); err != nil {
@@ -217,7 +212,7 @@ func TestSliceHonorsCustomSource(t *testing.T) {
 	}
 	for i, id := range nodeIDs {
 		for j := 0; j < dim; j++ {
-			if serial.Feat[i*dim+j] != feat[int(id)*dim+j] {
+			if serial.H[i*dim+j] != feat[int(id)*dim+j] {
 				t.Fatalf("row %d col %d not read through the source", i, j)
 			}
 		}
@@ -236,8 +231,8 @@ func TestSliceHonorsCustomSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range serial.Feat {
-		if striped.Feat[i] != serial.Feat[i] {
+	for i := range serial.H {
+		if striped.H[i] != serial.H[i] {
 			t.Fatalf("striped kernel diverged at scalar %d", i)
 		}
 	}

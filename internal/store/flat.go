@@ -22,14 +22,14 @@ type Flat struct {
 	dim  int
 	prec half.Precision
 
-	// srcMu orders appends against concurrent gathers: Gather reads src/n
-	// under the read lock for the duration of the row copies, AppendRows
-	// swaps in the grown arrays under the write lock. The arrays themselves
-	// are append-only, so readers never observe a partial row.
+	// srcMu orders appends against concurrent gathers: a gather reads src
+	// under the read lock and copies rows from it after releasing the lock;
+	// AppendRows swaps in a source over a grown copy of the matrix under the
+	// write lock. Growth never writes a row an earlier source can reach, so
+	// readers never observe a partial row.
 	srcMu  sync.RWMutex
 	src    slicing.Source
-	n      int
-	mat    *rowMat
+	mat    *half.Matrix
 	labels []int32
 
 	mu    sync.Mutex
@@ -47,12 +47,11 @@ func NewFlat(ds *dataset.Dataset) *Flat { return NewFlatPrec(ds, half.FP16) }
 // row once at build time from the same fp16 master values (so all
 // precisions of one dataset derive from identical inputs).
 func NewFlatPrec(ds *dataset.Dataset, prec half.Precision) *Flat {
-	mat := rowMatFromHalf(ds.FeatHalf, ds.FeatDim, int(ds.G.N), prec)
+	mat := half.FromFP16(ds.FeatHalf, ds.FeatDim, int(ds.G.N), prec)
 	return &Flat{
 		dim:    ds.FeatDim,
 		prec:   prec,
-		src:    mat.source(ds.Labels),
-		n:      int(ds.G.N),
+		src:    slicing.NewSource(mat, ds.Labels),
 		mat:    mat,
 		labels: ds.Labels,
 	}
@@ -68,7 +67,7 @@ func (f *Flat) Precision() half.Precision { return f.prec }
 func (f *Flat) NumNodes() int {
 	f.srcMu.RLock()
 	defer f.srcMu.RUnlock()
-	return f.n
+	return f.mat.N
 }
 
 // AppendRows implements Appendable: it appends len(labels) rows (feat is
@@ -86,13 +85,16 @@ func (f *Flat) AppendRows(feat []float32, labels []int32) (int32, error) {
 	}
 	f.srcMu.Lock()
 	defer f.srcMu.Unlock()
-	first := int32(f.n)
-	// append copies on the first grow (dataset arrays have no spare
-	// capacity), so the dataset's own FeatHalf/Labels are never written.
-	f.mat.appendRows(feat)
+	first := int32(f.mat.N)
+	// Append copies on the first grow (dataset arrays have no spare
+	// capacity), so the dataset's own FeatHalf/Labels are never written; it
+	// grows a copy of the matrix header, so gathers still holding the old
+	// source keep reading the old one.
+	grown := *f.mat
+	grown.Append(feat)
+	f.mat = &grown
 	f.labels = append(f.labels, labels...)
-	f.n += len(labels)
-	f.src = f.mat.source(f.labels)
+	f.src = slicing.NewSource(f.mat, f.labels)
 	return first, nil
 }
 
@@ -101,7 +103,7 @@ func (f *Flat) AppendRows(feat []float32, labels []int32) (int32, error) {
 //salient:noalloc
 func (f *Flat) Gather(dst *slicing.Pinned, nodeIDs []int32, batch int) error {
 	f.srcMu.RLock()
-	src, n := f.src, f.n
+	src, n := f.src, f.mat.N
 	f.srcMu.RUnlock()
 	if err := checkIDs(nodeIDs, n); err != nil {
 		return err
@@ -117,7 +119,7 @@ func (f *Flat) Gather(dst *slicing.Pinned, nodeIDs []int32, batch int) error {
 // kernel, for the PyG executor's DataLoader model.
 func (f *Flat) GatherStriped(dst *slicing.Pinned, nodeIDs []int32, batch, nWorkers int, run func(stripes []func())) error {
 	f.srcMu.RLock()
-	src, n := f.src, f.n
+	src, n := f.src, f.mat.N
 	f.srcMu.RUnlock()
 	if err := checkIDs(nodeIDs, n); err != nil {
 		return err
@@ -138,7 +140,7 @@ func (f *Flat) GatherStriped(dst *slicing.Pinned, nodeIDs []int32, batch, nWorke
 //salient:noalloc
 func (f *Flat) GatherAggregate(dst *slicing.Fused, nodeIDs []int32, blk *mfg.Block, batch int, op slicing.AggOp) error {
 	f.srcMu.RLock()
-	src, n := f.src, f.n
+	src, n := f.src, f.mat.N
 	f.srcMu.RUnlock()
 	if err := checkIDs(nodeIDs, n); err != nil {
 		return err

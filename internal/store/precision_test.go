@@ -187,7 +187,7 @@ func TestPrecisionStagedDecode(t *testing.T) {
 		if err := st.Gather(buf, m.NodeIDs, batch); err != nil {
 			t.Fatal(err)
 		}
-		x := tensor.New(buf.Rows, buf.Dim)
+		x := tensor.New(buf.N, buf.Dim)
 		slicing.DecodeFeatures(x, buf)
 		return x, buf
 	}
@@ -201,7 +201,7 @@ func TestPrecisionStagedDecode(t *testing.T) {
 		}
 	}
 	dim := ds.FeatDim
-	for r := 0; r < buf8.Rows; r++ {
+	for r := 0; r < buf8.N; r++ {
 		scale := float64(buf8.Scales[r])
 		for j := 0; j < dim; j++ {
 			err := math.Abs(float64(x8.Data[r*dim+j]) - float64(x16.Data[r*dim+j]))

@@ -75,8 +75,8 @@ type Remote struct {
 	part  []int32 // node -> owning part
 	local []int32 // node -> row within its owner's shard order
 
-	rows   *rowMat // home shard rows, placement order
-	labels []int32 // home labels, indexed by local row
+	rows   half.Matrix // home shard rows, placement order
+	labels []int32     // home labels, indexed by local row
 
 	// The mirror is an immutable set swapped atomically so the Gather hot
 	// path reads it lock-free while a refresher builds its replacement.
@@ -100,7 +100,7 @@ type Remote struct {
 // once per gather; replacements swap in a freshly built set.
 type mirrorSet struct {
 	idx    map[int32]int32
-	rows   *rowMat
+	rows   half.Matrix
 	labels []int32
 }
 
@@ -172,21 +172,15 @@ func NewRemote(ds *dataset.Dataset, a *partition.Assignment, home int32, peers [
 	// Lay out the home shard: rows of home-assigned nodes in placement
 	// order, encoded from the fp16 master exactly as NewSharded encodes
 	// a shard — so every store of one dataset derives from identical inputs.
-	s.rows = newRowMat(prec, s.dim, int(counts[home]))
+	s.rows.Ensure(int(counts[home]), s.dim, prec)
 	s.labels = make([]int32, counts[home])
 	scratch := make([]float32, s.dim)
 	for v := 0; v < n; v++ {
 		if s.part[v] != home {
 			continue
 		}
-		row := ds.FeatHalf[v*s.dim : (v+1)*s.dim]
 		lo := int(s.local[v])
-		if prec == half.FP16 {
-			copy(s.rows.h[lo*s.dim:(lo+1)*s.dim], row)
-		} else {
-			half.DecodeSlice(scratch, row)
-			s.rows.encodeRow(lo, scratch)
-		}
+		s.rows.SetFromFP16(lo, ds.FeatHalf[v*s.dim:(v+1)*s.dim], scratch)
 		s.labels[lo] = ds.Labels[v]
 	}
 
@@ -241,15 +235,15 @@ func (s *Remote) warmMirror(ds *dataset.Dataset, budget int) error {
 func (s *Remote) buildMirror(nodes []int32, old *mirrorSet) (*mirrorSet, error) {
 	m := &mirrorSet{
 		idx:    make(map[int32]int32, len(nodes)),
-		rows:   newRowMat(s.prec, s.dim, len(nodes)),
 		labels: make([]int32, len(nodes)),
 	}
+	m.rows.Ensure(len(nodes), s.dim, s.prec)
 	byPart := make([][]int32, s.parts)
 	next := int32(0)
 	for _, v := range nodes {
 		if old != nil {
 			if o, ok := old.idx[v]; ok {
-				m.rows.copyRowFrom(int(next), old.rows, int(o))
+				m.rows.CopyRow(int(next), &old.rows, int(o))
 				m.labels[next] = old.labels[o]
 				m.idx[v] = next
 				next++
@@ -268,7 +262,7 @@ func (s *Remote) buildMirror(nodes []int32, old *mirrorSet) (*mirrorSet, error) 
 			return nil, fmt.Errorf("mirror fill from part %d: %w", p, err)
 		}
 		for j, v := range ids {
-			s.storeMirrorRow(m, next, &rbuf, j)
+			m.rows.CopyRow(int(next), &rbuf.Matrix, j)
 			m.labels[next] = rbuf.Labels[j]
 			m.idx[v] = next
 			next++
@@ -279,21 +273,6 @@ func (s *Remote) buildMirror(nodes []int32, old *mirrorSet) (*mirrorSet, error) 
 		s.mu.Unlock()
 	}
 	return m, nil
-}
-
-// storeMirrorRow copies wire row j into mirror row dst of m (same
-// precision, so the copy is bitwise).
-func (s *Remote) storeMirrorRow(m *mirrorSet, dst int32, r *transport.Rows, j int) {
-	lo, hi := int(dst)*s.dim, (int(dst)+1)*s.dim
-	switch s.prec {
-	case half.FP32:
-		copy(m.rows.f[lo:hi], r.F[j*s.dim:(j+1)*s.dim])
-	case half.Int8:
-		copy(m.rows.q[lo:hi], r.Q[j*s.dim:(j+1)*s.dim])
-		m.rows.scales[dst] = r.Scales[j]
-	default:
-		copy(m.rows.h[lo:hi], r.H[j*s.dim:(j+1)*s.dim])
-	}
 }
 
 // RefreshMirror re-places the VIP mirror now: the hottest remote rows by
@@ -386,7 +365,7 @@ func (s *Remote) Gather(dst *slicing.Pinned, nodeIDs []int32, batch int) error {
 	if err := checkIDs(nodeIDs, s.n); err != nil {
 		return err
 	}
-	dst.EnsurePrec(len(nodeIDs), s.dim, batch, s.prec)
+	dst.Ensure(len(nodeIDs), s.dim, batch, s.prec)
 
 	mir := s.mirror.Load()  // one generation per gather, lock-free
 	var reqs, pos [][]int32 // lazily sized to parts: ids to fetch per part, and their batch positions
@@ -394,7 +373,7 @@ func (s *Remote) Gather(dst *slicing.Pinned, nodeIDs []int32, batch int) error {
 	for i, id := range nodeIDs {
 		p := s.part[id]
 		if p == s.home {
-			s.rows.copyRow(dst, i, int(s.local[id]))
+			dst.CopyRow(i, &s.rows, int(s.local[id]))
 			if i < batch {
 				dst.Labels[i] = s.labels[s.local[id]]
 			}
@@ -407,7 +386,7 @@ func (s *Remote) Gather(dst *slicing.Pinned, nodeIDs []int32, batch int) error {
 		if mir != nil {
 			if m, ok := mir.idx[id]; ok {
 				hits++
-				mir.rows.copyRow(dst, i, int(m))
+				dst.CopyRow(i, &mir.rows, int(m))
 				if i < batch {
 					dst.Labels[i] = mir.labels[m]
 				}
@@ -436,7 +415,7 @@ func (s *Remote) Gather(dst *slicing.Pinned, nodeIDs []int32, batch int) error {
 			}
 			for j := range ids {
 				i := int(pos[p][j])
-				s.copyWireRow(dst, i, &rbuf, j)
+				dst.CopyRow(i, &rbuf.Matrix, j)
 				if i < batch {
 					dst.Labels[i] = rbuf.Labels[j]
 				}
@@ -466,21 +445,6 @@ func (s *Remote) Gather(dst *slicing.Pinned, nodeIDs []int32, batch int) error {
 		}
 	}
 	return nil
-}
-
-// copyWireRow stages wire row j of r into position dstRow of p (precisions
-// match by construction, so every copy is bitwise).
-func (s *Remote) copyWireRow(p *slicing.Pinned, dstRow int, r *transport.Rows, j int) {
-	dim := s.dim
-	switch s.prec {
-	case half.FP32:
-		copy(p.Feat32[dstRow*dim:(dstRow+1)*dim], r.F[j*dim:(j+1)*dim])
-	case half.Int8:
-		copy(p.Feat8[dstRow*dim:(dstRow+1)*dim], r.Q[j*dim:(j+1)*dim])
-		p.Scales[dstRow] = r.Scales[j]
-	default:
-		copy(p.Feat[dstRow*dim:(dstRow+1)*dim], r.H[j*dim:(j+1)*dim])
-	}
 }
 
 // Stats returns the accumulated transfer accounting (see the Remote doc for

@@ -30,9 +30,9 @@ type Sharded struct {
 	prec   half.Precision
 	n      int
 	parts  int
-	part   []int32   // node -> shard
-	local  []int32   // node -> row index within its shard
-	shards []*rowMat // per-shard row-major feature storage
+	part   []int32       // node -> shard
+	local  []int32       // node -> row index within its shard
+	shards []half.Matrix // per-shard row-major feature storage
 	labels []int32
 
 	mu    sync.Mutex
@@ -58,7 +58,7 @@ func NewSharded(ds *dataset.Dataset, a *partition.Assignment, prec half.Precisio
 		parts:  a.Parts,
 		part:   append([]int32(nil), a.Part...),
 		local:  make([]int32, n),
-		shards: make([]*rowMat, a.Parts),
+		shards: make([]half.Matrix, a.Parts),
 		labels: ds.Labels,
 	}
 	counts := make([]int, a.Parts)
@@ -69,20 +69,14 @@ func NewSharded(ds *dataset.Dataset, a *partition.Assignment, prec half.Precisio
 		counts[p]++
 	}
 	for p, c := range counts {
-		s.shards[p] = newRowMat(prec, s.dim, c)
+		s.shards[p].Ensure(c, s.dim, prec)
 	}
 	next := make([]int32, a.Parts)
 	scratch := make([]float32, s.dim)
 	for v := 0; v < n; v++ {
 		p := s.part[v]
 		s.local[v] = next[p]
-		row := ds.FeatHalf[v*s.dim : (v+1)*s.dim]
-		if prec == half.FP16 {
-			copy(s.shards[p].h[int(next[p])*s.dim:(int(next[p])+1)*s.dim], row)
-		} else {
-			half.DecodeSlice(scratch, row)
-			s.shards[p].encodeRow(int(next[p]), scratch)
-		}
+		s.shards[p].SetFromFP16(int(next[p]), ds.FeatHalf[v*s.dim:(v+1)*s.dim], scratch)
 		next[p]++
 	}
 	return s, nil
@@ -111,20 +105,8 @@ type shardedSource struct{ s *Sharded }
 func (v shardedSource) Dim() int                  { return v.s.dim }
 func (v shardedSource) Precision() half.Precision { return v.s.prec }
 
-func (v shardedSource) Row(id int32) []half.Float16 {
-	lo := int(v.s.local[id]) * v.s.dim
-	return v.s.shards[v.s.part[id]].h[lo : lo+v.s.dim]
-}
-
-func (v shardedSource) Row32(id int32) []float32 {
-	lo := int(v.s.local[id]) * v.s.dim
-	return v.s.shards[v.s.part[id]].f[lo : lo+v.s.dim]
-}
-
-func (v shardedSource) Row8(id int32) ([]int8, float32) {
-	m := v.s.shards[v.s.part[id]]
-	lo := int(v.s.local[id]) * v.s.dim
-	return m.q[lo : lo+v.s.dim], m.scales[v.s.local[id]]
+func (v shardedSource) Row(id int32) (*half.Matrix, int) {
+	return &v.s.shards[v.s.part[id]], int(v.s.local[id])
 }
 
 func (v shardedSource) Label(id int32) int32 { return v.s.labels[id] }
@@ -139,7 +121,7 @@ func (s *Sharded) Gather(dst *slicing.Pinned, nodeIDs []int32, batch int) error 
 	if err := checkIDs(nodeIDs, s.n); err != nil {
 		return err
 	}
-	dst.EnsurePrec(len(nodeIDs), s.dim, batch, s.prec)
+	dst.Ensure(len(nodeIDs), s.dim, batch, s.prec)
 	var wg sync.WaitGroup
 	for p := 0; p < s.parts; p++ {
 		wg.Add(1)
@@ -148,12 +130,12 @@ func (s *Sharded) Gather(dst *slicing.Pinned, nodeIDs []int32, batch int) error 
 			// Each shard scans the whole ID list and claims its rows; for
 			// the small shard counts of interest this beats allocating
 			// per-shard index buckets on every gather.
-			shard := s.shards[p]
+			shard := &s.shards[p]
 			for i, id := range nodeIDs {
 				if s.part[id] != p {
 					continue
 				}
-				shard.copyRow(dst, i, int(s.local[id]))
+				dst.CopyRow(i, shard, int(s.local[id]))
 			}
 		}(int32(p))
 	}

@@ -139,13 +139,6 @@ func ValidateShape(gotDim, gotRows, wantDim, wantRows int, allowGrown bool) erro
 	return nil
 }
 
-// Check verifies st holds exactly ds's rows.
-//
-// Deprecated: use Validate(st, ds, ValidateOpts{}).
-func Check(st FeatureStore, ds *dataset.Dataset) error {
-	return Validate(st, ds, ValidateOpts{})
-}
-
 // Appendable is implemented by stores that can grow with a dynamic graph:
 // AppendRows appends len(labels) feature rows (feat is row-major float32,
 // len(labels)×Dim, encoded to the store's half-precision host layout) and
@@ -160,14 +153,6 @@ func Check(st FeatureStore, ds *dataset.Dataset) error {
 // repartition, which is future work (see ROADMAP).
 type Appendable interface {
 	AppendRows(feat []float32, labels []int32) (int32, error)
-}
-
-// CheckGrown is Check's dynamic-graph variant, enforcing only the
-// dimensionality and a row-count floor.
-//
-// Deprecated: use Validate(st, ds, ValidateOpts{AllowGrown: true}).
-func CheckGrown(st FeatureStore, ds *dataset.Dataset) error {
-	return Validate(st, ds, ValidateOpts{AllowGrown: true})
 }
 
 // StripedGatherer is implemented by stores whose gather supports the

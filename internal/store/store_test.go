@@ -59,11 +59,11 @@ func gatherAll(t testing.TB, st FeatureStore, lists [][]int32, batches []int) []
 
 func sameStaged(t *testing.T, name string, got, want *slicing.Pinned, batch int) {
 	t.Helper()
-	if got.Rows != want.Rows || got.Dim != want.Dim {
-		t.Fatalf("%s: staged shape %dx%d, want %dx%d", name, got.Rows, got.Dim, want.Rows, want.Dim)
+	if got.N != want.N || got.Dim != want.Dim {
+		t.Fatalf("%s: staged shape %dx%d, want %dx%d", name, got.N, got.Dim, want.N, want.Dim)
 	}
-	for i := range want.Feat {
-		if got.Feat[i] != want.Feat[i] {
+	for i := range want.H {
+		if got.H[i] != want.H[i] {
 			t.Fatalf("%s: feature scalar %d differs", name, i)
 		}
 	}

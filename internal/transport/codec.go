@@ -197,8 +197,9 @@ func decodeRowsResp(payload []byte, dst *Rows, n, dim int, prec half.Precision) 
 		}
 		p = p[2*n*dim:]
 	}
-	for i := range dst.Labels[:n] {
-		dst.Labels[i] = int32(binary.LittleEndian.Uint32(p[4*i:]))
+	dst.Labels = dst.Labels[:0]
+	for i := 0; i < n; i++ {
+		dst.Labels = append(dst.Labels, int32(binary.LittleEndian.Uint32(p[4*i:])))
 	}
 	return nil
 }

@@ -51,6 +51,7 @@ func TestFrameSizeHelpersMatchEncoders(t *testing.T) {
 func testRows(n, dim int, prec half.Precision) *Rows {
 	r := &Rows{}
 	r.Ensure(n, dim, prec)
+	r.Labels = make([]int32, n)
 	for i := 0; i < n; i++ {
 		r.Labels[i] = int32(40 - i)
 		for j := 0; j < dim; j++ {

@@ -31,6 +31,7 @@ func (h *stubHandler) FetchRows(ids []int32, dst *Rows) error {
 		}
 	}
 	dst.Ensure(len(ids), h.dim, h.prec)
+	dst.Labels = make([]int32, len(ids))
 	for i, id := range ids {
 		dst.Labels[i] = id % 40
 		for j := 0; j < h.dim; j++ {

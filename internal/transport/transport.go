@@ -48,51 +48,13 @@ type Hello struct {
 	GraphVersion uint64
 }
 
-// Rows is the batched row payload of a FetchRows call: len(ids) rows at one
-// storage precision, row-major, plus one label per row. Exactly one of
-// H/F/Q(+Scales) is populated, matching Prec — the same layout rule as the
-// store's host matrices, so rows cross the wire at storage precision (fp16
-// and int8 rows stay narrow on the network).
+// Rows is the batched row payload of a FetchRows call: len(ids) rows as a
+// half.Matrix at one storage precision — the same layout as the stores'
+// host matrices, so rows cross the wire at storage precision (fp16 and int8
+// rows stay narrow on the network) — plus one label per row.
 type Rows struct {
-	Prec   half.Precision
-	Dim    int
-	N      int
-	H      []half.Float16 // fp16 payload, N×Dim
-	F      []float32      // fp32 payload, N×Dim
-	Q      []int8         // int8 payload, N×Dim
-	Scales []float32      // int8 per-row dequant scales, N
-	Labels []int32        // one label per row, N
-}
-
-// Ensure sizes the payload arrays for n rows of dim at prec, reusing backing
-// arrays across calls.
-func (r *Rows) Ensure(n, dim int, prec half.Precision) {
-	r.Prec, r.Dim, r.N = prec, dim, n
-	if cap(r.Labels) < n {
-		r.Labels = make([]int32, n)
-	}
-	r.Labels = r.Labels[:n]
-	switch prec {
-	case half.FP32:
-		if cap(r.F) < n*dim {
-			r.F = make([]float32, n*dim)
-		}
-		r.F = r.F[:n*dim]
-	case half.Int8:
-		if cap(r.Q) < n*dim {
-			r.Q = make([]int8, n*dim)
-		}
-		r.Q = r.Q[:n*dim]
-		if cap(r.Scales) < n {
-			r.Scales = make([]float32, n)
-		}
-		r.Scales = r.Scales[:n]
-	default:
-		if cap(r.H) < n*dim {
-			r.H = make([]half.Float16, n*dim)
-		}
-		r.H = r.H[:n*dim]
-	}
+	half.Matrix
+	Labels []int32 // one label per row, N
 }
 
 // Adjacency is the batched neighbor payload of a FetchNeighbors call: the
@@ -117,7 +79,8 @@ func (a *Adjacency) Reset() {
 type Handler interface {
 	// Hello describes what this handler serves; sent at connection accept.
 	Hello() Hello
-	// FetchRows writes the rows and labels for ids into dst (Ensure first).
+	// FetchRows writes the rows for ids into dst (shaped with Ensure) and
+	// sets dst.Labels to one label per row.
 	FetchRows(ids []int32, dst *Rows) error
 	// FetchNeighbors writes the adjacency of ids into dst (Reset first).
 	FetchNeighbors(ids []int32, dst *Adjacency) error
