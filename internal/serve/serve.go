@@ -550,8 +550,8 @@ func (s *Server) AddNode(feat []float32, label int32, neighbors []int32) (int32,
 	// and a client retry would then create a duplicate. That means the
 	// neighbor list is range-checked here, and the graph/store alignment
 	// (equal counts; a store may legitimately start larger under
-	// CheckGrown, but then it cannot grow in lockstep) is a precondition,
-	// not a post-mutation surprise.
+	// Validate's AllowGrown, but then it cannot grow in lockstep) is a
+	// precondition, not a post-mutation surprise.
 	n := s.dyn.NumNodes()
 	for _, v := range neighbors {
 		if v < 0 || v >= n {
