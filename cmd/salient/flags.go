@@ -173,18 +173,12 @@ func (f *cliFlags) validate(cmd string) error {
 		if f.replicas < 1 {
 			return fmt.Errorf("-replicas must be >= 1, got %d", f.replicas)
 		}
-		if f.replicas > 1 && f.executor != "salient" {
-			return fmt.Errorf("-replicas %d requires -executor salient", f.replicas)
-		}
 		if f.fused {
 			if !oneOf(f.arch, "SAGE", "GIN") {
 				return fmt.Errorf("-fused requires -arch SAGE or GIN (%s has no mean/sum first layer)", f.arch)
 			}
 			if f.executor != "salient" {
 				return fmt.Errorf("-fused requires -executor salient")
-			}
-			if f.replicas > 1 {
-				return fmt.Errorf("-fused is single-replica only (got -replicas %d)", f.replicas)
 			}
 		}
 		if err := f.validateDistributed(); err != nil {

@@ -43,6 +43,8 @@ func TestValidate(t *testing.T) {
 		{"fig2", []string{"-all"}, ""},
 		{"table1", nil, ""},
 		{"train", nil, ""},
+		{"train", []string{"-replicas", "2", "-fused"}, ""},
+		{"train", []string{"-replicas", "2", "-executor", "pyg"}, ""},
 		{"serve", nil, ""},
 		// Exhibit flags outside their exhibit would be ignored.
 		{"all", []string{"-trace", "out"}, "-trace applies to fig1 only"},
@@ -97,6 +99,10 @@ func TestCommandExits(t *testing.T) {
 		{[]string{"serve", "-fleet", "2", "-dynamic", "-maxskew", "4"}, 2, "flag provided but not defined: -maxskew"},
 		// Happy paths, each well under a second at these scales.
 		{[]string{"train", "-scale", "0.05", "-epochs", "1"}, 0, "epoch  0"},
+		// At -scale 0.25 the 2295 training seeds make three 1024-seed
+		// batches, so both replicas compute in the first step.
+		{[]string{"train", "-scale", "0.25", "-epochs", "1", "-replicas", "2", "-fused"}, 0, "epoch  0"},
+		{[]string{"train", "-scale", "0.25", "-epochs", "1", "-replicas", "2", "-executor", "pyg"}, 0, "epoch  0"},
 		{[]string{"serve", "-scale", "0.08", "-epochs", "1", "-requests", "500", "-cachepolicy", "vip", "-embrows", "256"}, 0, "latency    p50"},
 		// Result-memo hits count as served: every one of the 1500 requests
 		// is answered.

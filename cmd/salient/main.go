@@ -26,9 +26,8 @@
 //	-epochs N      train: number of epochs (default 5)
 //	-executor E    train: salient | pyg (default salient)
 //	-replicas R    train: execute real data-parallel training on R model
-//	               replicas (salient executor only; default 1). Results are
-//	               bit-identical to single-replica training on the union
-//	               batch schedule.
+//	               replicas (default 1). Results are bit-identical to
+//	               single-replica training on the union batch schedule.
 //	-workers N     train/serve: preparation/batching workers (default 4;
 //	               per replica with -replicas)
 //	-store S       train/serve: feature store: flat | sharded | cached |
@@ -39,9 +38,9 @@
 //	               per-row scale, halving feature bytes moved versus fp16;
 //	               rows dequantize on gather.
 //	-fused         train: fuse the layer-0 gather+aggregate into the batch
-//	               pipeline (SAGE and GIN with the salient executor,
-//	               single replica). Bit-identical to the staged path;
-//	               skips staging/decoding the full feature matrix.
+//	               pipeline (SAGE and GIN with the salient executor).
+//	               Bit-identical to the staged path; skips staging/decoding
+//	               the full feature matrix.
 //	-parts N       train/serve: shard count for -store sharded (default 4)
 //	-placement P   train/serve: shard placement: ldg | random (default ldg)
 //	-transport T   train with -replicas R >= 2: run the distributed data
@@ -105,7 +104,6 @@ import (
 	"salient/internal/bench"
 	"salient/internal/cache"
 	"salient/internal/dataset"
-	"salient/internal/ddp"
 	"salient/internal/device"
 	"salient/internal/dist"
 	"salient/internal/fleet"
@@ -266,80 +264,36 @@ func (c *churnRun) finish() {
 		applied, c.dyn.Version(), c.dyn.Compactions())
 }
 
-func runTrain(f cliFlags) error {
-	ds, err := dataset.Load(f.dataset, f.scale)
-	if err != nil {
-		return err
-	}
-	var st store.FeatureStore
-	if !f.distributed() {
-		// Distributed runs get their per-replica remote stores from the
-		// cluster instead.
-		if st, err = buildStore(ds, f); err != nil {
-			return err
-		}
-	}
-	cfg := train.Config{
-		Arch:    f.arch,
-		Hidden:  64,
-		Workers: f.workers,
-		Seed:    f.seed,
-		Store:   st,
-		Fused:   f.fused,
-	}
-	var dyn *graph.Dynamic
-	if f.dynamic {
-		if dyn, err = graph.NewDynamic(ds.G, graph.DynamicOptions{}); err != nil {
-			return err
-		}
-		cfg.Graph = dyn
-	}
-	churn := newChurnRun(dyn, ds.G.N, f.churn, f.seed+77)
-	if f.replicas > 1 {
-		return runTrainDDP(ds, cfg, f, churn)
-	}
-	switch f.executor {
-	case "salient":
-		cfg.Executor = train.ExecSalient
-	case "pyg":
-		cfg.Executor = train.ExecPyG
-	}
-	tr, err := train.New(ds, cfg)
-	if err != nil {
-		return err
-	}
-	pipeline := "staged"
-	if f.fused {
-		pipeline = "fused"
-	}
-	fmt.Printf("training %s on %s (N=%d, train=%d) with the %s executor, %s %s store (%s gather), %s\n",
-		f.arch, ds.Name, ds.G.N, len(ds.Train), f.executor, f.prec, f.storeKind, pipeline, churn.mode())
-	for e := 0; e < f.epochs; e++ {
-		s, err := tr.TrainEpoch(e)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("epoch %2d  loss %.4f  train-acc %.4f  wall %v (prep-wait %v, compute %v)%s\n",
-			s.Epoch, s.Loss, s.Acc, s.Wall.Round(1e6), s.PrepWait.Round(1e6), s.Compute.Round(1e6), churn.epochSuffix())
-	}
-	churn.finish()
-	printStoreStats(tr.FeatureStore())
-	return nil
-}
-
-// runTrainDDP executes real data-parallel training: R model replicas in
-// concurrent goroutines, synchronized per step by gradient averaging.
+// runTrain trains on f.replicas data-parallel replicas, synchronized per
+// step by gradient averaging; one replica is plain mini-batch training.
 // BatchSize is per replica, so the effective batch grows with R (the
 // paper's §6 scaling regime). With -transport, each replica owns one
 // partition of an LDG placement and trains through a store.Remote and a
 // graph.Partitioned over the chosen wire — bit-identical results, real
 // network accounting.
-func runTrainDDP(ds *dataset.Dataset, cfg train.Config, f cliFlags, churn *churnRun) error {
-	tcfg := ddp.TrainConfig{Config: cfg, Replicas: f.replicas}
+func runTrain(f cliFlags) error {
+	ds, err := dataset.Load(f.dataset, f.scale)
+	if err != nil {
+		return err
+	}
+	cfg := train.Config{
+		Arch:     f.arch,
+		Hidden:   64,
+		Workers:  f.workers,
+		Seed:     f.seed,
+		Fused:    f.fused,
+		Replicas: f.replicas,
+	}
+	if f.executor == "pyg" {
+		cfg.Executor = train.ExecPyG
+	}
+	pipeline := "staged"
+	if f.fused {
+		pipeline = "fused"
+	}
+	mode := fmt.Sprintf("%s %s store (%s gather)", f.prec, f.storeKind, pipeline)
 	var cluster *dist.Cluster
-	mode := fmt.Sprintf("%s store", f.storeKind)
 	if f.distributed() {
-		var err error
 		cluster, err = dist.NewCluster(ds, dist.ClusterOptions{
 			Parts:     f.hosts,
 			TCP:       f.transport == "tcp",
@@ -350,17 +304,27 @@ func runTrainDDP(ds *dataset.Dataset, cfg train.Config, f cliFlags, churn *churn
 			return err
 		}
 		defer cluster.Close()
-		tcfg.Stores = cluster.Stores
-		tcfg.Graphs = cluster.Graphs
+		cfg.Stores = cluster.Stores
+		cfg.Graphs = cluster.Graphs
 		mode = fmt.Sprintf("distributed over %s (%d hosts, %s rows, %d-row mirrors)",
 			f.transport, f.hosts, f.prec, f.cacheRows(ds.G.N))
+	} else if cfg.Store, err = buildStore(ds, f); err != nil {
+		return err
 	}
-	tr, err := ddp.NewTrainer(ds, tcfg)
+	var dyn *graph.Dynamic
+	if f.dynamic {
+		if dyn, err = graph.NewDynamic(ds.G, graph.DynamicOptions{}); err != nil {
+			return err
+		}
+		cfg.Graph = dyn
+	}
+	churn := newChurnRun(dyn, ds.G.N, f.churn, f.seed+77)
+	tr, err := train.New(ds, cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("training %s on %s (N=%d, train=%d) with %d data-parallel replicas, %s, %s\n",
-		f.arch, ds.Name, ds.G.N, len(ds.Train), f.replicas, mode, churn.mode())
+	fmt.Printf("training %s on %s (N=%d, train=%d) with the %s executor, %d replica(s), %s, %s\n",
+		f.arch, ds.Name, ds.G.N, len(ds.Train), f.executor, f.replicas, mode, churn.mode())
 	for e := 0; e < f.epochs; e++ {
 		s, err := tr.TrainEpoch(e)
 		if err != nil {
@@ -371,7 +335,7 @@ func runTrainDDP(ds *dataset.Dataset, cfg train.Config, f cliFlags, churn *churn
 			100*s.SyncFraction(), s.PrepWait.Round(1e6), s.Compute.Round(1e6), churn.epochSuffix())
 	}
 	churn.finish()
-	printStoreStats(tr.FeatureStore(0))
+	printStoreStats(tr.FeatureStore())
 	if cluster != nil {
 		printWireStats(cluster, f.replicas)
 	}

@@ -1,31 +1,24 @@
-// Package ddp provides distributed data-parallel GNN training (paper §6,
-// Figure 5) in two forms that share one replica/seed partitioning scheme
-// (StepsFor, ShardSeeds):
+// Package ddp holds distributed data-parallel GNN training's shared scheme
+// (paper §6, Figure 5) and its cost-model simulators.
+//
+//   - The scheme. StepsFor and ShardSeeds partition an epoch's batches over
+//     R replicas; AverageGradients is DDP's gradient all-reduce on real
+//     models and SyncParams its parameter broadcast at initialization. The
+//     executing trainer (internal/train) and its serial Union oracle run
+//     this scheme on real models.
 //
 //   - Cost-model simulators. SimulateEpoch, SimulateBaselineEpoch and
 //     ScalingCurve reproduce the paper's full-scale timing claims in
 //     calibrated virtual time: R simulated V100 replicas run the pipelined
 //     (or blocking baseline) schedule on their shard of mini-batches and
 //     synchronize per step on a modeled ring all-reduce over 10 GigE.
-//
-//   - An executing Trainer. R real model replicas run concurrently in
-//     goroutines, each feeding from its own prep executor stream over its
-//     deterministic shard of the epoch, synchronized per step by
-//     AverageGradients + identical per-replica optimizer steps, with
-//     straggler (barrier-wait) time accounted the way the simulator's cost
-//     model accounts exposed all-reduce. Union is its serial single-replica
-//     oracle: R-replica execution is bit-identical to the union batch
-//     schedule run on one replica.
-//
-// AverageGradients and SyncParams are the shared semantic core: the former
-// is DDP's gradient all-reduce on real models, the latter its parameter
-// broadcast at initialization.
 package ddp
 
 import (
 	"salient/internal/device"
 	"salient/internal/event"
 	"salient/internal/nn"
+	"salient/internal/prep"
 	"salient/internal/rng"
 )
 
@@ -38,6 +31,37 @@ const (
 	// pass available to hide bucketed all-reduce communication behind.
 	allReduceOverlap = 0.25
 )
+
+// StepsFor returns the number of synchronized gradient steps an epoch of nb
+// global batches takes on R replicas — the even split of the global batch
+// count shared by the cost-model simulators and the executing trainer.
+func StepsFor(nb, replicas int) int {
+	return (nb + replicas - 1) / replicas
+}
+
+// ShardSeeds returns replica r's deterministic shard of the globally
+// shuffled epoch permutation: the concatenation of per-replica batches
+// (consecutive chunks of batchSize seeds) r, r+R, r+2R, … Step s of the
+// epoch is the union of chunk s·R+r across replicas, so the R shards union,
+// in schedule order, to the single-replica epoch. The executing trainer,
+// the serial Union oracle, and the simulators all follow this scheme. With
+// one replica the shard is perm itself, not a copy.
+func ShardSeeds(perm []int32, batchSize, r, replicas int) []int32 {
+	if replicas == 1 {
+		return perm
+	}
+	nb := prep.NumBatches(len(perm), batchSize)
+	var out []int32
+	for c := r; c < nb; c += replicas {
+		lo := c * batchSize
+		hi := lo + batchSize
+		if hi > len(perm) {
+			hi = len(perm)
+		}
+		out = append(out, perm[lo:hi]...)
+	}
+	return out
+}
 
 // Result summarizes a simulated multi-GPU epoch.
 type Result struct {
@@ -241,9 +265,10 @@ func ScalingCurve(pr device.Profile, cal device.DatasetCal, replicaCounts []int,
 // AverageGradients averages parameter gradients across replicas in place:
 // after the call every replica holds the same averaged gradients. This is
 // the semantic core of DDP's all-reduce, used to validate data-parallel
-// equivalence with real models.
+// equivalence with real models. A single participant's gradients are
+// already their own average and are left untouched.
 func AverageGradients(replicas [][]*nn.Param) {
-	if len(replicas) == 0 {
+	if len(replicas) < 2 {
 		return
 	}
 	n := len(replicas[0])

@@ -7,6 +7,7 @@ import (
 	"salient/internal/device"
 	"salient/internal/mfg"
 	"salient/internal/nn"
+	"salient/internal/prep"
 	"salient/internal/rng"
 	"salient/internal/sampler"
 	"salient/internal/tensor"
@@ -189,4 +190,57 @@ func TestSyncParams(t *testing.T) {
 		}
 	}
 	SyncParams([][]*nn.Param{a.Params()}) // single replica: no-op
+}
+
+// TestPartitioningSchemeSharedWithSimulator pins the satellite invariant:
+// the virtual-time simulators report the replica/seed partitioning scheme
+// that the executing trainer and its Union oracle run
+// (train.TestExecutedStepsFollowDDPScheme checks the executed side).
+func TestPartitioningSchemeSharedWithSimulator(t *testing.T) {
+	pr := device.PaperProfile()
+	for _, tc := range []struct{ nb, replicas int }{
+		{10, 1}, {10, 2}, {10, 3}, {7, 4}, {1, 8}, {16, 16},
+	} {
+		cal := device.Calibration("arxiv")
+		cal.Batches = tc.nb
+		sim := SimulateEpoch(pr, cal, tc.replicas, 2, 1)
+		if sim.Steps != StepsFor(tc.nb, tc.replicas) {
+			t.Fatalf("simulator steps %d != StepsFor(%d,%d)=%d",
+				sim.Steps, tc.nb, tc.replicas, StepsFor(tc.nb, tc.replicas))
+		}
+	}
+
+	// ShardSeeds must tile the permutation: chunk s*R+r of the global
+	// schedule is segment s of replica r's shard.
+	ds, err := dataset.Load(dataset.Arxiv, 0.05)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	perm := prep.EpochPerm(ds.Train, 99)
+	const b, R = 48, 3
+	nb := prep.NumBatches(len(perm), b)
+	shards := make([][]int32, R)
+	for r := range shards {
+		shards[r] = ShardSeeds(perm, b, r, R)
+	}
+	var rebuilt []int32
+	offs := make([]int, R)
+	for c := 0; c < nb; c++ {
+		r := c % R
+		lo, hi := c*b, (c+1)*b
+		if hi > len(perm) {
+			hi = len(perm)
+		}
+		n := hi - lo
+		rebuilt = append(rebuilt, shards[r][offs[r]:offs[r]+n]...)
+		offs[r] += n
+	}
+	if len(rebuilt) != len(perm) {
+		t.Fatalf("shards tile %d seeds, perm has %d", len(rebuilt), len(perm))
+	}
+	for i := range perm {
+		if rebuilt[i] != perm[i] {
+			t.Fatalf("shard tiling diverges from the global permutation at seed %d", i)
+		}
+	}
 }

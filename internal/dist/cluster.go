@@ -44,7 +44,7 @@ type ClusterOptions struct {
 // per part, a store.Remote holding that part's rows and a graph.Partitioned
 // serving that part's adjacency natively, with everything else fetched from
 // the owning part over the chosen transport. Feed Stores/Graphs straight
-// into ddp.TrainConfig to run distributed data-parallel training.
+// into train.Config to run distributed data-parallel training.
 type Cluster struct {
 	// Assignment is the node→part placement the cluster is laid out by.
 	Assignment *partition.Assignment

@@ -12,6 +12,7 @@ package dist
 
 import (
 	"fmt"
+	"sync"
 
 	"salient/internal/dataset"
 	"salient/internal/graph"
@@ -28,6 +29,9 @@ type handler struct {
 	ds    *dataset.Dataset
 	view  graph.View
 	hello transport.Hello
+	// scratch recycles FetchRows' Dim-float re-encode row (*[]float32);
+	// fetches run concurrently, so each takes its own.
+	scratch sync.Pool
 }
 
 // NewHandler builds the transport.Handler for a host holding ds, serving
@@ -60,7 +64,13 @@ func (h *handler) FetchRows(ids []int32, dst *transport.Rows) error {
 	n := h.hello.NumNodes
 	dst.Ensure(len(ids), dim, h.hello.Precision)
 	dst.Labels = dst.Labels[:0]
-	scratch := make([]float32, dim)
+	sp, _ := h.scratch.Get().(*[]float32)
+	if sp == nil {
+		row := make([]float32, dim)
+		sp = &row
+	}
+	defer h.scratch.Put(sp)
+	scratch := *sp
 	for j, id := range ids {
 		if id < 0 || int(id) >= n {
 			return fmt.Errorf("dist: node %d out of range [0,%d)", id, n)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"salient/internal/dataset"
-	"salient/internal/ddp"
 	"salient/internal/graph"
 	"salient/internal/half"
 	"salient/internal/partition"
@@ -239,25 +238,23 @@ func TestRemoteWireBytesMatchSocketTCP(t *testing.T) {
 	}
 }
 
-func distTrainCfg(replicas int) ddp.TrainConfig {
-	return ddp.TrainConfig{
-		Config: train.Config{
-			Arch:      "SAGE",
-			Hidden:    32,
-			Layers:    2,
-			Fanouts:   []int{10, 5},
-			BatchSize: 64,
-			LR:        5e-3,
-			Workers:   2,
-			Seed:      7,
-		},
-		Replicas: replicas,
+func distTrainCfg(replicas int) train.Config {
+	return train.Config{
+		Arch:      "SAGE",
+		Hidden:    32,
+		Layers:    2,
+		Fanouts:   []int{10, 5},
+		BatchSize: 64,
+		LR:        5e-3,
+		Workers:   2,
+		Seed:      7,
+		Replicas:  replicas,
 	}
 }
 
-func bitEqualParams(t *testing.T, label string, a, b *ddp.Trainer) {
+func bitEqualParams(t *testing.T, label string, a, b *train.Trainer) {
 	t.Helper()
-	ap, bp := a.Model().Params(), b.Model().Params()
+	ap, bp := a.Model.Params(), b.Model.Params()
 	if len(ap) != len(bp) {
 		t.Fatalf("%s: %d vs %d params", label, len(ap), len(bp))
 	}
@@ -281,7 +278,7 @@ func TestDistributedTrainingBitIdenticalToSingleHost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		single, err := ddp.NewTrainer(ds, distTrainCfg(R))
+		single, err := train.New(ds, distTrainCfg(R))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +289,7 @@ func TestDistributedTrainingBitIdenticalToSingleHost(t *testing.T) {
 		dcfg := distTrainCfg(R)
 		dcfg.Stores = c.Stores
 		dcfg.Graphs = c.Graphs
-		distributed, err := ddp.NewTrainer(ds, dcfg)
+		distributed, err := train.New(ds, dcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,7 +383,7 @@ func TestClusterPeerDropMidEpochTyped(t *testing.T) {
 	cfg := distTrainCfg(2)
 	cfg.Stores = c.Stores
 	cfg.Graphs = c.Graphs
-	tr, err := ddp.NewTrainer(ds, cfg)
+	tr, err := train.New(ds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

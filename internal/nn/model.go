@@ -34,7 +34,7 @@ type Model interface {
 // stream once per batch (train.DropoutSeed) so a batch's dropout masks
 // depend only on the (epoch seed, global batch index) pair — never on which
 // replica executes the batch or in which order batches run. This is the
-// property that makes executing data-parallel training (internal/ddp)
+// property that makes executing data-parallel training (internal/train)
 // bit-identical to the single-replica union batch schedule.
 type DropoutReseeder interface {
 	ReseedDropout(seed uint64)

@@ -27,7 +27,7 @@
 // FixedOrder/IndexBase/IndexStride options extend that guarantee across
 // executors: R striped executors over shards of one epoch permutation
 // prepare exactly the batches a sole executor would, which is how the
-// data-parallel trainer (internal/ddp) feeds its replicas.
+// trainer (internal/train) feeds its replicas.
 //
 // Feature rows are read through the FeatureStore layer (internal/store):
 // the executors never touch the dataset's arrays directly, so the same
@@ -171,8 +171,9 @@ type Options struct {
 	// changing batch contents.
 	Store store.FeatureStore
 	// FixedOrder uses the seed list exactly as given instead of shuffling
-	// it per epoch: the caller owns the permutation. The data-parallel
-	// trainer (internal/ddp) pre-shuffles the global epoch once and hands
+	// it per epoch: the caller owns the permutation, and the executor reads
+	// it in place, so it must stay unmodified until the stream drains. The
+	// trainer (internal/train) pre-shuffles the global epoch once and hands
 	// each replica its deterministic shard in schedule order.
 	FixedOrder bool
 	// Graph is the topology source epochs sample against. Nil pins the
@@ -229,11 +230,11 @@ func (o *Options) normalize() error {
 	return nil
 }
 
-// epochPerm resolves the epoch's batch schedule: the caller's order under
-// FixedOrder, otherwise the deterministic epoch shuffle.
+// epochPerm resolves the epoch's batch schedule: the caller's slice itself
+// under FixedOrder, otherwise the deterministic epoch shuffle.
 func (o *Options) epochPerm(seeds []int32, epochSeed uint64) []int32 {
 	if o.FixedOrder {
-		return append([]int32(nil), seeds...)
+		return seeds
 	}
 	return EpochPerm(seeds, epochSeed)
 }
@@ -308,8 +309,8 @@ func batchSeeds(perm []int32, batchSize, i int) []int32 {
 
 // EpochPerm returns the deterministic epoch permutation of the seed set —
 // the global batch schedule an executor runs when FixedOrder is off.
-// Exported so the data-parallel trainer (internal/ddp) can compute the same
-// permutation once and hand each replica its shard with FixedOrder.
+// Exported so the trainer (internal/train) can compute the same permutation
+// once and hand each replica its shard with FixedOrder.
 func EpochPerm(seeds []int32, epochSeed uint64) []int32 {
 	perm := append([]int32(nil), seeds...)
 	r := rng.New(epochSeed)

@@ -508,7 +508,7 @@ func capture(t testing.TB, s *Stream) map[int]capturedBatch {
 // prepare exactly the batches a sole executor prepares for the whole epoch
 // — seeds, sampled MFG, staged features, and labels all bit-identical.
 // This is the preparation-side invariant the data-parallel trainer
-// (internal/ddp) is built on.
+// (internal/train) is built on.
 func TestStripedExecutorsReproduceGlobalBatches(t *testing.T) {
 	ds := testDataset(t)
 	const epochSeed = 42

@@ -91,8 +91,18 @@ type Remote struct {
 
 	peers []transport.Conn // by part; nil at home
 
+	// scratch recycles Gather's fetch state across calls (*gatherScratch);
+	// gathers run concurrently, so each takes its own.
+	scratch sync.Pool
+
 	mu    sync.Mutex
 	stats Stats
+}
+
+// gatherScratch is one Gather's reusable fetch state.
+type gatherScratch struct {
+	reqs, pos [][]int32 // by part: ids to fetch, and their batch positions
+	rows      transport.Rows
 }
 
 // mirrorSet is one immutable generation of the local mirror: remote node ->
@@ -367,8 +377,8 @@ func (s *Remote) Gather(dst *slicing.Pinned, nodeIDs []int32, batch int) error {
 	}
 	dst.Ensure(len(nodeIDs), s.dim, batch, s.prec)
 
-	mir := s.mirror.Load()  // one generation per gather, lock-free
-	var reqs, pos [][]int32 // lazily sized to parts: ids to fetch per part, and their batch positions
+	mir := s.mirror.Load() // one generation per gather, lock-free
+	var sc *gatherScratch  // taken at the first row that must be fetched
 	var lookups, hits int64
 	for i, id := range nodeIDs {
 		p := s.part[id]
@@ -393,31 +403,29 @@ func (s *Remote) Gather(dst *slicing.Pinned, nodeIDs []int32, batch int) error {
 				continue
 			}
 		}
-		if reqs == nil {
-			reqs = make([][]int32, s.parts)
-			pos = make([][]int32, s.parts)
+		if sc == nil {
+			sc = s.takeScratch()
 		}
-		reqs[p] = append(reqs[p], id)
-		pos[p] = append(pos[p], int32(i))
+		sc.reqs[p] = append(sc.reqs[p], id)
+		sc.pos[p] = append(sc.pos[p], int32(i))
 	}
 
 	var fetched, wire int64
-	if reqs != nil {
-		var rbuf transport.Rows
-		for p := range reqs {
-			ids := reqs[p]
+	if sc != nil {
+		defer s.scratch.Put(sc)
+		for p, ids := range sc.reqs {
 			if len(ids) == 0 {
 				continue
 			}
-			nbytes, err := s.peers[p].FetchRows(ids, &rbuf)
+			nbytes, err := s.peers[p].FetchRows(ids, &sc.rows)
 			if err != nil {
 				return fmt.Errorf("store: remote gather from part %d: %w", p, err)
 			}
 			for j := range ids {
-				i := int(pos[p][j])
-				dst.CopyRow(i, &rbuf.Matrix, j)
+				i := int(sc.pos[p][j])
+				dst.CopyRow(i, &sc.rows.Matrix, j)
 				if i < batch {
-					dst.Labels[i] = rbuf.Labels[j]
+					dst.Labels[i] = sc.rows.Labels[j]
 				}
 			}
 			fetched += int64(len(ids))
@@ -445,6 +453,18 @@ func (s *Remote) Gather(dst *slicing.Pinned, nodeIDs []int32, batch int) error {
 		}
 	}
 	return nil
+}
+
+// takeScratch returns an emptied fetch state from the pool, or a new one.
+func (s *Remote) takeScratch() *gatherScratch {
+	sc, _ := s.scratch.Get().(*gatherScratch)
+	if sc == nil {
+		return &gatherScratch{reqs: make([][]int32, s.parts), pos: make([][]int32, s.parts)}
+	}
+	for p := range sc.reqs {
+		sc.reqs[p], sc.pos[p] = sc.reqs[p][:0], sc.pos[p][:0]
+	}
+	return sc
 }
 
 // Stats returns the accumulated transfer accounting (see the Remote doc for

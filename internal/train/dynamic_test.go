@@ -1,4 +1,4 @@
-package ddp
+package train
 
 import (
 	"testing"
@@ -12,10 +12,10 @@ import (
 // bit-identical to the static-graph trainer (and therefore, transitively
 // through TestTrainerMatchesUnionBitForBit, to the serial union oracle).
 func TestTrainerDynamicZeroDeltaBitIdentical(t *testing.T) {
-	ds := ddpDS(t)
+	ds := smallDS(t)
 	for _, R := range []int{2, 4} {
 		cfg := ddpCfg(R)
-		static, err := NewTrainer(ds, cfg)
+		static, err := New(ds, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,14 +29,14 @@ func TestTrainerDynamicZeroDeltaBitIdentical(t *testing.T) {
 		}
 		dcfg := ddpCfg(R)
 		dcfg.Graph = dyn
-		dynamic, err := NewTrainer(ds, dcfg)
+		dynamic, err := New(ds, dcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := dynamic.Fit(2); err != nil {
 			t.Fatal(err)
 		}
-		assertParamsBitEqual(t, "static vs dynamic(0 deltas)", static.Model().Params(), dynamic.Model().Params())
+		assertParamsBitEqual(t, "static vs dynamic(0 deltas)", static.Model.Params(), dynamic.Model.Params())
 	}
 }
 
@@ -45,7 +45,7 @@ func TestTrainerDynamicZeroDeltaBitIdentical(t *testing.T) {
 // every replica's stream reports the same pinned version, and training
 // stays deterministic (two trainers over identically churned graphs agree).
 func TestTrainerEpochPinsOneSnapshotAcrossReplicas(t *testing.T) {
-	ds := ddpDS(t)
+	ds := smallDS(t)
 	mk := func() (*Trainer, *graph.Dynamic) {
 		dyn, err := graph.NewDynamic(ds.G, graph.DynamicOptions{})
 		if err != nil {
@@ -53,7 +53,7 @@ func TestTrainerEpochPinsOneSnapshotAcrossReplicas(t *testing.T) {
 		}
 		cfg := ddpCfg(2)
 		cfg.Graph = dyn
-		tr, err := NewTrainer(ds, cfg)
+		tr, err := New(ds, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestTrainerEpochPinsOneSnapshotAcrossReplicas(t *testing.T) {
 		churn(dynA)
 		churn(dynB)
 	}
-	assertParamsBitEqual(t, "identically churned trainers", a.Model().Params(), b.Model().Params())
+	assertParamsBitEqual(t, "identically churned trainers", a.Model.Params(), b.Model.Params())
 	if v := a.pin.View().Version(); v != 1 {
 		t.Fatalf("trainer pinned version %d after first churn adoption, want 1", v)
 	}

@@ -31,30 +31,34 @@ func fitParams(t *testing.T, cfg Config) ([]float32, []EpochStats) {
 
 // TestFusedTrainingBitIdentical is the tentpole correctness gate: the fused
 // gather+aggregate pipeline must train BIT-identically to the staged path
-// for both fusable architectures. The fused kernel widens rows with the
-// exact expressions DecodeFeatures uses and accumulates neighbors in the
-// same edge order the first layer would, so every forward, loss, and
-// gradient matches to the last bit — not merely within a tolerance.
+// for both fusable architectures, on one replica and on two. The fused
+// kernel widens rows with the exact expressions DecodeFeatures uses and
+// accumulates neighbors in the same edge order the first layer would, so
+// every forward, loss, and gradient matches to the last bit — not merely
+// within a tolerance.
 func TestFusedTrainingBitIdentical(t *testing.T) {
-	for _, arch := range []string{"SAGE", "GIN"} {
-		cfg := smallCfg()
-		cfg.Arch = arch
-		staged, sStats := fitParams(t, cfg)
-		cfg.Fused = true
-		fused, fStats := fitParams(t, cfg)
-		if len(staged) != len(fused) {
-			t.Fatalf("%s: parameter count differs: %d vs %d", arch, len(staged), len(fused))
-		}
-		for i := range staged {
-			if staged[i] != fused[i] {
-				t.Fatalf("%s: parameter scalar %d differs after fused training: %v vs %v",
-					arch, i, staged[i], fused[i])
+	for _, R := range []int{1, 2} {
+		for _, arch := range []string{"SAGE", "GIN"} {
+			cfg := smallCfg()
+			cfg.Arch = arch
+			cfg.Replicas = R
+			staged, sStats := fitParams(t, cfg)
+			cfg.Fused = true
+			fused, fStats := fitParams(t, cfg)
+			if len(staged) != len(fused) {
+				t.Fatalf("%s R=%d: parameter count differs: %d vs %d", arch, R, len(staged), len(fused))
 			}
-		}
-		for e := range sStats {
-			if sStats[e].Loss != fStats[e].Loss || sStats[e].Acc != fStats[e].Acc {
-				t.Fatalf("%s epoch %d: staged loss/acc %.9f/%.6f, fused %.9f/%.6f",
-					arch, e, sStats[e].Loss, sStats[e].Acc, fStats[e].Loss, fStats[e].Acc)
+			for i := range staged {
+				if staged[i] != fused[i] {
+					t.Fatalf("%s R=%d: parameter scalar %d differs after fused training: %v vs %v",
+						arch, R, i, staged[i], fused[i])
+				}
+			}
+			for e := range sStats {
+				if sStats[e].Loss != fStats[e].Loss || sStats[e].Acc != fStats[e].Acc {
+					t.Fatalf("%s R=%d epoch %d: staged loss/acc %.9f/%.6f, fused %.9f/%.6f",
+						arch, R, e, sStats[e].Loss, sStats[e].Acc, fStats[e].Loss, fStats[e].Acc)
+				}
 			}
 		}
 	}

@@ -1,45 +1,29 @@
-package ddp
+package train
 
 import (
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"salient/internal/cache"
-	"salient/internal/dataset"
-	"salient/internal/device"
+	"salient/internal/ddp"
 	"salient/internal/half"
 	"salient/internal/nn"
 	"salient/internal/partition"
 	"salient/internal/prep"
 	"salient/internal/slicing"
 	"salient/internal/store"
-	"salient/internal/train"
 )
 
-func ddpDS(t testing.TB) *dataset.Dataset {
-	t.Helper()
-	ds, err := dataset.Load(dataset.Arxiv, 0.05)
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	return ds
-}
-
-func ddpCfg(replicas int) TrainConfig {
-	return TrainConfig{
-		Config: train.Config{
-			Arch:      "SAGE",
-			Hidden:    32,
-			Layers:    2,
-			Fanouts:   []int{10, 5},
-			BatchSize: 64,
-			LR:        5e-3,
-			Workers:   2,
-			Seed:      7,
-		},
-		Replicas: replicas,
-	}
+// ddpCfg is smallCfg on R replicas with 64-seed batches, so an epoch has
+// enough steps to exercise the barrier.
+func ddpCfg(replicas int) Config {
+	c := smallCfg()
+	c.BatchSize = 64
+	c.Replicas = replicas
+	return c
 }
 
 func assertParamsBitEqual(t *testing.T, label string, a, b []*nn.Param) {
@@ -57,29 +41,45 @@ func assertParamsBitEqual(t *testing.T, label string, a, b []*nn.Param) {
 // TestTrainerMatchesUnionBitForBit is the full-loop generalization of the
 // averaged-shard-equals-union-batch gradient property: R concurrent
 // replicas, whose per-step batches union to the single-replica schedule,
-// finish with parameters bit-identical to the serial Union oracle.
+// finish with parameters bit-identical to the serial Union oracle. At R = 1
+// the oracle is plain serial training (one batch per step, its gradient
+// copied through the stash), so the barrier loop must also reproduce it,
+// loss and accuracy included.
 func TestTrainerMatchesUnionBitForBit(t *testing.T) {
-	ds := ddpDS(t)
-	for _, R := range []int{2, 4} {
+	ds := smallDS(t)
+	for _, R := range []int{1, 2, 4} {
 		cfg := ddpCfg(R)
-		tr, err := NewTrainer(ds, cfg)
+		tr, err := New(ds, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tr.Fit(2); err != nil {
+		tstats, err := tr.Fit(2)
+		if err != nil {
 			t.Fatal(err)
 		}
 		un, err := NewUnion(ds, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := un.Fit(2); err != nil {
+		ustats, err := un.Fit(2)
+		if err != nil {
 			t.Fatal(err)
 		}
-		assertParamsBitEqual(t, "union vs leader", un.Model().Params(), tr.Model().Params())
+		assertParamsBitEqual(t, "union vs leader", un.Model().Params(), tr.Model.Params())
 		// And every replica must agree with the leader, bit for bit.
 		for r := 1; r < R; r++ {
-			assertParamsBitEqual(t, "leader vs replica", tr.Model().Params(), tr.reps[r].model.Params())
+			assertParamsBitEqual(t, "leader vs replica", tr.Model.Params(), tr.reps[r].model.Params())
+		}
+		// Loss sums run in replica order here and in batch order in the
+		// oracle, so the means agree bit for bit only when R = 1.
+		if R > 1 {
+			continue
+		}
+		for e := range tstats {
+			if tstats[e].Loss != ustats[e].Loss || tstats[e].Acc != ustats[e].Acc {
+				t.Fatalf("R=1 epoch %d stats diverge: trainer (%v,%v) vs union (%v,%v)",
+					e, tstats[e].Loss, tstats[e].Acc, ustats[e].Loss, ustats[e].Acc)
+			}
 		}
 	}
 }
@@ -89,7 +89,7 @@ func TestTrainerMatchesUnionBitForBit(t *testing.T) {
 // idle replicas receive the participants' averaged gradient and step in
 // lockstep, so the bit-identity survives nb % R != 0.
 func TestTrainerPartialFinalStepMatchesUnion(t *testing.T) {
-	ds := ddpDS(t)
+	ds := smallDS(t)
 	const R = 4
 	cfg := ddpCfg(R)
 	cfg.BatchSize = len(ds.Train)/5 + 1 // nb = 5 -> final step has 1 participant
@@ -98,7 +98,7 @@ func TestTrainerPartialFinalStepMatchesUnion(t *testing.T) {
 		t.Fatalf("test needs a partial final step, got nb=%d divisible by %d", nb, R)
 	}
 
-	tr, err := NewTrainer(ds, cfg)
+	tr, err := New(ds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,51 +112,18 @@ func TestTrainerPartialFinalStepMatchesUnion(t *testing.T) {
 	if _, err := un.Fit(2); err != nil {
 		t.Fatal(err)
 	}
-	assertParamsBitEqual(t, "partial-step union vs leader", un.Model().Params(), tr.Model().Params())
+	assertParamsBitEqual(t, "partial-step union vs leader", un.Model().Params(), tr.Model.Params())
 	for r := 1; r < R; r++ {
-		assertParamsBitEqual(t, "partial-step replicas", tr.Model().Params(), tr.reps[r].model.Params())
-	}
-}
-
-// TestTrainerR1MatchesSingleReplicaTrainer: with one replica the executing
-// DDP loop degenerates to plain single-replica training — same batches,
-// same dropout keys, same updates — and must reproduce train.Trainer bit
-// for bit, loss and accuracy included.
-func TestTrainerR1MatchesSingleReplicaTrainer(t *testing.T) {
-	ds := ddpDS(t)
-	cfg := ddpCfg(1)
-
-	tr, err := NewTrainer(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dstats, err := tr.Fit(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := train.New(ds, cfg.Config)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rstats, err := ref.Fit(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertParamsBitEqual(t, "R=1 vs train.Trainer", ref.Model.Params(), tr.Model().Params())
-	for e := range dstats {
-		if dstats[e].Loss != rstats[e].Loss || dstats[e].Acc != rstats[e].Acc {
-			t.Fatalf("epoch %d stats diverge: ddp (%v,%v) vs train (%v,%v)",
-				e, dstats[e].Loss, dstats[e].Acc, rstats[e].Loss, rstats[e].Acc)
-		}
+		assertParamsBitEqual(t, "partial-step replicas", tr.Model.Params(), tr.reps[r].model.Params())
 	}
 }
 
 // TestTrainerDeterministicAcrossReruns: concurrent replica scheduling must
 // never leak into results — two runs with the same seed agree bit for bit.
 func TestTrainerDeterministicAcrossReruns(t *testing.T) {
-	ds := ddpDS(t)
-	run := func() ([]TrainStats, []*nn.Param) {
-		tr, err := NewTrainer(ds, ddpCfg(4))
+	ds := smallDS(t)
+	run := func() ([]EpochStats, []*nn.Param) {
+		tr, err := New(ds, ddpCfg(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +131,7 @@ func TestTrainerDeterministicAcrossReruns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return stats, tr.Model().Params()
+		return stats, tr.Model.Params()
 	}
 	aStats, aParams := run()
 	bStats, bParams := run()
@@ -181,8 +148,8 @@ func TestTrainerDeterministicAcrossReruns(t *testing.T) {
 // different feature stores (a shard or cache per device) without changing
 // results — layout and transfer accounting only, never batch contents.
 func TestPerReplicaStoresDoNotChangeTraining(t *testing.T) {
-	ds := ddpDS(t)
-	want, err := NewTrainer(ds, ddpCfg(2))
+	ds := smallDS(t)
+	want, err := New(ds, ddpCfg(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,14 +171,14 @@ func TestPerReplicaStoresDoNotChangeTraining(t *testing.T) {
 	}
 	cfg := ddpCfg(2)
 	cfg.Stores = []store.FeatureStore{sharded, cached}
-	got, err := NewTrainer(ds, cfg)
+	got, err := New(ds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := got.Fit(2); err != nil {
 		t.Fatal(err)
 	}
-	assertParamsBitEqual(t, "per-replica stores", want.Model().Params(), got.Model().Params())
+	assertParamsBitEqual(t, "per-replica stores", want.Model.Params(), got.Model.Params())
 	if sharded.Stats().Gathers == 0 || cached.Stats().Gathers == 0 {
 		t.Fatal("training did not gather through the per-replica stores")
 	}
@@ -238,7 +205,7 @@ func (f *failingStore) Gather(dst *slicing.Pinned, nodeIDs []int32, batch int) e
 // replicas at the step barrier — streams drained, no deadlock, no panic.
 // Running under -race additionally checks the teardown for races.
 func TestTrainerErrorInjectionCancelsCleanly(t *testing.T) {
-	ds := ddpDS(t)
+	ds := smallDS(t)
 	cfg := ddpCfg(3)
 	flat := store.NewFlat(ds)
 	cfg.Stores = []store.FeatureStore{
@@ -246,10 +213,11 @@ func TestTrainerErrorInjectionCancelsCleanly(t *testing.T) {
 		&failingStore{FeatureStore: flat, after: 2},
 		store.NewFlat(ds),
 	}
-	tr, err := NewTrainer(ds, cfg)
+	tr, err := New(ds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := runtime.NumGoroutine()
 	stats, err := tr.Fit(3)
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("want injected error, got %v", err)
@@ -257,6 +225,7 @@ func TestTrainerErrorInjectionCancelsCleanly(t *testing.T) {
 	if len(stats) != 0 {
 		t.Fatalf("first epoch should have failed, got %d completed epochs", len(stats))
 	}
+	assertGoroutinesSettle(t, base)
 	// The trainer must remain usable: a later epoch over healthy stores
 	// (the failing store keeps failing, so re-running must fail fast again
 	// rather than deadlock on leaked buffers or credits).
@@ -265,27 +234,47 @@ func TestTrainerErrorInjectionCancelsCleanly(t *testing.T) {
 	}
 }
 
-// TestPartitioningSchemeSharedWithSimulator pins the satellite invariant:
-// the executing Trainer, the Union oracle, and the virtual-time simulators
-// report the same replica/seed partitioning scheme.
-func TestPartitioningSchemeSharedWithSimulator(t *testing.T) {
-	pr := device.PaperProfile()
-	for _, tc := range []struct{ nb, replicas int }{
-		{10, 1}, {10, 2}, {10, 3}, {7, 4}, {1, 8}, {16, 16},
-	} {
-		cal := device.Calibration("arxiv")
-		cal.Batches = tc.nb
-		sim := SimulateEpoch(pr, cal, tc.replicas, 2, 1)
-		if sim.Steps != StepsFor(tc.nb, tc.replicas) {
-			t.Fatalf("simulator steps %d != StepsFor(%d,%d)=%d",
-				sim.Steps, tc.nb, tc.replicas, StepsFor(tc.nb, tc.replicas))
+// assertGoroutinesSettle fails unless the goroutine count returns to base:
+// every replica goroutine, prep worker and reorder stage an epoch started
+// must have exited once TrainEpoch returns. Exits finish asynchronously
+// after their WaitGroup signals, so the count is polled briefly first.
+func assertGoroutinesSettle(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("%d goroutines after the epoch, %d before:\n%s", runtime.NumGoroutine(), base, buf)
 		}
+		time.Sleep(5 * time.Millisecond)
 	}
+}
 
-	// Executed epochs report the same step count.
-	ds := ddpDS(t)
+// TestTrainEpochLeavesNoGoroutines: a clean epoch, single- or multi-replica,
+// stops everything it started.
+func TestTrainEpochLeavesNoGoroutines(t *testing.T) {
+	ds := smallDS(t)
+	for _, R := range []int{1, 3} {
+		tr, err := New(ds, ddpCfg(R))
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := runtime.NumGoroutine()
+		if _, err := tr.TrainEpoch(0); err != nil {
+			t.Fatal(err)
+		}
+		assertGoroutinesSettle(t, base)
+	}
+}
+
+// TestExecutedStepsFollowDDPScheme: executed epochs report the step count
+// of the replica/seed partitioning scheme the simulators use
+// (ddp.TestPartitioningSchemeSharedWithSimulator checks the simulator side).
+func TestExecutedStepsFollowDDPScheme(t *testing.T) {
+	ds := smallDS(t)
 	cfg := ddpCfg(3)
-	tr, err := NewTrainer(ds, cfg)
+	tr, err := New(ds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,48 +283,18 @@ func TestPartitioningSchemeSharedWithSimulator(t *testing.T) {
 		t.Fatal(err)
 	}
 	nb := prep.NumBatches(len(ds.Train), cfg.BatchSize)
-	if st.Steps != StepsFor(nb, cfg.Replicas) {
-		t.Fatalf("executed steps %d != StepsFor(%d,%d)=%d", st.Steps, nb, cfg.Replicas, StepsFor(nb, cfg.Replicas))
+	if st.Steps != ddp.StepsFor(nb, cfg.Replicas) {
+		t.Fatalf("executed steps %d != StepsFor(%d,%d)=%d", st.Steps, nb, cfg.Replicas, ddp.StepsFor(nb, cfg.Replicas))
 	}
 	if st.Batches != nb {
 		t.Fatalf("executed %d batches, epoch has %d", st.Batches, nb)
-	}
-
-	// ShardSeeds must tile the permutation: chunk s*R+r of the global
-	// schedule is segment s of replica r's shard.
-	perm := prep.EpochPerm(ds.Train, 99)
-	const b, R = 48, 3
-	nb = prep.NumBatches(len(perm), b)
-	shards := make([][]int32, R)
-	for r := range shards {
-		shards[r] = ShardSeeds(perm, b, r, R)
-	}
-	var rebuilt []int32
-	offs := make([]int, R)
-	for c := 0; c < nb; c++ {
-		r := c % R
-		lo, hi := c*b, (c+1)*b
-		if hi > len(perm) {
-			hi = len(perm)
-		}
-		n := hi - lo
-		rebuilt = append(rebuilt, shards[r][offs[r]:offs[r]+n]...)
-		offs[r] += n
-	}
-	if len(rebuilt) != len(perm) {
-		t.Fatalf("shards tile %d seeds, perm has %d", len(rebuilt), len(perm))
-	}
-	for i := range perm {
-		if rebuilt[i] != perm[i] {
-			t.Fatalf("shard tiling diverges from the global permutation at seed %d", i)
-		}
 	}
 }
 
 // TestTrainerStatsAccounting sanity-checks the executed epoch's accounting.
 func TestTrainerStatsAccounting(t *testing.T) {
-	ds := ddpDS(t)
-	tr, err := NewTrainer(ds, ddpCfg(2))
+	ds := smallDS(t)
+	tr, err := New(ds, ddpCfg(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,10 +316,10 @@ func TestTrainerStatsAccounting(t *testing.T) {
 	}
 	// Replicas share one flat store by default, and training must have
 	// gathered through it.
-	if tr.FeatureStore(0) != tr.FeatureStore(1) {
+	if tr.reps[0].store != tr.reps[1].store {
 		t.Fatal("default store not shared across replicas")
 	}
-	if tr.FeatureStore(0).Stats().Gathers == 0 {
+	if tr.FeatureStore().Stats().Gathers == 0 {
 		t.Fatal("no gathers recorded on the shared store")
 	}
 }
@@ -373,10 +332,10 @@ func TestTrainerStatsAccounting(t *testing.T) {
 // (training-mode BatchNorm normalizes with batch statistics, so running
 // stats never feed gradients).
 func TestBatchNormArchBroadcastsBuffers(t *testing.T) {
-	ds := ddpDS(t)
+	ds := smallDS(t)
 	cfg := ddpCfg(2)
 	cfg.Arch = "GIN"
-	tr, err := NewTrainer(ds, cfg)
+	tr, err := New(ds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,9 +349,9 @@ func TestBatchNormArchBroadcastsBuffers(t *testing.T) {
 	if _, err := un.Fit(2); err != nil {
 		t.Fatal(err)
 	}
-	assertParamsBitEqual(t, "GIN union vs leader", un.Model().Params(), tr.Model().Params())
+	assertParamsBitEqual(t, "GIN union vs leader", un.Model().Params(), tr.Model.Params())
 
-	lead := tr.Model().(nn.BufferModel).StatBuffers()
+	lead := tr.Model.(nn.BufferModel).StatBuffers()
 	other := tr.reps[1].model.(nn.BufferModel).StatBuffers()
 	if len(lead) == 0 || len(lead) != len(other) {
 		t.Fatalf("expected matching BatchNorm buffer sets, got %d vs %d", len(lead), len(other))

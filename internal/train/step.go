@@ -8,9 +8,9 @@ import (
 )
 
 // EpochSeed derives the per-epoch shuffling/sampling seed from the training
-// seed — one definition shared by the single-replica Trainer and the
-// executing data-parallel trainer (internal/ddp), so both walk the same
-// epoch permutations.
+// seed — one definition shared by the Trainer, the Union oracle and any
+// caller that drives the layers directly, so all walk the same epoch
+// permutations.
 func EpochSeed(seed uint64, epoch int) uint64 {
 	return seed*0x9e3779b97f4a7c15 + uint64(epoch) + 1
 }
@@ -55,8 +55,8 @@ func (d *Decoder) Grad(rows, cols int) *tensor.Dense {
 	return d.grad
 }
 
-// StepStats summarizes one replica step: one batch's forward/backward.
-type StepStats struct {
+// stepStats summarizes one replica step: one batch's forward/backward.
+type stepStats struct {
 	Loss    float64 // mean NLL over the batch's seed rows
 	Correct int     // correctly predicted seed rows
 	Rows    int     // seed rows in the batch
@@ -64,22 +64,22 @@ type StepStats struct {
 	Edges   int
 }
 
-// ReplicaStep is the epoch body of mini-batch training — decode the staged
+// replicaStep is the epoch body of mini-batch training — decode the staged
 // batch, re-key dropout by (epochSeed, batch.GlobalIndex), forward, NLL
-// loss, backward — factored out of the single-replica loop so data-parallel
-// replicas (internal/ddp) run the identical computation. Gradients are
-// zeroed and then left accumulated in the model's parameters; the caller
-// owns the update policy (an immediate optimizer step for single-replica
-// training, cross-replica averaging first for DDP). pred is caller-provided
-// argmax scratch with capacity for at least the batch's seed rows.
-func ReplicaStep(model nn.Model, dec *Decoder, b *prep.Batch, epochSeed uint64, pred []int32) StepStats {
+// loss, backward — shared by the Trainer's replicas and the Union oracle so
+// both run the identical computation. Gradients are zeroed and then left
+// accumulated in the model's parameters; the caller owns the update policy
+// (cross-replica averaging, then an optimizer step). pred is
+// caller-provided argmax scratch with capacity for at least the batch's
+// seed rows.
+func replicaStep(model nn.Model, dec *Decoder, b *prep.Batch, epochSeed uint64, pred []int32) stepStats {
 	if rs, ok := model.(nn.DropoutReseeder); ok {
 		rs.ReseedDropout(DropoutSeed(epochSeed, b.GlobalIndex))
 	}
 	logp := forwardBatch(model, dec, b)
 	labels := b.Labels()
 	grad := dec.Grad(logp.Rows, logp.Cols) // NLLLoss zeroes it before writing
-	st := StepStats{Rows: logp.Rows, Nodes: b.MFG.TotalNodes(), Edges: b.MFG.TotalEdges()}
+	st := stepStats{Rows: logp.Rows, Nodes: b.MFG.TotalNodes(), Edges: b.MFG.TotalEdges()}
 	st.Loss = tensor.NLLLoss(logp, labels, grad)
 	logp.ArgmaxRows(pred[:logp.Rows])
 	for i := 0; i < logp.Rows; i++ {

@@ -85,21 +85,26 @@ func TestTrainerDeterministicGivenSeed(t *testing.T) {
 	}
 }
 
+// TestPyGExecutorTrainsEquivalently: the DataLoader-model executor trains,
+// on one replica and on two (each replica striped over its shard).
 func TestPyGExecutorTrainsEquivalently(t *testing.T) {
 	ds := smallDS(t)
-	cfg := smallCfg()
-	cfg.Executor = ExecPyG
-	tr, err := New(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := tr.Fit(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(stats[2].Loss < stats[0].Loss) {
-		t.Fatalf("PyG-executor training failed to reduce loss: %.4f -> %.4f",
-			stats[0].Loss, stats[2].Loss)
+	for _, R := range []int{1, 2} {
+		cfg := smallCfg()
+		cfg.Executor = ExecPyG
+		cfg.Replicas = R
+		tr, err := New(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := tr.Fit(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !(stats[2].Loss < stats[0].Loss) {
+			t.Fatalf("R=%d: PyG-executor training failed to reduce loss: %.4f -> %.4f",
+				R, stats[0].Loss, stats[2].Loss)
+		}
 	}
 }
 
