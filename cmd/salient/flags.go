@@ -78,14 +78,14 @@ func (f *cliFlags) register(fs *flag.FlagSet) {
 	fs.Float64Var(&f.cacheFrac, "cachefrac", 0.2, "feature cache fraction of N")
 	fs.StringVar(&f.cachePolicy, "cachepolicy", "degree", "feature cache placement: degree|lru|vip")
 	fs.IntVar(&f.embRows, "embrows", 0, "serve: historical layer-embedding cache rows (0 = reuse off)")
-	fs.Uint64Var(&f.embStale, "embstale", 1, "serve: embedding reuse staleness window, graph versions")
+	fs.Uint64Var(&f.embStale, "embstale", 1, "serve: embedding reuse staleness window, graph versions (0 = never reuse)")
 	fs.Float64Var(&f.zipf, "zipf", 0, "serve: Zipf skew of request popularity (0 = cycle the test split)")
 	fs.BoolVar(&f.poisson, "poisson", false, "serve: Poisson arrivals for open-loop -rate (default fixed-interval)")
 	fs.BoolVar(&f.dynamic, "dynamic", false, "train/serve over a mutable dynamic graph")
 	fs.Float64Var(&f.churn, "churn", 0, "with -dynamic: edge updates/sec streamed during the run")
 	fs.IntVar(&f.fleet, "fleet", 0, "serve: replicated fleet size (0 = single bare server)")
 	fs.StringVar(&f.routing, "routing", "hash", "serve with -fleet: request routing: hash|random")
-	fs.IntVar(&f.resultRows, "resultrows", 0, "serve with -fleet: versioned result-cache rows (0 = off)")
+	fs.IntVar(&f.resultRows, "resultrows", 0, "serve with -fleet: versioned result-memo rows (0 = off)")
 }
 
 // oneOf reports whether v is among the allowed values.
@@ -228,6 +228,9 @@ func (f *cliFlags) validate(cmd string) error {
 		}
 		if f.fleet > 0 && f.storeKind != "" {
 			return fmt.Errorf("-fleet builds its shared store and each replica's cache from -cachefrac/-cachepolicy; drop -store %s", f.storeKind)
+		}
+		if f.fleet > 0 && f.prec != half.FP16 {
+			return fmt.Errorf("-fleet serves fp16 features from its shared flat store; drop -precision %s", f.precision)
 		}
 	} else if f.fleet != 0 || f.resultRows != 0 {
 		return fmt.Errorf("-fleet/-resultrows apply to serve only")

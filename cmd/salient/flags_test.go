@@ -57,6 +57,11 @@ func TestValidate(t *testing.T) {
 		{"serve", []string{"-fused"}, "-fused applies to train only"},
 		{"train", []string{"-arch", "MLP"}, `unknown -arch "MLP"`},
 		{"serve", []string{"-resultrows", "8"}, "-resultrows requires -fleet >= 1"},
+		// The fleet builds a flat fp16 store; another precision would be
+		// silently ignored.
+		{"serve", []string{"-fleet", "2", "-precision", "fp16"}, ""},
+		{"serve", []string{"-fleet", "2", "-precision", "int8"}, "drop -precision int8"},
+		{"serve", []string{"-fleet", "2", "-precision", "fp32"}, "drop -precision fp32"},
 	} {
 		f := parse(t, tc.args...)
 		err := f.validate(tc.cmd)

@@ -36,7 +36,7 @@
 //	-precision P   train/serve: feature storage precision: fp16 | fp32 |
 //	               int8 (default fp16). int8 stores rows quantized with a
 //	               per-row scale, halving feature bytes moved versus fp16;
-//	               rows dequantize on gather.
+//	               rows dequantize on gather. -fleet serves fp16 only.
 //	-fused         train: fuse the layer-0 gather+aggregate into the batch
 //	               pipeline (SAGE and GIN with the salient executor).
 //	               Bit-identical to the staged path; skips staging/decoding
@@ -59,14 +59,15 @@
 //	               as a fraction of N (default 0.2)
 //	-cachepolicy P train/serve with a cached store: cache placement policy:
 //	               degree | lru | vip (default degree). vip admits rows by
-//	               observed access frequency x miss cost, adapting the
-//	               resident set to the live request mix.
+//	               observed access frequency, adapting the resident set to
+//	               the live request mix.
 //	-embrows N     serve: rows in the historical layer-embedding cache
 //	               (default 0 = reuse off). Hot frontier nodes with a fresh
 //	               cached first-layer embedding skip fan-out expansion;
 //	               requires -arch SAGE or GIN.
 //	-embstale K    serve with -embrows: staleness window in graph versions
-//	               (default 1). 0 reuses only same-version embeddings, which
+//	               (default 1): an embedding computed at most K versions
+//	               before the pinned one is reused. 0 never reuses, which
 //	               is bit-identical to serving without reuse.
 //	-zipf S        serve: draw request nodes from a Zipf(S) popularity
 //	               distribution over all N nodes instead of cycling the
@@ -86,9 +87,9 @@
 //	               bit-identical to the bare server.
 //	-routing P     serve with -fleet: request routing: hash (consistent-hash
 //	               affinity) | random (default hash)
-//	-resultrows N  serve with -fleet: rows in the versioned result cache in
-//	               front of the router; entries invalidate when the graph
-//	               version advances (default 0 = off)
+//	-resultrows N  serve with -fleet: rows in the versioned result memo in
+//	               front of the router; an entry stops hitting when the
+//	               graph version advances (default 0 = off)
 //
 // Bad flag values exit with status 2 and a usage message instead of running
 // with silently substituted defaults.
@@ -583,8 +584,8 @@ func runFleet(ds *dataset.Dataset, tr *train.Trainer, fanouts []int, f cliFlags)
 		fmt.Printf("graph      %d edge updates applied, version %d\n", churnApplied, st.MaxVersion)
 	}
 	if f.resultRows > 0 {
-		fmt.Printf("result memo  %d lookups, %d hits (%.0f%%), %d invalidated\n",
-			st.Result.Lookups, st.Result.Hits, 100*st.Result.HitRate(), st.Result.Invalidated)
+		fmt.Printf("result memo  %d lookups, %d hits (%.0f%%), %d stale\n",
+			st.Result.Lookups, st.Result.Hits, 100*st.Result.HitRate(), st.Result.Stale)
 	}
 	if st.CacheLookups+st.EmbLookups > 0 {
 		fmt.Printf("caches     combined hit rate %.0f%% (feature %d/%d, embedding %d/%d)\n",

@@ -88,8 +88,6 @@ func (s Stats) HitRate() float64 {
 type Cache struct {
 	policy   Policy
 	capacity int
-	partOf   func(int32) int32 // optional: per-shard budget partitioning
-	parts    int
 	sketch   *Sketch // VIP only: traffic observed through Touch
 
 	resident map[int32]*lruNode // node -> LRU entry (nil value for static)
@@ -109,19 +107,6 @@ type Options struct {
 	Capacity int
 	// Policy selects placement/replacement.
 	Policy Policy
-	// PartOf, with Parts, splits the row budget into per-shard budgets:
-	// placement planning selects Capacity/Parts rows (remainder spread over
-	// the first shards) independently per shard, so one shard's hot set
-	// cannot starve another's — the per-shard budget mode of the sharded
-	// store. Nil plans one global budget.
-	PartOf func(int32) int32
-	Parts  int
-	// DecayEvery, under VIP, enables TTL aging of the frequency sketch:
-	// after every DecayEvery observed accesses the sketch halves itself,
-	// so popularity from shifted-away Zipf hotspots ages out even between
-	// placement refreshes (refreshes also halve, sharing the same window
-	// clock). 0 (default) decays only at refreshes.
-	DecayEvery int64
 }
 
 // New builds a cache over topology g configured by o.
@@ -132,19 +117,13 @@ func New(g graph.Topology, o Options) (*Cache, error) {
 	if o.Capacity > int(g.NumNodes()) {
 		o.Capacity = int(g.NumNodes())
 	}
-	if o.PartOf != nil && o.Parts < 1 {
-		return nil, fmt.Errorf("cache: per-shard budgets need Parts >= 1, got %d", o.Parts)
-	}
 	c := &Cache{
 		policy:   o.Policy,
 		capacity: o.Capacity,
-		partOf:   o.PartOf,
-		parts:    o.Parts,
 		resident: make(map[int32]*lruNode, o.Capacity),
 	}
 	if o.Policy == VIP {
 		c.sketch = NewSketch(int(g.NumNodes()))
-		c.sketch.SetDecayWindow(o.DecayEvery)
 	}
 	c.Rebuild(g)
 	return c, nil
@@ -209,49 +188,13 @@ func (c *Cache) Plan(g graph.Topology) []int32 {
 			score[v] = int64(g.Degree(v))
 		}
 	}
-	plan := c.selectBudgeted(ids, score, capacity)
+	// Expected-O(n) quickselect of the capacity best-scored candidates.
+	k := min(capacity, len(ids))
+	topKSelect(ids, score, k)
 	if c.policy == VIP {
 		c.sketch.Decay()
 	}
-	return plan
-}
-
-// selectBudgeted picks up to capacity rows from the scored candidates —
-// globally, or independently per shard when per-shard budgets are
-// configured — via expected-O(n) quickselect.
-func (c *Cache) selectBudgeted(ids []int32, score []int64, capacity int) []int32 {
-	if c.partOf == nil {
-		k := capacity
-		if k > len(ids) {
-			k = len(ids)
-		}
-		topKSelect(ids, score, k)
-		return ids[:k]
-	}
-	partIDs := make([][]int32, c.parts)
-	partScore := make([][]int64, c.parts)
-	for i, v := range ids {
-		p := c.partOf(v)
-		if p < 0 || int(p) >= c.parts {
-			continue
-		}
-		partIDs[p] = append(partIDs[p], v)
-		partScore[p] = append(partScore[p], score[i])
-	}
-	base, extra := capacity/c.parts, capacity%c.parts
-	out := make([]int32, 0, capacity)
-	for p := 0; p < c.parts; p++ {
-		k := base
-		if p < extra {
-			k++
-		}
-		if k > len(partIDs[p]) {
-			k = len(partIDs[p])
-		}
-		topKSelect(partIDs[p], partScore[p], k)
-		out = append(out, partIDs[p][:k]...)
-	}
-	return out
+	return ids[:k]
 }
 
 // Adopt replaces the resident set with a planned placement (no-op for nil,
@@ -273,10 +216,6 @@ func (c *Cache) Capacity() int { return c.capacity }
 
 // Policy returns the cache's configured policy.
 func (c *Cache) Policy() Policy { return c.policy }
-
-// Sketch returns the VIP frequency sketch (nil for other policies). It is
-// safe to read concurrently with Touch traffic.
-func (c *Cache) Sketch() *Sketch { return c.sketch }
 
 // Len returns the number of currently resident rows.
 func (c *Cache) Len() int { return len(c.resident) }

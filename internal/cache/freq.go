@@ -2,8 +2,6 @@ package cache
 
 import (
 	"math"
-	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -21,17 +19,6 @@ import (
 type Sketch struct {
 	counts []uint32
 	obs    atomic.Int64
-
-	// TTL aging (SetDecayWindow): after every `window` observations the
-	// sketch halves itself, so popularity a hot set accrued K windows ago
-	// carries 2^-K weight even if the placement planner never runs — the
-	// way stale celebrities age out under shifting Zipf hotspots between
-	// refreshes. sinceDecay counts observations since the last halving
-	// (automatic or planner-triggered); decayMu elects one decayer so
-	// concurrent observers at the boundary can't stack halvings.
-	window     int64
-	sinceDecay atomic.Int64
-	decayMu    sync.Mutex
 }
 
 // NewSketch returns a sketch over n nodes (IDs [0, n)).
@@ -61,56 +48,9 @@ func (s *Sketch) Observe(v int32) {
 		}
 		if atomic.CompareAndSwapUint32(&s.counts[v], c, c+1) {
 			s.obs.Add(1)
-			s.maybeDecay()
 			return
 		}
 	}
-}
-
-// SetDecayWindow configures observation-count TTL aging: after every
-// `window` recorded observations the sketch halves every counter, exactly
-// as a planner-triggered Decay would. window <= 0 (the default) disables
-// automatic aging — history then decays only at placement refreshes.
-// Safe to call before traffic starts; not intended to race with Observe.
-func (s *Sketch) SetDecayWindow(window int64) {
-	if window < 0 {
-		window = 0
-	}
-	s.window = window
-}
-
-// maybeDecay halves the sketch when the observation window has filled.
-// One observer wins the election (TryLock); the rest proceed without
-// blocking — an extra observation or two past the boundary is noise, a
-// convoy on the hot path would not be.
-func (s *Sketch) maybeDecay() {
-	if s.window <= 0 {
-		return
-	}
-	if s.sinceDecay.Add(1) < s.window {
-		return
-	}
-	if !s.decayMu.TryLock() {
-		return
-	}
-	defer s.decayMu.Unlock()
-	if s.sinceDecay.Load() < s.window {
-		return // another decayer covered this window
-	}
-	s.decay()
-}
-
-// decay performs the halving itself; Decay (public) also resets the
-// TTL window so planner-triggered and automatic aging share one clock.
-func (s *Sketch) decay() {
-	s.sinceDecay.Store(0)
-	var total int64
-	for i := range s.counts {
-		c := atomic.LoadUint32(&s.counts[i]) / 2
-		atomic.StoreUint32(&s.counts[i], c)
-		total += int64(c)
-	}
-	s.obs.Store(total)
 }
 
 // Count returns node v's current access count (0 for out-of-range IDs).
@@ -128,67 +68,31 @@ func (s *Sketch) Observations() int64 { return s.obs.Load() }
 // Decay halves every counter — exponential aging, called by the placement
 // planner at each re-placement so that K refreshes ago's traffic carries
 // 2^-K weight. Concurrent Observes may slip between the load and the
-// store of a slot; the lost increment is one access of noise. Resets the
-// automatic-aging window (SetDecayWindow), so a refresh and a TTL
-// expiration never halve back to back.
+// store of a slot; the lost increment is one access of noise.
 func (s *Sketch) Decay() {
-	s.decayMu.Lock()
-	defer s.decayMu.Unlock()
-	s.decay()
+	var total int64
+	for i := range s.counts {
+		c := atomic.LoadUint32(&s.counts[i]) / 2
+		atomic.StoreUint32(&s.counts[i], c)
+		total += int64(c)
+	}
+	s.obs.Store(total)
 }
 
-// PlanVIP selects the rows to admit under a byte budget, frequency first:
-// candidates ids[i] with observed frequency freq[i] and per-row cost
-// rowBytes[i] are admitted in (frequency desc, id asc) order while they
-// fit. Bytes-saved-per-slot-byte density is freq[i]*rowBytes[i] saved per
-// rowBytes[i] occupied — the frequency itself — so a narrow int8 row and a
-// wide fp32 row compete on equal terms and the budget buys more narrow
-// rows. The returned selection never exceeds budgetBytes (the "budget
-// never exceeded" invariant the property tests pin).
-//
-// A nil rowBytes means uniform unit cost with budgetBytes counting rows —
-// the homogeneous-precision fast path, selected in O(len(ids)) by
-// quickselect instead of a full sort. The result's order is unspecified;
+// PlanVIP selects up to budget rows, frequency first: the candidates
+// ids[i] with the highest observed frequency freq[i] (ties to the lower
+// id), chosen in O(len(ids)) by quickselect. Every row of one store costs
+// the same, so the budget counts rows. The result's order is unspecified;
 // it is a set.
-func PlanVIP(ids []int32, freq []int64, rowBytes []int64, budgetBytes int64) []int32 {
-	if len(ids) == 0 || budgetBytes <= 0 {
+func PlanVIP(ids []int32, freq []int64, budget int64) []int32 {
+	if len(ids) == 0 || budget <= 0 {
 		return []int32{}
 	}
-	if rowBytes == nil {
-		k := int(budgetBytes)
-		if k > len(ids) {
-			k = len(ids)
-		}
-		out := append([]int32(nil), ids...)
-		sc := append([]int64(nil), freq...)
-		topKSelect(out, sc, k)
-		return out[:k]
-	}
-	// Heterogeneous row costs: exact greedy needs the full frequency order.
-	idx := make([]int, len(ids))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		if freq[ia] != freq[ib] {
-			return freq[ia] > freq[ib]
-		}
-		return ids[ia] < ids[ib]
-	})
-	out := make([]int32, 0, len(ids))
-	var used int64
-	for _, i := range idx {
-		if rowBytes[i] <= 0 {
-			continue
-		}
-		if used+rowBytes[i] > budgetBytes {
-			continue // a cheaper, colder row may still fit
-		}
-		used += rowBytes[i]
-		out = append(out, ids[i])
-	}
-	return out
+	k := int(min(budget, int64(len(ids))))
+	out := append([]int32(nil), ids...)
+	sc := append([]int64(nil), freq...)
+	topKSelect(out, sc, k)
+	return out[:k]
 }
 
 // topKSelect partially orders ids (and its parallel score slice) so that

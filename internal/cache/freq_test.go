@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"testing/quick"
 )
 
 // sortTopK is the oracle for topKSelect: full sort under the same
@@ -130,112 +129,6 @@ func TestSketchConcurrentObserveExact(t *testing.T) {
 	}
 }
 
-// TestPlanVIPBudgetNeverExceeded: under heterogeneous row costs the
-// admitted set's total bytes never exceed the budget, for random inputs.
-func TestPlanVIPBudgetNeverExceeded(t *testing.T) {
-	f := func(rawFreq []uint16, rawBytes []uint8, rawBudget uint16) bool {
-		n := len(rawFreq)
-		if len(rawBytes) < n {
-			n = len(rawBytes)
-		}
-		ids := make([]int32, n)
-		freq := make([]int64, n)
-		rowBytes := make([]int64, n)
-		cost := make(map[int32]int64, n)
-		for i := 0; i < n; i++ {
-			ids[i] = int32(i)
-			freq[i] = int64(rawFreq[i])
-			rowBytes[i] = int64(rawBytes[i]) // may be 0: skipped by planner
-			cost[ids[i]] = rowBytes[i]
-		}
-		budget := int64(rawBudget)
-		got := PlanVIP(ids, freq, rowBytes, budget)
-		var used int64
-		seen := make(map[int32]bool, len(got))
-		for _, v := range got {
-			if seen[v] {
-				return false // duplicates would double-pin a row
-			}
-			seen[v] = true
-			used += cost[v]
-		}
-		return used <= budget
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPlanVIPAdmissionMonotonicity: raising one candidate's frequency never
-// evicts it from the admitted set — if it was in, it stays in. (Note the
-// dual is false by design: a larger budget can admit one expensive hot row
-// in place of several cheap ones, so admission counts are not monotone in
-// budget; bytes-within-budget is the invariant, pinned above.)
-func TestPlanVIPAdmissionMonotonicity(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + r.Intn(24)
-		ids := make([]int32, n)
-		freq := make([]int64, n)
-		rowBytes := make([]int64, n)
-		for i := 0; i < n; i++ {
-			ids[i] = int32(i)
-			freq[i] = int64(r.Intn(50))
-			rowBytes[i] = int64(1 + r.Intn(16))
-		}
-		budget := int64(1 + r.Intn(64))
-		base := asSet(PlanVIP(ids, freq, rowBytes, budget))
-
-		// Bump one admitted candidate's frequency: must stay admitted.
-		for _, v := range ids {
-			if !base[v] {
-				continue
-			}
-			freq2 := append([]int64(nil), freq...)
-			freq2[v] += int64(1 + r.Intn(100))
-			after := asSet(PlanVIP(ids, freq2, rowBytes, budget))
-			if !after[v] {
-				t.Fatalf("trial %d: id %d dropped after its frequency rose", trial, v)
-			}
-			break
-		}
-	}
-}
-
-// TestPlanVIPCostAware: with equal frequencies, cheap rows fill the budget
-// that one expensive row would blow; with unequal frequencies, the hottest
-// rows win while they fit.
-func TestPlanVIPCostAware(t *testing.T) {
-	// Rows 0..3 are int8-narrow (4 bytes); row 4 is fp32-wide (16 bytes).
-	ids := []int32{0, 1, 2, 3, 4}
-	rowBytes := []int64{4, 4, 4, 4, 16}
-
-	// Same frequency everywhere: ids tie-break ascending, all four narrow
-	// rows fit a 16-byte budget; the wide row does not join them.
-	got := asSet(PlanVIP(ids, []int64{5, 5, 5, 5, 5}, rowBytes, 16))
-	for v := int32(0); v < 4; v++ {
-		if !got[v] {
-			t.Fatalf("narrow row %d not admitted under equal frequency", v)
-		}
-	}
-	if got[4] {
-		t.Fatalf("wide row admitted beyond budget")
-	}
-
-	// Wide row much hotter: it takes the whole budget, then cheaper colder
-	// rows that still fit are admitted after it.
-	got = asSet(PlanVIP(ids, []int64{1, 1, 1, 1, 100}, rowBytes, 20))
-	if !got[4] {
-		t.Fatalf("hottest (wide) row not admitted")
-	}
-	if !got[0] {
-		t.Fatalf("remaining 4 bytes should admit the cheapest tie-break row 0")
-	}
-	if got[1] || got[2] || got[3] {
-		t.Fatalf("over-admission past the 20-byte budget: %v", got)
-	}
-}
-
 func TestPlanVIPUnitCostMatchesTopK(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 100; trial++ {
@@ -247,7 +140,7 @@ func TestPlanVIPUnitCostMatchesTopK(t *testing.T) {
 			freq[i] = int64(r.Intn(6))
 		}
 		k := int64(r.Intn(n + 2))
-		got := asSet(PlanVIP(ids, freq, nil, k))
+		got := asSet(PlanVIP(ids, freq, k))
 		want := asSet(sortTopK(ids, freq, int(k)))
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: size %d want %d", trial, len(got), len(want))
@@ -322,68 +215,5 @@ func TestVIPCacheDecayShiftsPlacement(t *testing.T) {
 	}
 	if c.Resident(1) {
 		t.Fatalf("stale hot node 1 still resident with capacity 1")
-	}
-}
-
-func TestPerShardBudgets(t *testing.T) {
-	g := lineGraph(t, 12)
-	const parts = 3
-	partOf := func(v int32) int32 { return v % parts }
-	c, err := New(g, Options{
-		Capacity: 5, // 2 + 2 + 1 across shards 0,1,2
-		Policy:   VIP,
-		PartOf:   partOf,
-		Parts:    parts,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All traffic lands on shard-0 nodes (0, 3, 6, 9): without per-shard
-	// budgets they'd take 4 of 5 slots; with them, shard 0 gets exactly 2.
-	for i := 0; i < 20; i++ {
-		c.Touch(0)
-		c.Touch(3)
-		c.Touch(6)
-		c.Touch(9)
-	}
-	c.Touch(1) // shard 1
-	c.Touch(2) // shard 2
-	c.Rebuild(g)
-	perShard := map[int32]int{}
-	for v := int32(0); v < g.NumNodes(); v++ {
-		if c.Resident(v) {
-			perShard[partOf(v)]++
-		}
-	}
-	if perShard[0] != 2 {
-		t.Fatalf("shard 0 resident = %d, want exactly its budget 2 (got map %v)", perShard[0], perShard)
-	}
-	if perShard[1] != 1 || perShard[2] != 1 {
-		t.Fatalf("cold shards should hold their observed rows: %v", perShard)
-	}
-	if c.Len() > c.Capacity() {
-		t.Fatalf("resident %d exceeds capacity %d", c.Len(), c.Capacity())
-	}
-}
-
-func TestPerShardBudgetsStaticDegree(t *testing.T) {
-	// Star: node 0 is the hub. With per-shard budgets over 2 shards
-	// (even/odd), the hub takes shard 0's slot and shard 1 still gets its
-	// own best node instead of being starved by global ranking.
-	g := starGraph(t, 6) // nodes 0..6, node 0 has degree 6, leaves degree 1
-	c, err := New(g, Options{
-		Capacity: 2,
-		Policy:   StaticDegree,
-		PartOf:   func(v int32) int32 { return v % 2 },
-		Parts:    2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Resident(0) {
-		t.Fatalf("hub not resident")
-	}
-	if !c.Resident(1) {
-		t.Fatalf("shard 1's best node (lowest-id leaf) not resident; per-shard budget not honored")
 	}
 }

@@ -1,21 +1,20 @@
-// Package embcache is the historical layer-embedding cache behind serve's
-// fan-out truncation: first-layer output embeddings keyed by (node,
-// snapshot version), with a configurable bounded-staleness window.
+// Package embcache is the versioned node table: a fixed-capacity CLOCK
+// table of per-node rows, each tagged with the graph snapshot version it
+// was computed at. A lookup names the versions it accepts, so the table
+// itself holds no freshness policy. It backs two memo layers over the
+// sampled serving pipeline:
 //
-// The idea (the ROADMAP's "biggest available p99 lever for read-heavy
-// traffic", following the historical-embedding line of GNNAutoScale/VR-GCN
-// applied to serving): when a hot node's layer-1 embedding is already
-// cached at a recent-enough snapshot version, the server can stop sampling
-// below that node — the entire subtree of hop-2 fan-out, feature gather,
-// and first-layer aggregation for that frontier entry is replaced by one
-// row copy. Staleness is bounded per entry: an embedding computed at
-// version V serves a request pinned at version W iff W-V <= the configured
-// window, so graph updates age entries out naturally and a window of 0
-// disables reuse entirely (the bit-identity oracle).
-//
-// Entries are populated from completed batches at zero extra forward cost:
-// the layer-1 activations the forward pass computes anyway are copied in
-// before the in-place ReLU destroys them.
+//   - historical layer-embedding reuse (Cache[float32], rows of the
+//     layer-1 width, looked up through a per-worker Reuser): when a hot
+//     frontier node's layer-1 embedding was computed within the
+//     staleness window, the server stops sampling below that node — the
+//     entire subtree of hop-2 fan-out, feature gather, and first-layer
+//     aggregation for that frontier entry is replaced by one row copy.
+//     Entries are populated from completed batches at zero extra forward
+//     cost: the layer-1 activations the forward pass computes anyway are
+//     copied in before the in-place ReLU destroys them.
+//   - the fleet's result memo (Cache[int32], one predicted label per row),
+//     asked for exactly the shared graph's current version.
 //
 // Concurrency: Lookup takes a read lock, Put takes the write lock. The hot
 // Lookup path performs no allocation (//salient:noalloc, CI-gated);
@@ -29,28 +28,16 @@ import (
 	"sync/atomic"
 )
 
-// Options configures New.
-type Options struct {
-	// Rows is the maximum number of cached embeddings. Must be positive.
-	Rows int
-	// Staleness is the bounded-staleness window in snapshot versions: an
-	// entry stored at version V is usable at version W iff W >= V and
-	// W-V <= Staleness. Zero means no entry is ever usable (reuse
-	// disabled; the cache still absorbs entries so it can serve the moment
-	// the window is widened).
-	Staleness uint64
-}
-
-// Stats counts cache activity since the last ResetStats.
+// Stats counts table activity since the last ResetStats.
 type Stats struct {
 	Lookups   int64 // Lookup calls
-	Hits      int64 // lookups served from cache
-	Stale     int64 // lookups that found the node but outside the window
+	Hits      int64 // lookups served from the table
+	Stale     int64 // lookups that found the node outside the asked versions
 	Inserts   int64 // rows written (fresh or overwrite)
 	Evictions int64 // rows displaced by CLOCK
 }
 
-// HitRate returns the fraction of lookups served from cache.
+// HitRate returns the fraction of lookups served from the table.
 func (s Stats) HitRate() float64 {
 	if s.Lookups == 0 {
 		return 0
@@ -58,19 +45,18 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Lookups)
 }
 
-// Cache holds up to Rows embeddings of one layer's output dimension. The
-// dimension is fixed lazily by the first Put (models know their hidden
-// width; the cache should not).
-type Cache struct {
-	rows      int
-	staleness uint64
-	dim       atomic.Int32 // 0 until the first Put fixes it
+// Cache holds up to a fixed number of rows of T, one per node, each with
+// the snapshot version it was computed at. The row width is fixed lazily
+// by the first Put (models know their hidden width; the table should not).
+type Cache[T any] struct {
+	rows int
+	dim  atomic.Int32 // 0 until the first Put fixes it
 
 	mu    sync.RWMutex
-	data  []float32 // rows × dim, allocated at first Put
-	nodes []int32   // slot -> node (slots [len(slot), rows) are unused)
-	vers  []uint64  // slot -> snapshot version the embedding was computed at
-	ref   []uint32  // slot -> CLOCK reference bit (atomic; set by Lookup)
+	data  []T      // rows × dim, allocated at first Put
+	nodes []int32  // slot -> node (slots [len(slot), rows) are unused)
+	vers  []uint64 // slot -> snapshot version the row was computed at
+	ref   []uint32 // slot -> CLOCK reference bit (atomic; set by Lookup)
 	slot  map[int32]int32
 	hand  int // CLOCK hand
 
@@ -81,45 +67,37 @@ type Cache struct {
 	evicted int64 // under mu
 }
 
-// New builds an embedding cache.
-func New(o Options) (*Cache, error) {
-	if o.Rows <= 0 {
-		return nil, fmt.Errorf("embcache: rows must be positive, got %d", o.Rows)
+// New builds a table of the given row capacity.
+func New[T any](rows int) (*Cache[T], error) {
+	if rows <= 0 {
+		return nil, fmt.Errorf("embcache: rows must be positive, got %d", rows)
 	}
-	c := &Cache{
-		rows:      o.Rows,
-		staleness: o.Staleness,
-		nodes:     make([]int32, o.Rows),
-		vers:      make([]uint64, o.Rows),
-		ref:       make([]uint32, o.Rows),
-		slot:      make(map[int32]int32, o.Rows),
-	}
-	return c, nil
+	return &Cache[T]{
+		rows:  rows,
+		nodes: make([]int32, rows),
+		vers:  make([]uint64, rows),
+		ref:   make([]uint32, rows),
+		slot:  make(map[int32]int32, rows),
+	}, nil
 }
 
-// Rows returns the configured capacity.
-func (c *Cache) Rows() int { return c.rows }
+// Dim returns the row width, or 0 before the first Put.
+func (c *Cache[T]) Dim() int { return int(c.dim.Load()) }
 
-// Staleness returns the configured staleness window.
-func (c *Cache) Staleness() uint64 { return c.staleness }
-
-// Dim returns the embedding width, or 0 before the first Put.
-func (c *Cache) Dim() int { return int(c.dim.Load()) }
-
-// Len returns the number of cached embeddings.
-func (c *Cache) Len() int {
+// Len returns the number of stored rows.
+func (c *Cache[T]) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.slot)
 }
 
-// Lookup copies node's cached embedding into dst and reports whether it was
-// usable at snapshot version now: present, computed at a version <= now,
-// and within the staleness window. dst must have length Dim(). The hot
-// path of every truncated frontier entry — no allocation, no defer.
+// Lookup copies node's row into dst and reports whether it was computed at
+// a version in [oldest, newest]. An empty range (oldest > newest) never
+// hits. dst must have length Dim(). The hot path of every truncated
+// frontier entry and every memo probe — no allocation, no defer.
 //
 //salient:noalloc
-func (c *Cache) Lookup(node int32, now uint64, dst []float32) bool {
+func (c *Cache[T]) Lookup(node int32, oldest, newest uint64, dst []T) bool {
 	c.lookups.Add(1)
 	c.mu.RLock()
 	s, ok := c.slot[node]
@@ -127,8 +105,7 @@ func (c *Cache) Lookup(node int32, now uint64, dst []float32) bool {
 		c.mu.RUnlock()
 		return false
 	}
-	v := c.vers[s]
-	if c.staleness == 0 || v > now || now-v > c.staleness {
+	if v := c.vers[s]; v < oldest || v > newest {
 		c.mu.RUnlock()
 		c.stale.Add(1)
 		return false
@@ -141,27 +118,27 @@ func (c *Cache) Lookup(node int32, now uint64, dst []float32) bool {
 	return true
 }
 
-// Put stores node's embedding as computed at the given snapshot version,
+// Put stores node's row as computed at the given snapshot version,
 // overwriting any older entry for the node and evicting by CLOCK
-// second-chance when full. The first Put fixes the embedding width; later
-// widths must match (one cache caches one layer of one model).
-func (c *Cache) Put(node int32, version uint64, emb []float32) error {
+// second-chance when full. The first Put fixes the row width; later widths
+// must match (one table holds one kind of row).
+func (c *Cache[T]) Put(node int32, version uint64, row []T) error {
 	d := int(c.dim.Load())
 	if d == 0 {
 		c.mu.Lock()
 		if d = int(c.dim.Load()); d == 0 {
-			d = len(emb)
+			d = len(row)
 			if d == 0 {
 				c.mu.Unlock()
-				return fmt.Errorf("embcache: empty embedding")
+				return fmt.Errorf("embcache: empty row")
 			}
-			c.data = make([]float32, c.rows*d)
+			c.data = make([]T, c.rows*d)
 			c.dim.Store(int32(d))
 		}
 		c.mu.Unlock()
 	}
-	if len(emb) != d {
-		return fmt.Errorf("embcache: embedding width %d, cache fixed at %d", len(emb), d)
+	if len(row) != d {
+		return fmt.Errorf("embcache: row width %d, table fixed at %d", len(row), d)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -169,7 +146,7 @@ func (c *Cache) Put(node int32, version uint64, emb []float32) error {
 		// Overwrite in place; never replace a newer entry with an older one
 		// (a slow worker publishing behind a refresher).
 		if version >= c.vers[s] {
-			copy(c.data[int(s)*d:(int(s)+1)*d], emb)
+			copy(c.data[int(s)*d:(int(s)+1)*d], row)
 			c.vers[s] = version
 			c.inserts++
 		}
@@ -178,7 +155,7 @@ func (c *Cache) Put(node int32, version uint64, emb []float32) error {
 	s := c.freeSlotLocked()
 	c.nodes[s] = node
 	c.vers[s] = version
-	copy(c.data[int(s)*d:(int(s)+1)*d], emb)
+	copy(c.data[int(s)*d:(int(s)+1)*d], row)
 	c.slot[node] = s
 	atomic.StoreUint32(&c.ref[s], 1)
 	c.inserts++
@@ -188,7 +165,7 @@ func (c *Cache) Put(node int32, version uint64, emb []float32) error {
 // freeSlotLocked returns a free slot, evicting by CLOCK if none: sweep the
 // hand, clearing reference bits; the first slot found unreferenced since
 // its last sweep is the victim.
-func (c *Cache) freeSlotLocked() int32 {
+func (c *Cache[T]) freeSlotLocked() int32 {
 	if n := len(c.slot); n < c.rows {
 		// Entries are only ever replaced, never dropped, so slots fill in
 		// order and the first unused one is slot n.
@@ -209,7 +186,7 @@ func (c *Cache) freeSlotLocked() int32 {
 }
 
 // Stats returns a snapshot of the counters.
-func (c *Cache) Stats() Stats {
+func (c *Cache[T]) Stats() Stats {
 	c.mu.RLock()
 	inserts, evicted := c.inserts, c.evicted
 	c.mu.RUnlock()
@@ -222,8 +199,8 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// ResetStats clears the counters (not the cached embeddings).
-func (c *Cache) ResetStats() {
+// ResetStats clears the counters (not the stored rows).
+func (c *Cache[T]) ResetStats() {
 	c.mu.Lock()
 	c.inserts, c.evicted = 0, 0
 	c.mu.Unlock()

@@ -2,8 +2,10 @@ package embcache
 
 // Reuser is the per-worker adapter between the sampler's frontier
 // truncation hook and the forward pass: during sampling its Truncate
-// method answers "is this frontier node's layer-1 embedding reusable at
-// the pinned snapshot version?", copying hits into a private scratch
+// method answers "was this frontier node's layer-1 embedding computed
+// within the staleness window of the pinned snapshot version?" — a
+// version in [now−K, now], saturating at 0; K = 0 accepts no version, so
+// nothing is reused — copying hits into a private scratch
 // buffer; after the truncated forward pass the worker reads the hits back
 // (request index, frontier position, embedding row) and overwrites the
 // corresponding layer-1 output rows.
@@ -12,29 +14,32 @@ package embcache
 // matching the sampler/worker ownership model. The underlying Cache is
 // shared and concurrent-safe.
 type Reuser struct {
-	c       *Cache
-	version uint64
-	req     int32
-	call    int32
+	c      *Cache[float32]
+	window uint64
+	oldest uint64 // accepted versions of the current micro-batch
+	newest uint64
+	req    int32
+	call   int32
 
 	scratch []float32 // hit embeddings, d-strided
 	reqs    []int32   // hit -> request index within the micro-batch
 	locs    []int32   // hit -> frontier call index within that request
 }
 
-// NewReuser builds a reuser over the shared cache.
-func NewReuser(c *Cache) *Reuser {
-	return &Reuser{c: c}
+// NewReuser builds a reuser over the shared cache with staleness window K
+// snapshot versions.
+func NewReuser(c *Cache[float32], window uint64) *Reuser {
+	return &Reuser{c: c, window: window}
 }
-
-// Cache returns the shared cache this reuser consults.
-func (r *Reuser) Cache() *Cache { return r.c }
 
 // Begin starts a micro-batch pinned at the given snapshot version,
 // clearing the previous batch's hits (buffers are retained — steady state
 // allocates nothing).
 func (r *Reuser) Begin(version uint64) {
-	r.version = version
+	r.oldest, r.newest = version-min(version, r.window), version
+	if r.window == 0 {
+		r.oldest = version + 1 // the empty range: lookups count, never hit
+	}
 	r.scratch = r.scratch[:0]
 	r.reqs = r.reqs[:0]
 	r.locs = r.locs[:0]
@@ -71,7 +76,7 @@ func (r *Reuser) Truncate(node int32) bool {
 		r.scratch = grown
 	}
 	row := r.scratch[len(r.scratch):need]
-	if !r.c.Lookup(node, r.version, row) {
+	if !r.c.Lookup(node, r.oldest, r.newest, row) {
 		return false
 	}
 	r.scratch = r.scratch[:need]

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"salient/internal/dataset"
+	"salient/internal/embcache"
 	"salient/internal/event"
 	"salient/internal/graph"
 	"salient/internal/nn"
@@ -82,11 +83,11 @@ type Options struct {
 	// priority retains the full queue. Default 1: no priority shedding,
 	// matching the bare server.
 	PriorityLevels int
-	// ResultRows enables the versioned result cache with the given
-	// capacity: answers are memoized by (node, graph version) and served
-	// without touching a replica while the graph's version still equals
-	// the memoized version. 0 disables. Sound because serving is
-	// deterministic per (node, version).
+	// ResultRows enables the result memo with the given capacity: answers
+	// are memoized by (node, graph version) and served without touching a
+	// replica while the graph's version still equals the memoized version.
+	// 0 disables. Sound because serving is deterministic per (node,
+	// version).
 	ResultRows int
 	// Dynamic builds one graph.Dynamic over the dataset's graph, shared by
 	// every replica, enabling Update/AddNode. A write is applied once and
@@ -131,9 +132,9 @@ type Fleet struct {
 	opts    Options
 	reps    []*replica
 	ring    *Ring
-	results *resultCache   // nil when ResultRows == 0
-	base    *store.Flat    // the feature rows every replica gathers from
-	dyn     *graph.Dynamic // the shared graph; nil when the fleet is static
+	results *embcache.Cache[int32] // label memo; nil when ResultRows == 0
+	base    *store.Flat            // the feature rows every replica gathers from
+	dyn     *graph.Dynamic         // the shared graph; nil when the fleet is static
 
 	rr atomic.Uint64 // random-routing draw counter
 
@@ -154,11 +155,17 @@ func New(ds *dataset.Dataset, opts Options, models ...nn.Model) (*Fleet, error) 
 		return nil, fmt.Errorf("fleet: %d replicas need %d models, got %d", opts.Replicas, opts.Replicas, len(models))
 	}
 	f := &Fleet{
-		opts:    opts,
-		ring:    NewRing(opts.VNodes),
-		results: newResultCache(opts.ResultRows),
-		base:    store.NewFlat(ds),
-		routed:  make([]int64, opts.Replicas),
+		opts:   opts,
+		ring:   NewRing(opts.VNodes),
+		base:   store.NewFlat(ds),
+		routed: make([]int64, opts.Replicas),
+	}
+	if opts.ResultRows > 0 {
+		results, err := embcache.New[int32](opts.ResultRows)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: %w", err)
+		}
+		f.results = results
 	}
 	sopts := opts.Serve
 	sopts.Store = f.base
@@ -216,7 +223,7 @@ func (f *Fleet) Predict(node int32) (serve.Prediction, error) {
 	return f.PredictReq(serve.Request{Node: node})
 }
 
-// PredictReq answers one request end to end: result-cache probe, routing
+// PredictReq answers one request end to end: result-memo probe, routing
 // (affinity or random, load-bounded), admission (deadline
 // feasibility against the replica's live p95, priority versus queue
 // occupancy), then the replica's own deadline-checked execution. Refusals
@@ -226,11 +233,12 @@ func (f *Fleet) PredictReq(r serve.Request) (serve.Prediction, error) {
 	start := time.Now()
 	if f.results != nil {
 		v := f.version()
-		if label, ok := f.results.Get(r.Node, v); ok {
+		var label [1]int32
+		if f.results.Lookup(r.Node, v, v, label[:]) {
 			f.statsMu.Lock()
 			f.latency.Add(time.Since(start).Seconds())
 			f.statsMu.Unlock()
-			return serve.Prediction{Label: label, Version: v}, nil
+			return serve.Prediction{Label: label[0], Version: v}, nil
 		}
 	}
 	idx := f.route(r.Node)
@@ -263,7 +271,7 @@ func (f *Fleet) PredictReq(r serve.Request) (serve.Prediction, error) {
 		return p, err
 	}
 	if f.results != nil {
-		f.results.Put(r.Node, p.Label, p.Version)
+		_ = f.results.Put(r.Node, p.Version, []int32{p.Label}) // width is always 1
 	}
 	f.statsMu.Lock()
 	f.routed[idx]++
@@ -334,7 +342,7 @@ func (f *Fleet) countShed(r ShedReason) {
 
 // version returns the shared graph's latest version (0 for a static
 // fleet). Dynamic.Version takes the graph mutex, so reads call it only
-// when the result cache needs it.
+// when the result memo needs it.
 func (f *Fleet) version() uint64 {
 	if f.dyn == nil {
 		return 0
@@ -344,14 +352,10 @@ func (f *Fleet) version() uint64 {
 
 // Update applies a batch of edge insertions to the shared graph once and
 // returns the applied count and the new version; every replica's next
-// micro-batch sees the edges. Memoized results below the new version are
-// swept eagerly.
+// micro-batch sees the edges, and memoized results below the new version
+// can no longer hit.
 func (f *Fleet) Update(src, dst []int32) (int, uint64, error) {
-	applied, v, err := f.reps[0].srv.Update(src, dst)
-	if err == nil && f.results != nil {
-		f.results.InvalidateBelow(v)
-	}
-	return applied, v, err
+	return f.reps[0].srv.Update(src, dst)
 }
 
 // AddNode appends one node to the shared store and graph and returns its
@@ -359,11 +363,7 @@ func (f *Fleet) Update(src, dst []int32) (int, uint64, error) {
 // goes through replica 0's server, whose write lock keeps feature row and
 // node IDs aligned.
 func (f *Fleet) AddNode(feat []float32, label int32, neighbors []int32) (int32, uint64, error) {
-	id, v, err := f.reps[0].srv.AddNode(feat, label, neighbors)
-	if err == nil && f.results != nil {
-		f.results.InvalidateBelow(v)
-	}
-	return id, v, err
+	return f.reps[0].srv.AddNode(feat, label, neighbors)
 }
 
 // Close shuts every replica down (draining their queues).
@@ -377,7 +377,7 @@ func (f *Fleet) closeReplicas() {
 	}
 }
 
-// ResetStats zeroes the fleet's own counters, the result cache's traffic
+// ResetStats zeroes the fleet's own counters, the result memo's traffic
 // counters, and every replica's stats — the warm-up/measure seam. Cached
 // rows and memoized results stay.
 func (f *Fleet) ResetStats() {

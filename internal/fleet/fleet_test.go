@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -400,8 +401,9 @@ func TestFleetHashRoutingBeatsRandomOnCacheHits(t *testing.T) {
 }
 
 // TestFleetResultCache pins the versioned memo: a repeated request is
-// answered from the cache (the replica sees it once), and a graph update
-// invalidates the memo so the next request recomputes at the new version.
+// answered from the memo (the replica sees it once), and after a graph
+// update the next request finds the old-version answer stale and
+// recomputes at the new version.
 func TestFleetResultCache(t *testing.T) {
 	ds, _ := fitted(t)
 	f, err := New(ds, Options{
@@ -444,12 +446,12 @@ func TestFleetResultCache(t *testing.T) {
 	if third.Version != 1 {
 		t.Fatalf("post-update answer at version %d, want 1", third.Version)
 	}
-	if st := f.Stats(); st.Submitted != 2 || st.Result.Invalidated != 1 {
-		t.Fatalf("replica Submitted = %d, memo invalidated %d after Update, want 2 and 1",
-			st.Submitted, st.Result.Invalidated)
+	if st := f.Stats(); st.Submitted != 2 || st.Result.Stale != 1 {
+		t.Fatalf("replica Submitted = %d, memo stale %d after Update, want 2 and 1",
+			st.Submitted, st.Result.Stale)
 	}
 
-	// AddNode is a write too: it sweeps the version-1 answer, and the next
+	// AddNode is a write too: the version-1 answer is stale, and the next
 	// read is recomputed at the new version.
 	_, ver, err := f.AddNode(make([]float32, ds.FeatDim), 0, []int32{v})
 	if err != nil {
@@ -462,9 +464,9 @@ func TestFleetResultCache(t *testing.T) {
 	if fourth.Version != ver {
 		t.Fatalf("post-AddNode answer at version %d, want %d", fourth.Version, ver)
 	}
-	if st := f.Stats(); st.Submitted != 3 || st.Result.Invalidated != 2 {
-		t.Fatalf("replica Submitted = %d, memo invalidated %d after AddNode, want 3 and 2",
-			st.Submitted, st.Result.Invalidated)
+	if st := f.Stats(); st.Submitted != 3 || st.Result.Stale != 2 {
+		t.Fatalf("replica Submitted = %d, memo stale %d after AddNode, want 3 and 2",
+			st.Submitted, st.Result.Stale)
 	}
 }
 
@@ -721,5 +723,55 @@ func TestFleetOptionsValidation(t *testing.T) {
 	bad.Store = store.NewFlat(ds)
 	if _, err := New(ds, Options{Replicas: 2, Serve: bad}, sharedModel(t, 2)...); err == nil {
 		t.Fatal("user store accepted (the fleet builds the store its replicas share)")
+	}
+}
+
+// TestFleetCloseLeavesNoGoroutines: a 2-replica fleet with the result
+// memo, serving while a writer updates its shared graph, stops every
+// goroutine its replicas started by the time Close returns.
+func TestFleetCloseLeavesNoGoroutines(t *testing.T) {
+	ds, _ := fitted(t)
+	models := sharedModel(t, 2)
+	base := runtime.NumGoroutine()
+	f, err := New(ds, Options{
+		Replicas: 2, Serve: serveTemplate(), Dynamic: true, ResultRows: 32,
+	}, models...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, dst := freshEdges(t, 10)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := range src {
+			if _, _, err := f.Update(src[i:i+1], dst[i:i+1]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 60; i++ {
+			if _, err := f.Submit(ds.Test[i%20]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if st := f.Stats(); st.Result.Lookups == 0 || st.MaxVersion == 0 {
+		t.Fatalf("run exercised neither the memo nor updates: %+v", st.Result)
+	}
+	f.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("%d goroutines after Close, %d before New:\n%s", runtime.NumGoroutine(), base, buf)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -3,9 +3,9 @@
 // base feature store, keeps each replica's own caches hot on its own key slice
 // (consistent-hash affinity with bounded-load spill), sheds work that
 // cannot or should not be done (deadline- and priority-aware admission,
-// with reasons), and memoizes answers per graph version (a versioned
-// result cache). A fleet of one is bit-identical to the bare server it
-// wraps.
+// with reasons), and memoizes answers per graph version (an
+// embcache.Cache[int32] of labels, asked for exactly the current version).
+// A fleet of one is bit-identical to the bare server it wraps.
 package fleet
 
 import (

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"salient/internal/embcache"
 	"salient/internal/event"
 	"salient/internal/serve"
 )
@@ -12,7 +13,7 @@ import (
 // is a sum only when every replica has its own feature cache; without
 // one, each replica reports the shared base store's counters, and the
 // fleet reads them once. Latency is measured at the fleet boundary —
-// submit to answer through routing, admission and the result cache — so
+// submit to answer through routing, admission and the result memo — so
 // it is the latency a client of the fleet observes, not a merge of
 // replica-local distributions.
 type Stats struct {
@@ -25,7 +26,7 @@ type Stats struct {
 	Batches       int64
 	DeadlineSheds int64
 
-	// Fleet-boundary latency (includes result-cache hits, excludes shed
+	// Fleet-boundary latency (includes result-memo hits, excludes shed
 	// requests — they have no answer to time).
 	Latency event.Summary
 
@@ -44,8 +45,8 @@ type Stats struct {
 	// fleet).
 	MaxVersion uint64
 
-	// Result is the versioned result cache's traffic (zero when disabled).
-	Result ResultStats
+	// Result is the result memo's traffic (zero when disabled).
+	Result embcache.Stats
 
 	// Cache sums over replicas: device feature-cache and historical
 	// embedding-cache traffic, and the transfer bill (read once from the

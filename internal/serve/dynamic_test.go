@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,8 @@ import (
 	"salient/internal/cache"
 	"salient/internal/graph"
 	"salient/internal/rng"
+	"salient/internal/slicing"
+	"salient/internal/store"
 )
 
 // TestDynamicZeroDeltaMatchesStatic is the serving half of the tentpole
@@ -283,4 +286,126 @@ func TestUpdatedTopologyChangesSampling(t *testing.T) {
 	if pa.Version != va {
 		t.Fatalf("prediction pinned version %d, graph at %d", pa.Version, va)
 	}
+}
+
+// TestCacheRefreshRateLimited pins the placement-refresh limiter: the
+// first versioned snapshot a worker adopts replans the VIP placement, a
+// snapshot fewer than CacheRefreshEvery versions later does not, and one
+// that many versions later does — so a hot update stream cannot turn
+// every snapshot adoption into a full replacement scan.
+func TestCacheRefreshRateLimited(t *testing.T) {
+	ds, tr := fitted(t)
+	dyn, err := graph.NewDynamic(ds.G, graph.DynamicOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(tr.Model, ds, Options{
+		Fanouts: serveFanouts, Workers: 1, Seed: serveSeed, Graph: dyn,
+		CacheRows: 1, CachePolicy: cache.VIP, CacheRefreshEvery: 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c := srv.FeatureStore().(*store.Cached)
+	buf := slicing.NewPinned(1, c.Dim(), 1)
+	touch := func(v int32, times int) {
+		for i := 0; i < times; i++ {
+			if err := c.Gather(buf, []int32{v}, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	next := int32(0)
+	bump := func(k int) { // advance the graph k versions by fresh edge inserts
+		for want := dyn.Version() + uint64(k); dyn.Version() < want; {
+			next++
+			if _, _, err := srv.Update([]int32{0}, []int32{next}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	touch(3, 8)
+	bump(1)
+	srv.refreshCache(dyn.View())
+	if !c.Cache().Resident(3) {
+		t.Fatal("hot node 3 not resident after the first refresh")
+	}
+
+	touch(5, 20) // traffic shifts
+	bump(2)      // 2 versions past the last refresh, under 10
+	srv.refreshCache(dyn.View())
+	if c.Cache().Resident(5) {
+		t.Fatal("placement replanned inside the rate-limit window")
+	}
+
+	bump(10) // now 12 past it
+	srv.refreshCache(dyn.View())
+	if !c.Cache().Resident(5) {
+		t.Fatal("placement not replanned after the rate-limit window passed")
+	}
+}
+
+// assertGoroutinesSettle fails unless the goroutine count returns to base
+// within 2 s: whatever a closed server started has exited.
+func assertGoroutinesSettle(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("%d goroutines after Close, %d before New:\n%s", runtime.NumGoroutine(), base, buf)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestCloseLeavesNoGoroutines: a server with three workers and embedding
+// reuse, serving while a writer streams updates into its dynamic graph,
+// stops every goroutine it started by the time Close returns.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	ds, tr := fitted(t)
+	base := runtime.NumGoroutine()
+	dyn, err := graph.NewDynamic(ds.G, graph.DynamicOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(tr.Model, ds, Options{
+		Fanouts: serveFanouts, Workers: 3, MaxBatch: 8, Seed: serveSeed, Graph: dyn,
+		EmbCacheRows: 1024, EmbStaleness: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		r := rng.New(7)
+		for i := 0; i < 50; i++ {
+			src := []int32{int32(r.Intn(int(ds.G.N)))}
+			dst := []int32{int32(r.Intn(int(ds.G.N)))}
+			if _, _, err := srv.Update(src, dst); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for _, v := range ds.Test[:60] {
+			if _, err := srv.Submit(v); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if st := srv.Stats(); st.EmbLookups == 0 || st.GraphVersion == 0 {
+		t.Fatalf("run exercised neither reuse nor updates: %+v", st)
+	}
+	srv.Close()
+	assertGoroutinesSettle(t, base)
 }

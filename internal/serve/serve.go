@@ -305,7 +305,7 @@ type Server struct {
 	// emb is the shared historical layer-embedding cache and resume the
 	// model's split forward entry points; both are nil/zero unless
 	// Options.EmbCacheRows > 0.
-	emb    *embcache.Cache
+	emb    *embcache.Cache[float32]
 	resume nn.ResumeModel
 
 	// topo yields the topology view each micro-batch samples against; a
@@ -398,7 +398,7 @@ func New(m nn.Model, ds *dataset.Dataset, opts Options) (*Server, error) {
 		if len(opts.Fanouts) < 2 {
 			return nil, fmt.Errorf("serve: embedding reuse needs at least 2 layers, got %d", len(opts.Fanouts))
 		}
-		emb, err := embcache.New(embcache.Options{Rows: opts.EmbCacheRows, Staleness: opts.EmbStaleness})
+		emb, err := embcache.New[float32](opts.EmbCacheRows)
 		if err != nil {
 			return nil, err
 		}
@@ -677,7 +677,7 @@ func (s *Server) worker() {
 	snap0 := s.topo.View()
 	ws := &workerState{sm: sampler.New(snap0, s.opts.Fanouts, sampler.FastConfig()), snap: snap0, r: rng.New(0)}
 	if s.emb != nil {
-		ws.emb = embcache.NewReuser(s.emb)
+		ws.emb = embcache.NewReuser(s.emb, s.opts.EmbStaleness)
 		ws.sm.SetTruncate(ws.emb.Truncate)
 	}
 	batch := make([]*request, 0, s.opts.MaxBatch)

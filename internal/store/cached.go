@@ -2,9 +2,7 @@ package store
 
 import (
 	"fmt"
-
 	"sync"
-	"sync/atomic"
 
 	"salient/internal/cache"
 	"salient/internal/graph"
@@ -29,9 +27,6 @@ import (
 type Cached struct {
 	inner FeatureStore
 
-	refreshEvery uint64        // min version delta between placement replans (0 = every call)
-	lastPlanned  atomic.Uint64 // topology version of the last adopted plan
-
 	mu    sync.Mutex
 	cache *cache.Cache
 	stats Stats
@@ -43,42 +38,19 @@ type CacheOptions struct {
 	Rows int
 	// Policy selects placement/replacement (StaticDegree, LRU, VIP).
 	Policy cache.Policy
-	// PerShard, over a *Sharded inner store, splits Rows into per-shard
-	// budgets (Rows/Parts each, remainder to the first shards) so one
-	// shard's hot set cannot monopolize the cache.
-	PerShard bool
-	// RefreshEvery rate-limits placement replanning under churn: Refresh
-	// replans only when the topology's version has advanced by at least
-	// this many versions since the last adopted plan (versioned topologies
-	// only; static graphs always replan). Zero replans on every call.
-	RefreshEvery uint64
-	// DecayEvery, under VIP, TTL-ages the frequency sketch every this many
-	// observed accesses (cache.Options.DecayEvery), so stale popularity
-	// fades between refreshes. 0 decays only at refreshes.
-	DecayEvery int64
 }
 
 // NewCached wraps inner with a cache configured by o over topology g (the
-// degree source for static placement, the shard map source for per-shard
-// budgets).
+// degree source for static placement).
 func NewCached(inner FeatureStore, g graph.Topology, o CacheOptions) (*Cached, error) {
 	if int(g.NumNodes()) != inner.NumNodes() {
 		return nil, fmt.Errorf("store: cache graph has %d nodes, store holds %d", g.NumNodes(), inner.NumNodes())
 	}
-	copts := cache.Options{Capacity: o.Rows, Policy: o.Policy, DecayEvery: o.DecayEvery}
-	if o.PerShard {
-		sh, ok := inner.(*Sharded)
-		if !ok {
-			return nil, fmt.Errorf("store: per-shard cache budgets need a sharded inner store, got %T", inner)
-		}
-		copts.PartOf = sh.Part
-		copts.Parts = sh.Parts()
-	}
-	c, err := cache.New(g, copts)
+	c, err := cache.New(g, cache.Options{Capacity: o.Rows, Policy: o.Policy})
 	if err != nil {
 		return nil, err
 	}
-	return &Cached{inner: inner, cache: c, refreshEvery: o.RefreshEvery}, nil
+	return &Cached{inner: inner, cache: c}, nil
 }
 
 // Dim returns the feature dimensionality.
@@ -95,26 +67,12 @@ func (c *Cached) Cache() *cache.Cache { return c.cache }
 
 // Refresh recomputes the cache placement against a new topology snapshot —
 // the per-snapshot replacement policy of the dynamic-graph path (top-K by
-// degree, or by observed traffic under VIP). The serving layer calls it
-// once per adopted snapshot version. The O(N) ranking runs OUTSIDE the
-// settle lock so concurrent Gathers never stall behind it; only the O(K)
-// resident-set swap holds the lock. No-op for recency-based policies, and
-// rate-limited under churn when CacheOptions.RefreshEvery is set: versioned
-// topologies replan only every RefreshEvery versions, so a hot update
-// stream cannot turn every snapshot adoption into a full replacement scan.
+// degree, or by observed traffic under VIP). The serving layer rate-limits
+// its calls under churn (serve.Options.CacheRefreshEvery). The O(N)
+// ranking runs OUTSIDE the settle lock so concurrent Gathers never stall
+// behind it; only the O(K) resident-set swap holds the lock. No-op for
+// recency-based policies.
 func (c *Cached) Refresh(g graph.Topology) {
-	if c.refreshEvery > 0 {
-		if view, ok := g.(graph.View); ok {
-			ver := view.Version()
-			last := c.lastPlanned.Load()
-			if last != 0 && ver >= last && ver-last < c.refreshEvery {
-				return // placement fresh enough for this churn window
-			}
-			if !c.lastPlanned.CompareAndSwap(last, ver) {
-				return // a concurrent refresher claimed this window
-			}
-		}
-	}
 	ids := c.cache.Plan(g)
 	if ids == nil {
 		return

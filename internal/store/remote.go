@@ -313,7 +313,7 @@ func (s *Remote) refreshMirrorLocked() error {
 			freq = append(freq, int64(c))
 		}
 	}
-	plan := cache.PlanVIP(ids, freq, nil, int64(s.mbudget))
+	plan := cache.PlanVIP(ids, freq, int64(s.mbudget))
 	m, err := s.buildMirror(plan, s.mirror.Load())
 	if err != nil {
 		return fmt.Errorf("store: refreshing VIP mirror: %w", err)

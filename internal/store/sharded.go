@@ -91,9 +91,6 @@ func (s *Sharded) Precision() half.Precision { return s.prec }
 // NumNodes returns the number of feature rows held.
 func (s *Sharded) NumNodes() int { return s.n }
 
-// Parts returns the shard count.
-func (s *Sharded) Parts() int { return s.parts }
-
 // Part returns the shard holding node v's row.
 func (s *Sharded) Part(v int32) int32 { return s.part[v] }
 

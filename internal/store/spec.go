@@ -23,11 +23,6 @@ type Spec struct {
 	CacheRows int
 	// CachePolicy selects the replacement policy for cached stores.
 	CachePolicy cache.Policy
-	// PerShardCache splits the cache budget per shard (sharded+cached only).
-	PerShardCache bool
-	// CacheRefreshEvery rate-limits cache re-placement under churn (see
-	// CacheOptions.RefreshEvery).
-	CacheRefreshEvery uint64
 	// Seed keys random placement.
 	Seed uint64
 	// Precision is the storage precision of the feature rows (zero value
@@ -100,13 +95,5 @@ func Build(ds *dataset.Dataset, spec Spec) (FeatureStore, error) {
 	if rows == 0 {
 		rows = base.NumNodes() / 5
 	}
-	if spec.PerShardCache && spec.Kind != "sharded+cached" {
-		return nil, fmt.Errorf("store: per-shard cache budgets need kind sharded+cached, got %q", spec.Kind)
-	}
-	return NewCached(base, ds.G, CacheOptions{
-		Rows:         rows,
-		Policy:       spec.CachePolicy,
-		PerShard:     spec.PerShardCache,
-		RefreshEvery: spec.CacheRefreshEvery,
-	})
+	return NewCached(base, ds.G, CacheOptions{Rows: rows, Policy: spec.CachePolicy})
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"salient/internal/cache"
-	"salient/internal/graph"
 	"salient/internal/half"
 	"salient/internal/rng"
 	"salient/internal/slicing"
@@ -103,103 +102,4 @@ func TestVIPCachedMovesFewerBytesThanDegree(t *testing.T) {
 	}
 	t.Logf("capacity %d rows: VIP moved %d bytes vs degree %d (%.1f%% saved)",
 		capRows, vb, db, 100*(1-float64(vb)/float64(db)))
-}
-
-// TestCachedRefreshRateLimited pins the churn rate limit: with RefreshEvery
-// set, placement replans only after the topology version advances far
-// enough, so a hot update stream cannot force a replacement scan per
-// snapshot.
-func TestCachedRefreshRateLimited(t *testing.T) {
-	ds := testDS(t)
-	d, err := graph.NewDynamic(ds.G, graph.DynamicOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewCached(NewFlatPrec(ds, half.FP16), ds.G, CacheOptions{
-		Rows: 1, Policy: cache.VIP, RefreshEvery: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bump := func(k int) { // apply k version-advancing node appends
-		for i := 0; i < k; i++ {
-			if _, err := d.AddNodes(1); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	buf := slicing.NewPinned(1, c.Dim(), 1)
-	touch := func(v int32, times int) {
-		for i := 0; i < times; i++ {
-			if err := c.Gather(buf, []int32{v}, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	touch(3, 8)
-	bump(1)
-	c.Refresh(d.View()) // first refresh always plans
-	if !c.Cache().Resident(3) {
-		t.Fatal("hot node 3 not resident after first refresh")
-	}
-
-	touch(5, 20) // traffic shifts
-	bump(2)      // version delta 2 < 10
-	c.Refresh(d.View())
-	if c.Cache().Resident(5) {
-		t.Fatal("refresh replanned inside the rate-limit window")
-	}
-
-	bump(10) // delta now >= 10
-	c.Refresh(d.View())
-	if !c.Cache().Resident(5) {
-		t.Fatal("refresh did not replan after the rate-limit window passed")
-	}
-}
-
-// TestPerShardCachedComposition: the sharded+cached composition with
-// per-shard budgets holds at most its per-shard share resident per shard.
-func TestPerShardCachedComposition(t *testing.T) {
-	ds := testDS(t)
-	const parts = 4
-	capRows := 64
-	st, err := Build(ds, Spec{
-		Kind:          "sharded+cached",
-		Parts:         parts,
-		CacheRows:     capRows,
-		CachePolicy:   cache.VIP,
-		PerShardCache: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := st.(*Cached)
-	sh := c.inner.(*Sharded)
-
-	lists := zipfLists(int(ds.G.N), 1.2, 5, 6, 30, 128)
-	driveLists(t, c, lists)
-	c.Refresh(ds.G)
-
-	perShard := make([]int, parts)
-	for v := int32(0); int(v) < int(ds.G.N); v++ {
-		if c.Cache().Resident(v) {
-			perShard[sh.Part(v)]++
-		}
-	}
-	budget := capRows / parts
-	for p, got := range perShard {
-		if got > budget+1 { // +1 for the remainder share
-			t.Fatalf("shard %d holds %d resident rows, budget %d", p, got, budget)
-		}
-	}
-	if c.Cache().Len() > capRows {
-		t.Fatalf("resident %d exceeds capacity %d", c.Cache().Len(), capRows)
-	}
-
-	// Per-shard budgets over a non-sharded store must be rejected.
-	if _, err := Build(ds, Spec{Kind: "cached", PerShardCache: true}); err == nil {
-		t.Fatal("per-shard budgets over flat store accepted")
-	}
 }
