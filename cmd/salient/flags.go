@@ -76,7 +76,7 @@ func (f *cliFlags) register(fs *flag.FlagSet) {
 	fs.IntVar(&f.requests, "requests", 4000, "serve: request count")
 	fs.IntVar(&f.maxBatch, "maxbatch", 32, "serve: micro-batch cap")
 	fs.Float64Var(&f.cacheFrac, "cachefrac", 0.2, "feature cache fraction of N")
-	fs.StringVar(&f.cachePolicy, "cachepolicy", "degree", "feature cache placement: degree|lru|vip")
+	fs.StringVar(&f.cachePolicy, "cachepolicy", "degree", "feature cache placement: degree|vip (-transport mirrors: degree only)")
 	fs.IntVar(&f.embRows, "embrows", 0, "serve: historical layer-embedding cache rows (0 = reuse off)")
 	fs.Uint64Var(&f.embStale, "embstale", 1, "serve: embedding reuse staleness window, graph versions (0 = never reuse)")
 	fs.Float64Var(&f.zipf, "zipf", 0, "serve: Zipf skew of request popularity (0 = cycle the test split)")
@@ -240,8 +240,9 @@ func (f *cliFlags) validate(cmd string) error {
 
 // validateDistributed checks the -transport/-hosts combination: each replica
 // owns one partition and trains through a remote store, so the host count is
-// the replica count, the store layout is the cluster's, and the fused and
-// dynamic-graph paths (which need local stores/mutable topology) stay off.
+// the replica count, the store layout and its degree-warmed mirror are the
+// cluster's, and the fused and dynamic-graph paths (which need local
+// stores/mutable topology) stay off.
 func (f *cliFlags) validateDistributed() error {
 	if !f.distributed() {
 		if f.hosts != 0 {
@@ -269,6 +270,9 @@ func (f *cliFlags) validateDistributed() error {
 	}
 	if f.dynamic {
 		return fmt.Errorf("-dynamic is not supported with -transport (partitioned views are pinned)")
+	}
+	if f.policy != cache.StaticDegree {
+		return fmt.Errorf("-transport %s warms each host's mirror by degree; drop -cachepolicy %s", f.transport, f.cachePolicy)
 	}
 	return nil
 }

@@ -62,6 +62,11 @@ func TestValidate(t *testing.T) {
 		{"serve", []string{"-fleet", "2", "-precision", "fp16"}, ""},
 		{"serve", []string{"-fleet", "2", "-precision", "int8"}, "drop -precision int8"},
 		{"serve", []string{"-fleet", "2", "-precision", "fp32"}, "drop -precision fp32"},
+		// "lru" is no policy; the distributed mirror has no policy to choose.
+		{"serve", []string{"-cachepolicy", "lru"}, `unknown policy "lru"`},
+		{"train", []string{"-replicas", "2", "-transport", "loopback"}, ""},
+		{"train", []string{"-replicas", "2", "-transport", "loopback", "-cachepolicy", "degree"}, ""},
+		{"train", []string{"-replicas", "2", "-transport", "loopback", "-cachepolicy", "vip"}, "drop -cachepolicy vip"},
 	} {
 		f := parse(t, tc.args...)
 		err := f.validate(tc.cmd)
@@ -102,6 +107,7 @@ func TestCommandExits(t *testing.T) {
 		{[]string{"all", "-trace", "out"}, 2, "-trace applies to fig1 only"},
 		{[]string{"serve", "-delay", "0"}, 2, "flag provided but not defined: -delay"},
 		{[]string{"serve", "-fleet", "2", "-dynamic", "-maxskew", "4"}, 2, "flag provided but not defined: -maxskew"},
+		{[]string{"serve", "-cachepolicy", "lru"}, 2, `unknown policy "lru"`},
 		// Happy paths, each well under a second at these scales.
 		{[]string{"train", "-scale", "0.05", "-epochs", "1"}, 0, "epoch  0"},
 		// At -scale 0.25 the 2295 training seeds make three 1024-seed

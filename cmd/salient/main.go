@@ -58,9 +58,9 @@
 //	-cachefrac F   serve, and train with -store cached: feature cache size
 //	               as a fraction of N (default 0.2)
 //	-cachepolicy P train/serve with a cached store: cache placement policy:
-//	               degree | lru | vip (default degree). vip admits rows by
+//	               degree | vip (default degree). vip places rows by
 //	               observed access frequency, adapting the resident set to
-//	               the live request mix.
+//	               the live request mix. -transport mirrors by degree only.
 //	-embrows N     serve: rows in the historical layer-embedding cache
 //	               (default 0 = reuse off). Hot frontier nodes with a fresh
 //	               cached first-layer embedding skip fan-out expansion;
@@ -449,7 +449,7 @@ func runServe(f cliFlags) error {
 	// A VIP cache places rows by observed access frequency, so on a static
 	// graph the run warms it with a prefix of the workload and refreshes
 	// the resident set once before the measured pass (dynamic graphs
-	// refresh on every snapshot change instead).
+	// refresh as workers adopt new snapshots instead).
 	if f.policy == cache.VIP && dyn == nil {
 		if cached, ok := fstore.(*store.Cached); ok {
 			warm := nodes

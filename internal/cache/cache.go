@@ -3,23 +3,23 @@
 // Zero-Copy): keep the feature rows of frequently sampled nodes in device
 // memory so batch transfers only carry the misses.
 //
-// Two policies are provided:
+// Hot-row placement is one decision made here: rank the candidate rows by a
+// score and keep the top K under (score desc, id asc), chosen by TopK. Two
+// scores are provided:
 //
-//   - Static degree cache: pin the top-K highest-degree nodes. Node-wise
-//     sampling revisits high-degree nodes with probability roughly
-//     proportional to degree, so a small static cache absorbs a large
-//     fraction of feature traffic on power-law graphs.
+//   - Static degree: pin the top-K highest-degree nodes. Node-wise sampling
+//     revisits high-degree nodes with probability roughly proportional to
+//     degree, so a small static cache absorbs a large fraction of feature
+//     traffic on power-law graphs. store.Remote warms its mirror of remote
+//     rows with the same ranking.
 //
-//   - LRU cache: classic recency eviction, as a dynamic baseline. It must
-//     pay transfer for every miss anyway (the row is then resident), so its
-//     advantage over static is workload drift — which node-wise sampling on
-//     a fixed graph exhibits little of.
+//   - VIP: access-frequency placement (the SALIENT++/VIP policy the paper's
+//     successor line shows beating degree heuristics). Every Touch feeds an
+//     O(1) frequency sketch; each Rebuild re-places the top rows by observed
+//     traffic and halves the sketch, so placement tracks what is actually
+//     gathered — not a static structural proxy.
 //
-//   - VIP cache: access-frequency placement (the SALIENT++/VIP policy the
-//     paper's successor line shows beating degree heuristics). Every Touch
-//     feeds an O(1) frequency sketch; each Rebuild re-places the top rows by
-//     observed traffic and halves the sketch, so placement tracks what is
-//     actually gathered — not a static structural proxy.
+// Neither policy evicts on a miss: residency changes only at a Rebuild.
 //
 // The package computes exact per-batch hit statistics against real sampled
 // MFGs; store.Cached turns them into its transfer-savings accounting.
@@ -31,41 +31,34 @@ import (
 	"salient/internal/graph"
 )
 
-// Policy identifies a cache replacement/placement policy.
+// Policy identifies a cache placement policy.
 type Policy int
 
 const (
-	// StaticDegree pins the top-capacity nodes by degree; no eviction.
+	// StaticDegree pins the top-capacity nodes by degree.
 	StaticDegree Policy = iota
-	// LRU evicts the least recently used row on miss.
-	LRU
 	// VIP pins the top-capacity nodes by observed access frequency,
-	// re-placed at every Rebuild; no per-miss eviction.
+	// re-placed at every Rebuild.
 	VIP
 )
 
 func (p Policy) String() string {
-	switch p {
-	case LRU:
-		return "lru"
-	case VIP:
+	if p == VIP {
 		return "vip"
 	}
 	return "static-degree"
 }
 
 // ParsePolicy maps a flag-style name onto a Policy: "degree" (or
-// "static-degree"), "lru", "vip". The empty string selects StaticDegree.
+// "static-degree") or "vip". The empty string selects StaticDegree.
 func ParsePolicy(s string) (Policy, error) {
 	switch s {
 	case "", "degree", "static-degree":
 		return StaticDegree, nil
-	case "lru":
-		return LRU, nil
 	case "vip":
 		return VIP, nil
 	}
-	return 0, fmt.Errorf("cache: unknown policy %q (want degree, lru, or vip)", s)
+	return 0, fmt.Errorf("cache: unknown policy %q (want degree or vip)", s)
 }
 
 // Stats accumulates cache performance over a stream of batches.
@@ -84,28 +77,22 @@ func (s Stats) HitRate() float64 {
 
 // Cache is a device-side feature-row cache. It tracks residency only (the
 // actual rows live in device memory in the modeled system); Touch reports
-// whether a node's features were resident and updates the policy state.
+// whether a node's features were resident.
 type Cache struct {
 	policy   Policy
 	capacity int
 	sketch   *Sketch // VIP only: traffic observed through Touch
 
-	resident map[int32]*lruNode // node -> LRU entry (nil value for static)
-	head     *lruNode           // most recent
-	tail     *lruNode           // least recent
+	resident map[int32]struct{}
 	stats    Stats
-}
-
-type lruNode struct {
-	id         int32
-	prev, next *lruNode
 }
 
 // Options configures New.
 type Options struct {
-	// Capacity is the cache's row capacity (capped at the node count).
+	// Capacity is the cache's row capacity. A capacity above the node
+	// count holds every node; rows appended later can still fill it.
 	Capacity int
-	// Policy selects placement/replacement.
+	// Policy selects placement.
 	Policy Policy
 }
 
@@ -114,28 +101,24 @@ func New(g graph.Topology, o Options) (*Cache, error) {
 	if o.Capacity < 0 {
 		return nil, fmt.Errorf("cache: negative capacity %d", o.Capacity)
 	}
-	if o.Capacity > int(g.NumNodes()) {
-		o.Capacity = int(g.NumNodes())
-	}
+	n := int(g.NumNodes())
 	c := &Cache{
 		policy:   o.Policy,
 		capacity: o.Capacity,
-		resident: make(map[int32]*lruNode, o.Capacity),
+		resident: make(map[int32]struct{}, min(o.Capacity, n)),
 	}
 	if o.Policy == VIP {
-		c.sketch = NewSketch(int(g.NumNodes()))
+		c.sketch = NewSketch(n)
 	}
 	c.Rebuild(g)
 	return c, nil
 }
 
 // Rebuild recomputes the cache placement for a (possibly new) topology —
-// how a static degree cache follows a dynamic graph: each pinned snapshot
-// re-ranks nodes by degree, so edge churn that promotes a node into the
-// top-K makes its row resident at the next refresh. Under StaticDegree the
-// resident set is replaced wholesale (capacity capped at the node count);
-// under LRU residency is recency state, not placement, so Rebuild leaves it
-// untouched. Statistics survive either way.
+// how the cache follows a dynamic graph: each pinned snapshot re-ranks
+// nodes, so edge churn (or traffic) that promotes a node into the top-K
+// makes its row resident at the next refresh. The resident set is replaced
+// wholesale; statistics survive.
 //
 // Rebuild = Adopt(Plan(g)); callers that guard the cache with their own
 // lock (store.Cached) run the expensive Plan outside it and only the cheap
@@ -146,24 +129,16 @@ func (c *Cache) Rebuild(g graph.Topology) {
 
 // Plan computes the placement for topology g without touching resident
 // state: the top-capacity node IDs by degree for StaticDegree, by observed
-// access frequency for VIP, nil for recency policies (whose residency is
-// history, not placement). It reads only the cache's immutable
-// configuration plus the atomic frequency sketch, so it needs no
-// synchronization and can run outside whatever lock guards the cache.
-// Under VIP, Plan additionally halves the sketch (atomic, concurrent-safe)
-// so each re-placement ages the traffic history.
+// access frequency for VIP, capped at g's node count. It reads only the
+// cache's immutable configuration plus the atomic frequency sketch, so it
+// needs no synchronization and can run outside whatever lock guards the
+// cache. Under VIP, Plan additionally halves the sketch (atomic,
+// concurrent-safe) so each re-placement ages the traffic history.
 func (c *Cache) Plan(g graph.Topology) []int32 {
-	if c.policy == LRU {
-		return nil
-	}
-	capacity := c.capacity
-	if capacity > int(g.NumNodes()) {
-		capacity = int(g.NumNodes())
-	}
-	if capacity <= 0 {
+	n := g.NumNodes()
+	if c.capacity <= 0 || n == 0 {
 		return []int32{}
 	}
-	n := g.NumNodes()
 	var ids []int32
 	var score []int64
 	if c.policy == VIP {
@@ -188,26 +163,28 @@ func (c *Cache) Plan(g graph.Topology) []int32 {
 			score[v] = int64(g.Degree(v))
 		}
 	}
-	// Expected-O(n) quickselect of the capacity best-scored candidates.
-	k := min(capacity, len(ids))
-	topKSelect(ids, score, k)
-	if c.policy == VIP {
+	plan := TopK(ids, score, c.capacity)
+	if c.sketch != nil {
 		c.sketch.Decay()
 	}
-	return ids[:k]
+	return plan
 }
 
-// Adopt replaces the resident set with a planned placement (no-op for nil,
-// the recency-policy plan). Statistics survive. Callers synchronize.
+// Adopt replaces the resident set with a planned placement. Statistics
+// survive. Callers synchronize.
 func (c *Cache) Adopt(ids []int32) {
-	if ids == nil {
-		return
-	}
-	for v := range c.resident {
-		delete(c.resident, v)
-	}
+	clear(c.resident)
 	for _, v := range ids {
-		c.resident[v] = nil
+		c.resident[v] = struct{}{}
+	}
+}
+
+// Grow makes the cache count accesses to every node ID below n, so a node
+// appended to a growing graph can earn a VIP slot at the next Rebuild
+// (store.Cached grows before counting each gather). No-op for StaticDegree.
+func (c *Cache) Grow(n int) {
+	if c.sketch != nil {
+		c.sketch.Grow(n)
 	}
 }
 
@@ -227,7 +204,6 @@ func (c *Cache) Stats() Stats { return c.stats }
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Touch records a feature-row access for node v and reports whether it hit.
-// Under LRU, a miss inserts v (evicting the least recent row if full).
 // Under VIP, every access — hit or miss — feeds the frequency sketch, so
 // placement refreshes rank rows by the traffic they actually absorb.
 func (c *Cache) Touch(v int32) bool {
@@ -235,63 +211,11 @@ func (c *Cache) Touch(v int32) bool {
 	if c.sketch != nil {
 		c.sketch.Observe(v)
 	}
-	n, ok := c.resident[v]
-	if ok {
+	if _, ok := c.resident[v]; ok {
 		c.stats.Hits++
-		if c.policy == LRU {
-			c.moveToFront(n)
-		}
 		return true
 	}
-	if c.policy == LRU && c.capacity > 0 {
-		c.insert(v)
-	}
 	return false
-}
-
-func (c *Cache) insert(v int32) {
-	if len(c.resident) >= c.capacity {
-		lru := c.tail
-		c.unlink(lru)
-		delete(c.resident, lru.id)
-	}
-	n := &lruNode{id: v}
-	c.resident[v] = n
-	c.pushFront(n)
-}
-
-func (c *Cache) moveToFront(n *lruNode) {
-	if n == nil || c.head == n {
-		return
-	}
-	c.unlink(n)
-	c.pushFront(n)
-}
-
-func (c *Cache) pushFront(n *lruNode) {
-	n.prev = nil
-	n.next = c.head
-	if c.head != nil {
-		c.head.prev = n
-	}
-	c.head = n
-	if c.tail == nil {
-		c.tail = n
-	}
-}
-
-func (c *Cache) unlink(n *lruNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		c.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		c.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
 }
 
 // Resident reports whether node v's features are currently cached, without

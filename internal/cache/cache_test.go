@@ -2,7 +2,6 @@ package cache
 
 import (
 	"testing"
-	"testing/quick"
 
 	"salient/internal/dataset"
 	"salient/internal/graph"
@@ -77,64 +76,9 @@ func TestStaticNeverEvicts(t *testing.T) {
 	}
 }
 
-func TestLRUEvictsLeastRecent(t *testing.T) {
-	g := lineGraph(t, 100)
-	c, err := New(g, Options{Capacity: 2, Policy: LRU})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Touch(1) // miss, insert
-	c.Touch(2) // miss, insert
-	c.Touch(1) // hit, 1 becomes MRU
-	c.Touch(3) // miss, evicts 2
-	if !c.Resident(1) || c.Resident(2) || !c.Resident(3) {
-		t.Fatalf("LRU state wrong: 1=%v 2=%v 3=%v",
-			c.Resident(1), c.Resident(2), c.Resident(3))
-	}
-	if got := c.Stats(); got.Hits != 1 || got.Lookups != 4 {
-		t.Fatalf("stats %+v", got)
-	}
-}
-
-func TestLRUCapacityInvariant(t *testing.T) {
-	g := lineGraph(t, 500)
-	f := func(raw []uint16, capRaw uint8) bool {
-		capacity := int(capRaw%16) + 1
-		c, err := New(g, Options{Capacity: capacity, Policy: LRU})
-		if err != nil {
-			return false
-		}
-		for _, r := range raw {
-			c.Touch(int32(int(r) % int(g.N)))
-			if c.Len() > capacity {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLRUSecondPassAllHits(t *testing.T) {
-	g := lineGraph(t, 50)
-	c, err := New(g, Options{Capacity: 10, Policy: LRU})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := []int32{3, 7, 9, 11, 13}
-	touchAll(c, ids)
-	c.ResetStats()
-	touchAll(c, ids)
-	if c.Stats().HitRate() != 1 {
-		t.Fatalf("hit rate %v, want 1", c.Stats().HitRate())
-	}
-}
-
 func TestZeroCapacity(t *testing.T) {
 	g := lineGraph(t, 10)
-	for _, p := range []Policy{StaticDegree, LRU} {
+	for _, p := range []Policy{StaticDegree, VIP} {
 		c, err := New(g, Options{Capacity: 0, Policy: p})
 		if err != nil {
 			t.Fatal(err)
@@ -146,7 +90,7 @@ func TestZeroCapacity(t *testing.T) {
 			t.Fatalf("%v: resident rows with zero capacity", p)
 		}
 	}
-	if _, err := New(g, Options{Capacity: -1, Policy: LRU}); err == nil {
+	if _, err := New(g, Options{Capacity: -1, Policy: VIP}); err == nil {
 		t.Fatal("negative capacity accepted")
 	}
 }
@@ -157,8 +101,8 @@ func TestCapacityClampedToGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Capacity() != 10 {
-		t.Fatalf("capacity %d, want clamp to 10", c.Capacity())
+	if c.Len() != 10 {
+		t.Fatalf("%d resident rows, want the placement clamped to all 10 nodes", c.Len())
 	}
 	for v := int32(0); v < 10; v++ {
 		if !c.Touch(v) {
@@ -192,7 +136,7 @@ func TestStaticCacheAbsorbsPowerLawTraffic(t *testing.T) {
 }
 
 func TestPolicyString(t *testing.T) {
-	if StaticDegree.String() != "static-degree" || LRU.String() != "lru" {
+	if StaticDegree.String() != "static-degree" || VIP.String() != "vip" {
 		t.Fatal("policy names wrong")
 	}
 }

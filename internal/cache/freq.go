@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 )
 
@@ -17,36 +18,65 @@ import (
 // block each other. Counts are advisory: a reader may see a count torn
 // relative to another node's, which only perturbs tie-breaks.
 type Sketch struct {
-	counts []uint32
+	counts atomic.Pointer[[]uint32] // swapped whole by Grow
 	obs    atomic.Int64
+	growMu sync.Mutex // serializes Grow
 }
 
 // NewSketch returns a sketch over n nodes (IDs [0, n)).
 func NewSketch(n int) *Sketch {
-	if n < 0 {
-		n = 0
-	}
-	return &Sketch{counts: make([]uint32, n)}
+	c := make([]uint32, max(n, 0))
+	s := &Sketch{}
+	s.counts.Store(&c)
+	return s
 }
 
 // Len returns the number of nodes the sketch counts.
-func (s *Sketch) Len() int { return len(s.counts) }
+func (s *Sketch) Len() int { return len(*s.counts.Load()) }
 
-// Observe records one access to node v. Out-of-range IDs (nodes appended
-// after construction) are ignored: they become countable after the next
-// placement layer rebuilds its sketch, and an uncounted hot row costs one
-// refresh cycle of suboptimal placement, never correctness. Saturates at
-// MaxUint32 instead of wrapping.
+// Grow extends the sketch to count IDs [0, n), keeping every count. The
+// backing array grows geometrically, and within its capacity the new
+// slice shares it with the old one, so appending nodes one at a time costs
+// amortized O(1) and loses no concurrent increment. Only a reallocation
+// copies: an Observe that lands on the old array between the copy and the
+// swap is lost, which is one access of noise, as in Decay.
+func (s *Sketch) Grow(n int) {
+	if n <= s.Len() {
+		return
+	}
+	s.growMu.Lock()
+	defer s.growMu.Unlock()
+	old := *s.counts.Load()
+	if n <= len(old) {
+		return
+	}
+	var next []uint32
+	if n <= cap(old) {
+		next = old[:n] // nothing ever wrote past len(old): the tail is zero
+	} else {
+		next = make([]uint32, n, max(n, 2*cap(old)))
+		for i := range old {
+			next[i] = atomic.LoadUint32(&old[i])
+		}
+	}
+	s.counts.Store(&next)
+}
+
+// Observe records one access to node v. IDs outside [0, Len()) are
+// ignored: a store grows its sketch before counting a row it appended
+// (store.Cached), so only invalid IDs reach this. Saturates at MaxUint32
+// instead of wrapping.
 func (s *Sketch) Observe(v int32) {
-	if v < 0 || int(v) >= len(s.counts) {
+	counts := *s.counts.Load()
+	if v < 0 || int(v) >= len(counts) {
 		return
 	}
 	for {
-		c := atomic.LoadUint32(&s.counts[v])
+		c := atomic.LoadUint32(&counts[v])
 		if c == math.MaxUint32 {
 			return
 		}
-		if atomic.CompareAndSwapUint32(&s.counts[v], c, c+1) {
+		if atomic.CompareAndSwapUint32(&counts[v], c, c+1) {
 			s.obs.Add(1)
 			return
 		}
@@ -55,10 +85,11 @@ func (s *Sketch) Observe(v int32) {
 
 // Count returns node v's current access count (0 for out-of-range IDs).
 func (s *Sketch) Count(v int32) uint32 {
-	if v < 0 || int(v) >= len(s.counts) {
+	counts := *s.counts.Load()
+	if v < 0 || int(v) >= len(counts) {
 		return 0
 	}
-	return atomic.LoadUint32(&s.counts[v])
+	return atomic.LoadUint32(&counts[v])
 }
 
 // Observations returns the total number of recorded accesses since the
@@ -70,45 +101,29 @@ func (s *Sketch) Observations() int64 { return s.obs.Load() }
 // 2^-K weight. Concurrent Observes may slip between the load and the
 // store of a slot; the lost increment is one access of noise.
 func (s *Sketch) Decay() {
+	counts := *s.counts.Load()
 	var total int64
-	for i := range s.counts {
-		c := atomic.LoadUint32(&s.counts[i]) / 2
-		atomic.StoreUint32(&s.counts[i], c)
+	for i := range counts {
+		c := atomic.LoadUint32(&counts[i]) / 2
+		atomic.StoreUint32(&counts[i], c)
 		total += int64(c)
 	}
 	s.obs.Store(total)
 }
 
-// PlanVIP selects up to budget rows, frequency first: the candidates
-// ids[i] with the highest observed frequency freq[i] (ties to the lower
-// id), chosen in O(len(ids)) by quickselect. Every row of one store costs
-// the same, so the budget counts rows. The result's order is unspecified;
-// it is a set.
-func PlanVIP(ids []int32, freq []int64, budget int64) []int32 {
-	if len(ids) == 0 || budget <= 0 {
-		return []int32{}
-	}
-	k := int(min(budget, int64(len(ids))))
-	out := append([]int32(nil), ids...)
-	sc := append([]int64(nil), freq...)
-	topKSelect(out, sc, k)
-	return out[:k]
-}
-
-// topKSelect partially orders ids (and its parallel score slice) so that
-// the k best entries under (score desc, id asc) occupy ids[:k] — expected
-// O(n) quickselect with median-of-three pivots, replacing the former
-// O(n log n) full sort in placement planning. ids[:k] is unordered
-// internally; planning adopts it as a set.
-func topKSelect(ids []int32, score []int64, k int) {
+// TopK returns the k best ids under (score desc, id asc) — the one order
+// every hot-row placement uses: the static degree cache, the VIP cache and
+// store.Remote's degree-warmed mirror. It runs an expected-O(n) quickselect
+// with median-of-three pivots, reorders ids and its parallel score slice in
+// place, and returns ids[:k] (all of ids when k exceeds its length). The
+// result is a set; its order is unspecified.
+func TopK(ids []int32, score []int64, k int) []int32 {
+	k = max(0, min(k, len(ids)))
 	lo, hi := 0, len(ids)
-	if k <= 0 || k >= len(ids) {
-		return
-	}
-	for hi-lo > 1 {
+	for k > 0 && k < len(ids) && hi-lo > 1 {
 		p := partitionTopK(ids, score, lo, hi)
 		if p == k || p == k-1 {
-			return // entries [0,k) are exactly the k best
+			break // entries [0,k) are exactly the k best
 		}
 		if p < k {
 			lo = p + 1
@@ -116,6 +131,7 @@ func topKSelect(ids []int32, score []int64, k int) {
 			hi = p
 		}
 	}
+	return ids[:k]
 }
 
 // before reports whether entry a outranks entry b: higher score first,

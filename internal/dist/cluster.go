@@ -22,16 +22,10 @@ type ClusterOptions struct {
 	// Precision is the storage/wire precision of every host's store. Zero
 	// selects fp16.
 	Precision half.Precision
-	// CacheRows bounds each host's remote-row mirror (see
+	// CacheRows bounds each host's mirror of remote rows, warmed once at
+	// construction with the highest-degree ones (see
 	// store.RemoteOptions.CacheRows).
 	CacheRows int
-	// Mirror selects each host's mirror placement policy: degree-warmed at
-	// construction (default) or VIP access-frequency re-placed from fetch
-	// traffic (see store.MirrorVIP).
-	Mirror store.MirrorPolicy
-	// MirrorRefreshEvery sets the VIP re-placement cadence in gathers
-	// (see store.RemoteOptions.MirrorRefreshEvery).
-	MirrorRefreshEvery int
 	// Assignment optionally fixes the node→part placement. Nil computes an
 	// LDG assignment over the dataset graph (the placement §8 argues keeps
 	// cross-host traffic low).
@@ -41,9 +35,10 @@ type ClusterOptions struct {
 }
 
 // Cluster is an executable R-host distributed data plane over one dataset:
-// per part, a store.Remote holding that part's rows and a graph.Partitioned
-// serving that part's adjacency natively, with everything else fetched from
-// the owning part over the chosen transport. Feed Stores/Graphs straight
+// per part, a store.Remote holding that part's rows (plus a mirror of the
+// CacheRows highest-degree remote rows) and a graph.Partitioned serving
+// that part's adjacency natively, with everything else fetched from the
+// owning part over the chosen transport. Feed Stores/Graphs straight
 // into train.Config to run distributed data-parallel training.
 type Cluster struct {
 	// Assignment is the node→part placement the cluster is laid out by.
@@ -155,10 +150,8 @@ func NewCluster(ds *dataset.Dataset, opts ClusterOptions) (*Cluster, error) {
 			c.conns = append(c.conns, conn)
 		}
 		st, err := store.NewRemote(ds, a, int32(r), peers, store.RemoteOptions{
-			Precision:          prec,
-			CacheRows:          opts.CacheRows,
-			Mirror:             opts.Mirror,
-			MirrorRefreshEvery: opts.MirrorRefreshEvery,
+			Precision: prec,
+			CacheRows: opts.CacheRows,
 		})
 		if err != nil {
 			return fail(fmt.Errorf("dist: part %d store: %w", r, err))

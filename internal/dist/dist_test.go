@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -148,6 +149,54 @@ func TestRemoteMirrorCutsWireTraffic(t *testing.T) {
 	warm := gatherBytes(2048)
 	if warm >= cold {
 		t.Fatalf("warmed mirror moved %d wire bytes, cold store %d — cache saved nothing", warm, cold)
+	}
+}
+
+// TestRemoteMirrorHoldsTopDegreeRows: each host's mirror holds exactly the
+// CacheRows remote nodes a full stable sort by (degree desc, id asc)
+// ranks first — the set the degree warm-up selected before it moved onto
+// cache.TopK. Membership is read off the store's own accounting: a
+// one-row gather of a remote node is a cache hit iff the node is mirrored.
+func TestRemoteMirrorHoldsTopDegreeRows(t *testing.T) {
+	ds := distDS(t)
+	const cacheRows = 100
+	c, err := NewCluster(ds, ClusterOptions{Parts: 2, CacheRows: cacheRows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	buf := slicing.NewPinned(1, ds.FeatDim, 0)
+	for r := 0; r < 2; r++ {
+		rm := c.Remote(r)
+		var remote []int32
+		for v := int32(0); v < ds.G.N; v++ {
+			if c.Assignment.Part[v] != int32(r) {
+				remote = append(remote, v)
+			}
+		}
+		sort.SliceStable(remote, func(i, j int) bool {
+			di, dj := ds.G.Degree(remote[i]), ds.G.Degree(remote[j])
+			if di != dj {
+				return di > dj
+			}
+			return remote[i] < remote[j]
+		})
+		want := make(map[int32]bool, cacheRows)
+		for _, v := range remote[:cacheRows] {
+			want[v] = true
+		}
+		for _, v := range remote {
+			before := rm.Stats().CacheHits
+			if err := rm.Gather(buf, []int32{v}, 0); err != nil {
+				t.Fatal(err)
+			}
+			if hit := rm.Stats().CacheHits > before; hit != want[v] {
+				t.Fatalf("host %d: node %d (degree %d) mirrored=%v, want %v", r, v, ds.G.Degree(v), hit, want[v])
+			}
+		}
+		if rm.MirrorRows() != cacheRows {
+			t.Fatalf("host %d: mirror holds %d rows, want %d", r, rm.MirrorRows(), cacheRows)
+		}
 	}
 }
 

@@ -206,3 +206,61 @@ func TestRingAddDuplicate(t *testing.T) {
 		t.Fatal("adding replica 1 twice succeeded")
 	}
 }
+
+// TestRouteBoundedLoad pins Fleet.route's bounded-load spill with in-flight
+// counts set by hand. With LoadFactor c > 1 a home at or above
+// ceil(c·(total+1)/n) is skipped for its first ring successor under the
+// bound. With every replica on the ring some replica is always under it (n
+// replicas at the bound would hold more than the total), so the
+// fall-back-to-home case drains a replica off the ring: its share still
+// counts in n, and every ring member can then be at the bound.
+func TestRouteBoundedLoad(t *testing.T) {
+	const n = 4
+	f := &Fleet{opts: Options{LoadFactor: 1.5}, ring: NewRing(0)}
+	for i := 0; i < n; i++ {
+		if err := f.ring.Add(i); err != nil {
+			t.Fatal(err)
+		}
+		f.reps = append(f.reps, &replica{})
+	}
+	const node = 7
+	var order []int // the home, then its ring successors
+	f.ring.Walk(keyHash(node), func(i int) bool {
+		order = append(order, i)
+		return false
+	})
+	if len(order) != n || order[0] != f.ring.Home(keyHash(node)) {
+		t.Fatalf("walk %v does not start at the home of %d replicas", order, n)
+	}
+	load := func(byOrder []int64) {
+		for j, l := range byOrder {
+			f.reps[order[j]].inflight.Store(l)
+		}
+	}
+
+	for _, tc := range []struct {
+		loads []int64 // in walk order: home first
+		want  int     // index into order
+	}{
+		{[]int64{0, 0, 0, 0}, 0}, // bound ceil(1.5·1/4) = 1: the home
+		{[]int64{2, 1, 1, 1}, 0}, // bound ceil(1.5·6/4) = 3: home under it
+		{[]int64{2, 0, 0, 0}, 1}, // bound ceil(1.5·3/4) = 2: home at it
+		{[]int64{3, 0, 0, 0}, 1}, // bound ceil(1.5·4/4) = 2: home over it
+		{[]int64{3, 3, 0, 0}, 2}, // bound ceil(1.5·7/4) = 3: home and successor at it
+	} {
+		load(tc.loads)
+		if got := f.route(node); got != order[tc.want] {
+			t.Errorf("loads %v (walk order %v): routed to %d, want %d", tc.loads, order, got, order[tc.want])
+		}
+	}
+
+	// Drain the last replica in the walk. With c = 1.1 and loads 3, 3, 3
+	// (+0 drained) the bound is ceil(1.1·10/4) = 3: every ring member is
+	// at it, and the request falls back to the home.
+	f.ring.Remove(order[n-1])
+	f.opts.LoadFactor = 1.1
+	load([]int64{3, 3, 3, 0})
+	if got := f.route(node); got != order[0] {
+		t.Fatalf("every ring member at the bound: routed to %d, want the home %d", got, order[0])
+	}
+}

@@ -133,7 +133,6 @@ func TestConcurrentUpdatesAndServing(t *testing.T) {
 	srv, err := New(tr.Model, ds, Options{
 		Fanouts: serveFanouts, Workers: 3, MaxBatch: 8, Seed: serveSeed,
 		Graph: dyn, CacheRows: int(ds.G.N) / 10, CachePolicy: cache.StaticDegree,
-		CacheRefreshEvery: 32,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +289,7 @@ func TestUpdatedTopologyChangesSampling(t *testing.T) {
 
 // TestCacheRefreshRateLimited pins the placement-refresh limiter: the
 // first versioned snapshot a worker adopts replans the VIP placement, a
-// snapshot fewer than CacheRefreshEvery versions later does not, and one
+// snapshot fewer than cacheRefreshEvery versions later does not, and one
 // that many versions later does — so a hot update stream cannot turn
 // every snapshot adoption into a full replacement scan.
 func TestCacheRefreshRateLimited(t *testing.T) {
@@ -301,7 +300,7 @@ func TestCacheRefreshRateLimited(t *testing.T) {
 	}
 	srv, err := New(tr.Model, ds, Options{
 		Fanouts: serveFanouts, Workers: 1, Seed: serveSeed, Graph: dyn,
-		CacheRows: 1, CachePolicy: cache.VIP, CacheRefreshEvery: 10,
+		CacheRows: 1, CachePolicy: cache.VIP,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -333,14 +332,14 @@ func TestCacheRefreshRateLimited(t *testing.T) {
 		t.Fatal("hot node 3 not resident after the first refresh")
 	}
 
-	touch(5, 20) // traffic shifts
-	bump(2)      // 2 versions past the last refresh, under 10
+	touch(5, 20)                // traffic shifts
+	bump(cacheRefreshEvery - 1) // one version short of the window
 	srv.refreshCache(dyn.View())
 	if c.Cache().Resident(5) {
 		t.Fatal("placement replanned inside the rate-limit window")
 	}
 
-	bump(10) // now 12 past it
+	bump(1) // exactly cacheRefreshEvery past the last refresh
 	srv.refreshCache(dyn.View())
 	if !c.Cache().Resident(5) {
 		t.Fatal("placement not replanned after the rate-limit window passed")

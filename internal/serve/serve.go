@@ -103,14 +103,6 @@ type Options struct {
 	// server wraps this base store in a store.Cached; pass an already
 	// cached store with CacheRows = 0 for custom compositions.
 	Store store.FeatureStore
-	// CacheRefreshEvery rate-limits the feature cache's top-K-by-degree
-	// placement recompute under a dynamic graph: the placement is refreshed
-	// when a worker adopts a snapshot at least this many versions past the
-	// last refresh. Placement only changes transfer accounting — never
-	// predictions — so amortizing the O(N log N) recompute across versions
-	// is free correctness-wise; 1 recomputes at every adopted snapshot.
-	// Default 64. Ignored for static graphs and recency (LRU) policies.
-	CacheRefreshEvery uint64
 	// EmbCacheRows enables historical layer-embedding reuse with the given
 	// row capacity: first-layer output embeddings of completed micro-batches
 	// are cached by (node, snapshot version), and a later micro-batch stops
@@ -154,9 +146,6 @@ func (o *Options) normalize() error {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.CacheRefreshEvery == 0 {
-		o.CacheRefreshEvery = 64
 	}
 	return nil
 }
@@ -836,9 +825,17 @@ func (s *Server) execute(ws *workerState, batch []*request) {
 	}
 }
 
-// refreshCache recomputes the feature cache's top-K-by-degree placement for
-// a newly adopted view, at most once per version (workers race through
-// the CAS; losers skip — the winner's Refresh covers them).
+// cacheRefreshEvery rate-limits the feature cache's placement recompute
+// under a dynamic graph: the placement is refreshed when a worker adopts a
+// snapshot at least this many versions past the last refresh. Placement
+// only changes transfer accounting — never predictions — so amortizing the
+// O(N) recompute across versions is free correctness-wise.
+const cacheRefreshEvery = 64
+
+// refreshCache recomputes the feature cache's placement (top-K by degree or
+// by observed traffic) for a newly adopted view, at most once per
+// cacheRefreshEvery versions (workers race through the TryLock; losers
+// skip — the winner's Refresh covers them).
 func (s *Server) refreshCache(snap graph.View) {
 	c, ok := s.store.(*store.Cached)
 	if !ok {
@@ -846,7 +843,7 @@ func (s *Server) refreshCache(snap graph.View) {
 	}
 	v := snap.Version()
 	cur := s.refreshed.Load()
-	if v == 0 || (cur != 0 && v < cur+s.opts.CacheRefreshEvery) {
+	if v == 0 || (cur != 0 && v < cur+cacheRefreshEvery) {
 		return
 	}
 	// One refresher at a time, version re-checked and recorded under the

@@ -36,7 +36,7 @@ type Cached struct {
 type CacheOptions struct {
 	// Rows is the cache's row capacity.
 	Rows int
-	// Policy selects placement/replacement (StaticDegree, LRU, VIP).
+	// Policy selects placement (StaticDegree or VIP).
 	Policy cache.Policy
 }
 
@@ -66,24 +66,21 @@ func (c *Cached) NumNodes() int { return c.inner.NumNodes() }
 func (c *Cached) Cache() *cache.Cache { return c.cache }
 
 // Refresh recomputes the cache placement against a new topology snapshot —
-// the per-snapshot replacement policy of the dynamic-graph path (top-K by
-// degree, or by observed traffic under VIP). The serving layer rate-limits
-// its calls under churn (serve.Options.CacheRefreshEvery). The O(N)
-// ranking runs OUTSIDE the settle lock so concurrent Gathers never stall
-// behind it; only the O(K) resident-set swap holds the lock. No-op for
-// recency-based policies.
+// the per-snapshot placement of the dynamic-graph path (top-K by degree, or
+// by observed traffic under VIP). The serving layer rate-limits its calls
+// under churn. The O(N) ranking runs OUTSIDE the settle lock so concurrent
+// Gathers never stall behind it; only the O(K) resident-set swap holds the
+// lock.
 func (c *Cached) Refresh(g graph.Topology) {
 	ids := c.cache.Plan(g)
-	if ids == nil {
-		return
-	}
 	c.mu.Lock()
 	c.cache.Adopt(ids)
 	c.mu.Unlock()
 }
 
 // AppendRows implements Appendable by forwarding to the inner store when it
-// can grow; new rows start non-resident (a later Refresh may promote them).
+// can grow. New rows start non-resident; their gathers are counted (see
+// settle), so a later Refresh may promote them.
 func (c *Cached) AppendRows(feat []float32, labels []int32) (int32, error) {
 	ap, ok := c.inner.(Appendable)
 	if !ok {
@@ -94,7 +91,7 @@ func (c *Cached) AppendRows(feat []float32, labels []int32) (int32, error) {
 
 // Gather stages the batch through the inner store, then settles the
 // transfer bill against the cache: resident rows are saved bytes, misses
-// are moved bytes (and, under LRU, become resident for the next batch).
+// are moved bytes.
 func (c *Cached) Gather(dst *slicing.Pinned, nodeIDs []int32, batch int) error {
 	if err := c.inner.Gather(dst, nodeIDs, batch); err != nil {
 		return err
@@ -141,6 +138,11 @@ func (c *Cached) GatherAggregate(dst *slicing.Fused, nodeIDs []int32, blk *mfg.B
 // both missed the cache and live off the batch's home shard count as remote
 // fetches — a resident row costs no network no matter where its master
 // copy lives. Row width follows the inner store's storage precision.
+//
+// settle first grows the cache's traffic count to every row the inner store
+// holds. That covers rows appended through this wrapper and rows appended
+// to a base store this wrapper shares (a fleet replica's cache), and the
+// inner gather already bounded nodeIDs by that count.
 func (c *Cached) settle(nodeIDs []int32) {
 	rowBytes := PrecisionOf(c.inner).RowBytes(c.inner.Dim())
 	sh, _ := c.inner.(*Sharded)
@@ -148,6 +150,7 @@ func (c *Cached) settle(nodeIDs []int32) {
 	if sh != nil && len(nodeIDs) > 0 {
 		home = sh.Part(nodeIDs[0])
 	}
+	c.cache.Grow(c.inner.NumNodes())
 	c.mu.Lock()
 	misses, remoteMisses := 0, 0
 	for _, v := range nodeIDs {

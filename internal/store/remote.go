@@ -2,9 +2,7 @@ package store
 
 import (
 	"fmt"
-	"sort"
 	"sync"
-	"sync/atomic"
 
 	"salient/internal/cache"
 	"salient/internal/dataset"
@@ -14,22 +12,6 @@ import (
 	"salient/internal/transport"
 )
 
-// MirrorPolicy selects how a Remote store picks which remote rows to
-// mirror locally.
-type MirrorPolicy int
-
-const (
-	// MirrorDegree warms the mirror once at construction with the
-	// highest-degree remote rows (the GNS-style static heuristic).
-	MirrorDegree MirrorPolicy = iota
-	// MirrorVIP warms the mirror from observed fetch traffic: every remote
-	// row a gather touches feeds a frequency sketch, and the mirror is
-	// periodically re-placed with the hottest rows — the SALIENT++/VIP
-	// access-frequency policy, replicating what is actually fetched rather
-	// than what a structural proxy predicts.
-	MirrorVIP
-)
-
 // RemoteOptions configures NewRemote.
 type RemoteOptions struct {
 	// Precision is the storage precision of the home shard AND the wire:
@@ -37,17 +19,11 @@ type RemoteOptions struct {
 	// narrow on the wire). Zero value selects fp16, the seed layout. Every
 	// peer's handshake must advertise the same precision.
 	Precision half.Precision
-	// CacheRows bounds the local mirror of remote rows. Under MirrorDegree
-	// the mirror is filled once at construction, highest-degree first; under
-	// MirrorVIP it starts empty and is re-placed from fetch traffic. Mirrored
-	// rows are fetched over the transport, so warming traffic is real
-	// accounted wire traffic. Zero disables the mirror.
+	// CacheRows bounds the local mirror of remote rows, filled once at
+	// construction with the highest-degree remote rows (cache.TopK).
+	// Mirrored rows are fetched over the transport, so warming traffic is
+	// real accounted wire traffic. Zero disables the mirror.
 	CacheRows int
-	// Mirror selects the mirror placement policy (default MirrorDegree).
-	Mirror MirrorPolicy
-	// MirrorRefreshEvery, under MirrorVIP, re-places the mirror every this
-	// many gathers (default 256). Ignored for MirrorDegree.
-	MirrorRefreshEvery int
 }
 
 // Remote is the feature store of one host in the distributed data plane: it
@@ -78,16 +54,10 @@ type Remote struct {
 	rows   half.Matrix // home shard rows, placement order
 	labels []int32     // home labels, indexed by local row
 
-	// The mirror is an immutable set swapped atomically so the Gather hot
-	// path reads it lock-free while a refresher builds its replacement.
-	mirror  atomic.Pointer[mirrorSet]
-	mpolicy MirrorPolicy
-	mbudget int // max mirrored rows
-
-	sketch      *cache.Sketch // MirrorVIP: remote-row fetch traffic
-	gatherSeq   atomic.Uint64 // gathers since construction (refresh trigger)
-	mirrorEvery uint64        // MirrorVIP: gathers between re-placements
-	refreshMu   sync.Mutex    // serializes mirror re-placement
+	// mirror holds the degree-warmed remote rows; built once in NewRemote
+	// and never changed, so gathers read it without synchronization. Nil
+	// when CacheRows is zero.
+	mirror *mirrorSet
 
 	peers []transport.Conn // by part; nil at home
 
@@ -105,9 +75,8 @@ type gatherScratch struct {
 	rows      transport.Rows
 }
 
-// mirrorSet is one immutable generation of the local mirror: remote node ->
-// mirror row, plus the row storage and labels. Readers load the pointer
-// once per gather; replacements swap in a freshly built set.
+// mirrorSet is the local mirror: remote node -> mirror row, plus the row
+// storage and labels.
 type mirrorSet struct {
 	idx    map[int32]int32
 	rows   half.Matrix
@@ -136,22 +105,15 @@ func NewRemote(ds *dataset.Dataset, a *partition.Assignment, home int32, peers [
 	if !prec.Valid() {
 		return nil, fmt.Errorf("store: invalid precision %d", prec)
 	}
-	every := opts.MirrorRefreshEvery
-	if every <= 0 {
-		every = 256
-	}
 	s := &Remote{
-		dim:         ds.FeatDim,
-		prec:        prec,
-		n:           n,
-		parts:       a.Parts,
-		home:        home,
-		part:        append([]int32(nil), a.Part...),
-		local:       make([]int32, n),
-		peers:       peers,
-		mpolicy:     opts.Mirror,
-		mbudget:     opts.CacheRows,
-		mirrorEvery: uint64(every),
+		dim:   ds.FeatDim,
+		prec:  prec,
+		n:     n,
+		parts: a.Parts,
+		home:  home,
+		part:  append([]int32(nil), a.Part...),
+		local: make([]int32, n),
+		peers: peers,
 	}
 	counts := make([]int32, a.Parts)
 	for v, p := range s.part {
@@ -195,81 +157,45 @@ func NewRemote(ds *dataset.Dataset, a *partition.Assignment, home int32, peers [
 	}
 
 	if opts.CacheRows > 0 {
-		switch opts.Mirror {
-		case MirrorVIP:
-			// VIP starts cold: the sketch fills from real fetch traffic and
-			// the first re-placement (periodic, or explicit RefreshMirror)
-			// warms the mirror with what was actually fetched.
-			s.sketch = cache.NewSketch(n)
-		default:
-			if err := s.warmMirror(ds, opts.CacheRows); err != nil {
-				return nil, err
-			}
+		if err := s.warmMirror(ds, opts.CacheRows); err != nil {
+			return nil, err
 		}
 	}
 	return s, nil
 }
 
-// warmMirror fetches the hottest (highest-degree, ties by ID) remote rows
-// over the transport into the local mirror. The fetches are real wire
-// traffic and are charged to RowsRemote/BytesRemote.
+// warmMirror fetches the hottest remote rows — the top budget by degree,
+// ties to the lower ID (cache.TopK) — into the local mirror, one FetchRows
+// per owning part. The fetches are real wire traffic and are charged to
+// RowsRemote/BytesRemote.
 func (s *Remote) warmMirror(ds *dataset.Dataset, budget int) error {
 	remote := make([]int32, 0, s.n)
+	deg := make([]int64, 0, s.n)
 	for v := int32(0); int(v) < s.n; v++ {
 		if s.part[v] != s.home {
 			remote = append(remote, v)
+			deg = append(deg, int64(ds.G.Degree(v)))
 		}
 	}
-	sort.SliceStable(remote, func(i, j int) bool {
-		di, dj := ds.G.Degree(remote[i]), ds.G.Degree(remote[j])
-		if di != dj {
-			return di > dj
-		}
-		return remote[i] < remote[j]
-	})
-	if budget < len(remote) {
-		remote = remote[:budget]
-	}
-	m, err := s.buildMirror(remote, nil)
-	if err != nil {
-		return fmt.Errorf("store: warming mirror: %w", err)
-	}
-	s.mirror.Store(m)
-	return nil
-}
-
-// buildMirror assembles a fresh mirrorSet holding exactly the given remote
-// nodes. Rows already present in old are copied locally (a re-placed hot
-// row costs no wire traffic twice); the rest are batch-fetched from their
-// owners, one FetchRows per part, charged to RowsRemote/BytesRemote.
-func (s *Remote) buildMirror(nodes []int32, old *mirrorSet) (*mirrorSet, error) {
+	nodes := cache.TopK(remote, deg, budget)
 	m := &mirrorSet{
 		idx:    make(map[int32]int32, len(nodes)),
 		labels: make([]int32, len(nodes)),
 	}
 	m.rows.Ensure(len(nodes), s.dim, s.prec)
 	byPart := make([][]int32, s.parts)
-	next := int32(0)
 	for _, v := range nodes {
-		if old != nil {
-			if o, ok := old.idx[v]; ok {
-				m.rows.CopyRow(int(next), &old.rows, int(o))
-				m.labels[next] = old.labels[o]
-				m.idx[v] = next
-				next++
-				continue
-			}
-		}
 		byPart[s.part[v]] = append(byPart[s.part[v]], v)
 	}
 	var rbuf transport.Rows
+	next := int32(0)
 	for p, ids := range byPart {
 		if len(ids) == 0 {
 			continue
 		}
 		wire, err := s.peers[p].FetchRows(ids, &rbuf)
 		if err != nil {
-			return nil, fmt.Errorf("mirror fill from part %d: %w", p, err)
+			return fmt.Errorf("store: warming mirror from part %d: %w", p, err)
 		}
 		for j, v := range ids {
 			m.rows.CopyRow(int(next), &rbuf.Matrix, j)
@@ -282,59 +208,8 @@ func (s *Remote) buildMirror(nodes []int32, old *mirrorSet) (*mirrorSet, error) 
 		s.stats.BytesRemote += wire
 		s.mu.Unlock()
 	}
-	return m, nil
-}
-
-// RefreshMirror re-places the VIP mirror now: the hottest remote rows by
-// observed fetch frequency (capped at the mirror budget) become the new
-// mirror generation, rows surviving from the old generation are copied
-// without wire traffic, and the frequency sketch is halved so placement
-// follows traffic shifts. Blocks until the swap completes — tests and
-// schedulers call it for deterministic warm points; the gather path uses
-// the same machinery opportunistically. No-op under MirrorDegree.
-func (s *Remote) RefreshMirror() error {
-	if s.sketch == nil || s.mbudget <= 0 {
-		return nil
-	}
-	s.refreshMu.Lock()
-	defer s.refreshMu.Unlock()
-	return s.refreshMirrorLocked()
-}
-
-func (s *Remote) refreshMirrorLocked() error {
-	ids := make([]int32, 0, s.mbudget*2)
-	freq := make([]int64, 0, s.mbudget*2)
-	for v := int32(0); int(v) < s.n; v++ {
-		if s.part[v] == s.home {
-			continue
-		}
-		if c := s.sketch.Count(v); c > 0 {
-			ids = append(ids, v)
-			freq = append(freq, int64(c))
-		}
-	}
-	plan := cache.PlanVIP(ids, freq, int64(s.mbudget))
-	m, err := s.buildMirror(plan, s.mirror.Load())
-	if err != nil {
-		return fmt.Errorf("store: refreshing VIP mirror: %w", err)
-	}
-	s.mirror.Store(m)
-	s.sketch.Decay()
+	s.mirror = m
 	return nil
-}
-
-// maybeRefreshMirror is the opportunistic gather-path trigger: at most one
-// gather per refresh window pays for re-placement, and only if no other
-// refresh is in flight.
-func (s *Remote) maybeRefreshMirror() {
-	if !s.refreshMu.TryLock() {
-		return
-	}
-	defer s.refreshMu.Unlock()
-	// Best effort: a failed fetch leaves the old mirror generation in
-	// place, and the next window retries. Gathers must not fail because an
-	// optional replication refresh hit a transient peer error.
-	_ = s.refreshMirrorLocked()
 }
 
 // Dim returns the feature dimensionality.
@@ -350,18 +225,13 @@ func (s *Remote) NumNodes() int { return s.n }
 // Home returns the partition whose rows this store holds locally.
 func (s *Remote) Home() int32 { return s.home }
 
-// MirrorRows returns how many remote rows the current mirror generation
-// holds.
+// MirrorRows returns how many remote rows the mirror holds.
 func (s *Remote) MirrorRows() int {
-	m := s.mirror.Load()
-	if m == nil {
+	if s.mirror == nil {
 		return 0
 	}
-	return len(m.idx)
+	return len(s.mirror.idx)
 }
-
-// MirrorPolicy returns the configured mirror placement policy.
-func (s *Remote) MirrorPolicy() MirrorPolicy { return s.mpolicy }
 
 // Gather stages features for nodeIDs and labels for the seed prefix into
 // dst. Home and mirrored rows are copied locally; everything else is
@@ -377,8 +247,8 @@ func (s *Remote) Gather(dst *slicing.Pinned, nodeIDs []int32, batch int) error {
 	}
 	dst.Ensure(len(nodeIDs), s.dim, batch, s.prec)
 
-	mir := s.mirror.Load() // one generation per gather, lock-free
-	var sc *gatherScratch  // taken at the first row that must be fetched
+	mir := s.mirror
+	var sc *gatherScratch // taken at the first row that must be fetched
 	var lookups, hits int64
 	for i, id := range nodeIDs {
 		p := s.part[id]
@@ -390,9 +260,6 @@ func (s *Remote) Gather(dst *slicing.Pinned, nodeIDs []int32, batch int) error {
 			continue
 		}
 		lookups++
-		if s.sketch != nil {
-			s.sketch.Observe(id) // VIP: every remote touch is traffic, hit or miss
-		}
 		if mir != nil {
 			if m, ok := mir.idx[id]; ok {
 				hits++
@@ -446,12 +313,6 @@ func (s *Remote) Gather(dst *slicing.Pinned, nodeIDs []int32, batch int) error {
 	s.stats.RowsRemote += fetched
 	s.stats.BytesRemote += wire
 	s.mu.Unlock()
-
-	if s.sketch != nil && s.mbudget > 0 {
-		if seq := s.gatherSeq.Add(1); seq%s.mirrorEvery == 0 {
-			s.maybeRefreshMirror()
-		}
-	}
 	return nil
 }
 

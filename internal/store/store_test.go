@@ -111,7 +111,7 @@ func TestAllStoresStageIdenticalBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cachedSharded, err := NewCached(sharded, ds.G, CacheOptions{Rows: int(ds.G.N) / 4, Policy: cache.LRU})
+	cachedSharded, err := NewCached(sharded, ds.G, CacheOptions{Rows: int(ds.G.N) / 4, Policy: cache.VIP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestLDGPlacementCutsCrossShardTraffic(t *testing.T) {
 func TestConcurrentGathersAreSafeAndAccounted(t *testing.T) {
 	ds := testDS(t)
 	lists, batches := sampleLists(t, ds, 8, 32)
-	cached, err := NewCached(NewFlat(ds), ds.G, CacheOptions{Rows: int(ds.G.N) / 4, Policy: cache.LRU})
+	cached, err := NewCached(NewFlat(ds), ds.G, CacheOptions{Rows: int(ds.G.N) / 4, Policy: cache.VIP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestBuildSpecs(t *testing.T) {
 		{Spec{Kind: "sharded", Parts: 2, Placement: "random"}, "*store.Sharded"},
 		{Spec{Kind: "cached"}, "*store.Cached"},
 		{Spec{Kind: "cached", Parts: 2}, "*store.Cached"}, // parts ignored without sharding
-		{Spec{Kind: "sharded+cached", Parts: 2, CachePolicy: cache.LRU}, "*store.Cached"},
+		{Spec{Kind: "sharded+cached", Parts: 2, CachePolicy: cache.VIP}, "*store.Cached"},
 	} {
 		st, err := Build(ds, tc.spec)
 		if err != nil {

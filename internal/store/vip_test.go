@@ -2,9 +2,11 @@ package store
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"salient/internal/cache"
+	"salient/internal/graph"
 	"salient/internal/half"
 	"salient/internal/rng"
 	"salient/internal/slicing"
@@ -102,4 +104,82 @@ func TestVIPCachedMovesFewerBytesThanDegree(t *testing.T) {
 	}
 	t.Logf("capacity %d rows: VIP moved %d bytes vs degree %d (%.1f%% saved)",
 		capRows, vb, db, 100*(1-float64(vb)/float64(db)))
+}
+
+// TestVIPCachedAdmitsAppendedNode pins that the VIP sketch follows graph
+// growth: a node appended after the cache was built, and then gathered more
+// than any other, is resident after the next Refresh on the grown snapshot.
+// peer shares the base store without appending through it, as a fleet
+// replica does, and must admit the node too. Refreshes run concurrently
+// with the append and the gathers, so -race checks sketch growth against
+// planning.
+func TestVIPCachedAdmitsAppendedNode(t *testing.T) {
+	ds := testDS(t)
+	dyn, err := graph.NewDynamic(ds.G, graph.DynamicOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := NewFlat(ds)
+	var stores []*Cached
+	for range 2 {
+		c, err := NewCached(base, dyn.View(), CacheOptions{Rows: 4, Policy: cache.VIP})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores = append(stores, c)
+	}
+	buf := slicing.NewPinned(1, base.Dim(), 1)
+	gather := func(c *Cached, v int32, times int) {
+		for i := 0; i < times; i++ {
+			if err := c.Gather(buf, []int32{v}, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				for _, c := range stores {
+					c.Refresh(dyn.View())
+				}
+			}
+		}
+	}()
+	row, err := stores[0].AppendRows(make([]float32, ds.FeatDim), []int32{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := dyn.AddNodes(1); err != nil || v != row {
+		t.Fatalf("AddNodes = %d, %v; want node %d", v, err, row)
+	}
+	for i := int32(0); i < 50; i++ {
+		for _, c := range stores {
+			gather(c, row, 1)
+			gather(c, i%8, 1)
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	// The measured window: the new node is the hottest row by far.
+	for _, c := range stores {
+		gather(c, row, 20)
+		for v := int32(0); v < 8; v++ {
+			gather(c, v, 2)
+		}
+		c.Refresh(dyn.View())
+	}
+	for i, c := range stores {
+		if !c.Cache().Resident(row) {
+			t.Fatalf("store %d: appended node %d, gathered most, is not resident after Refresh", i, row)
+		}
+	}
 }
