@@ -162,6 +162,45 @@ func TestSketchConcurrentObserveExact(t *testing.T) {
 	}
 }
 
+// TestPlanVIPUnitCostMatchesTopK checks the VIP placement end to end: with
+// every row costing one slot, Cache.Plan must pick exactly the top-capacity
+// observed nodes by access count (lower id on ties), for budgets from zero
+// to past the node count.
+func TestPlanVIPUnitCostMatchesTopK(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 100; trial++ {
+		n := 2 + r.Intn(40)
+		k := r.Intn(n + 2)
+		g := lineGraph(t, int32(n))
+		c, err := New(g, Options{Capacity: k, Policy: VIP})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []int32
+		var freq []int64
+		for v := int32(0); v < int32(n); v++ {
+			f := r.Intn(6)
+			for i := 0; i < f; i++ {
+				c.Touch(v)
+			}
+			if f > 0 { // VIP never pins an untouched row
+				ids = append(ids, v)
+				freq = append(freq, int64(f))
+			}
+		}
+		got := asSet(c.Plan(g))
+		want := asSet(sortTopK(ids, freq, k))
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: k=%d size %d want %d", trial, k, len(got), len(want))
+		}
+		for v := range want {
+			if !got[v] {
+				t.Fatalf("trial %d: k=%d missing %d", trial, k, v)
+			}
+		}
+	}
+}
+
 func TestVIPCachePlanFollowsTraffic(t *testing.T) {
 	g := lineGraph(t, 16)
 	c, err := New(g, Options{Capacity: 2, Policy: VIP})
