@@ -20,7 +20,7 @@ const (
 	// higher-priority traffic is still admitted (lowest priority sheds
 	// first as occupancy climbs).
 	ShedPriority
-	// ShedCapacity: the replica's admission ring was full — the bare
+	// ShedCapacity: the replica's admission queue was full — the bare
 	// server's ErrSaturated, attributed.
 	ShedCapacity
 	numShedReasons int = iota

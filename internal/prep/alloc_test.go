@@ -4,6 +4,7 @@ import (
 	"errors"
 	"runtime"
 	"testing"
+	"time"
 
 	"salient/internal/half"
 	"salient/internal/mfg"
@@ -112,9 +113,11 @@ func TestEpochAllocBudget(t *testing.T) {
 // TestBadSeedsSurfaceAsBatchErr: seed lists the sampler rejects must come
 // back as a typed *sampler.SeedError on Batch.Err (and Stream.Err), not as
 // a panic inside an executor worker goroutine — errored batches keep their
-// epoch index, carry no MFG or buffer, and still release their arena.
+// epoch index, carry no MFG or buffer, still release their arena, and the
+// errored epoch leaves no goroutine behind.
 func TestBadSeedsSurfaceAsBatchErr(t *testing.T) {
 	ds := testDataset(t)
+	base := runtime.NumGoroutine()
 	ex, err := NewSalient(ds, Options{
 		Workers:   2,
 		BatchSize: 16,
@@ -165,40 +168,73 @@ func TestBadSeedsSurfaceAsBatchErr(t *testing.T) {
 		if got, want := ex.arenas.idle(), ex.arenas.size(); got != want {
 			t.Fatalf("%s: errored epoch leaked arenas: %d of %d free", name, got, want)
 		}
+		assertGoroutinesSettle(t, base)
 	}
 }
 
-// TestArenaLeakAndDoubleRelease: a fully drained epoch must return every
-// arena to the pool, and releasing a batch twice must not double-free its
-// arena (the second call is a no-op even though the arena may already be
-// back in circulation under a new batch).
+// assertGoroutinesSettle fails unless the goroutine count returns to base
+// within 2 s: every worker, reorder stage and stripe goroutine a drained
+// epoch started has exited. Exits finish asynchronously after their
+// WaitGroup signals, so the count is polled.
+func assertGoroutinesSettle(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("%d goroutines after the epoch, %d before:\n%s", runtime.NumGoroutine(), base, buf)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestArenaLeakAndDoubleRelease: under both executors, a fully drained
+// epoch must return every arena to the pool and stop every goroutine it
+// started, and releasing a batch twice must not double-free its arena (the
+// second call is a no-op even though the arena may already be back in
+// circulation under a new batch).
 func TestArenaLeakAndDoubleRelease(t *testing.T) {
 	ds := testDataset(t)
-	ex, err := NewSalient(ds, Options{
-		Workers:   3,
-		BatchSize: 32,
-		Fanouts:   []int{4, 4},
-		Sampler:   sampler.FastConfig(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := ex.arenas.idle(), ex.arenas.size(); got != want {
-		t.Fatalf("fresh executor has %d of %d arenas free", got, want)
-	}
-	s := ex.Run(ds.Train, 7)
-	var last *Batch
-	for b := range s.C {
-		b.Release()
-		b.Release() // idempotent: must not return the arena twice
-		last = b
-	}
-	s.Wait()
-	if got, want := ex.arenas.idle(), ex.arenas.size(); got != want {
-		t.Fatalf("drained epoch leaked arenas: %d of %d free", got, want)
-	}
-	if last.ar != nil || last.Buf != nil {
-		t.Fatal("released batch still references its arena")
+	for _, tc := range []struct {
+		name         string
+		pyg, ordered bool
+	}{{"salient", false, false}, {"salient-ordered", false, true}, {"pyg", true, false}} {
+		base := runtime.NumGoroutine()
+		opts := Options{Workers: 3, BatchSize: 32, Fanouts: []int{4, 4}, Sampler: sampler.FastConfig(), Ordered: tc.ordered}
+		var run func([]int32, uint64) *Stream
+		var pool *arenaPool
+		if tc.pyg {
+			ex, err := NewPyG(ds, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, pool = ex.Run, ex.arenas
+		} else {
+			ex, err := NewSalient(ds, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, pool = ex.Run, ex.arenas
+		}
+		if got, want := pool.idle(), pool.size(); got != want {
+			t.Fatalf("%s: fresh executor has %d of %d arenas free", tc.name, got, want)
+		}
+		s := run(ds.Train, 7)
+		var last *Batch
+		for b := range s.C {
+			b.Release()
+			b.Release() // idempotent: must not return the arena twice
+			last = b
+		}
+		s.Wait()
+		if got, want := pool.idle(), pool.size(); got != want {
+			t.Fatalf("%s: drained epoch leaked arenas: %d of %d free", tc.name, got, want)
+		}
+		if last.ar != nil || last.Buf != nil {
+			t.Fatalf("%s: released batch still references its arena", tc.name)
+		}
+		assertGoroutinesSettle(t, base)
 	}
 
 	// The pool itself guards against overflow, the double-free symptom.

@@ -15,13 +15,13 @@ import (
 // every buffer has grown to the largest neighborhood it has ever staged and
 // is simply overwritten.
 //
-// The arena pool is also the executor's in-flight bound (what used to be a
-// separate pinned-buffer pool plus a credit channel): a worker must hold an
-// arena before it may claim a batch index, and because the acquisition
-// precedes the FIFO index pop, the arena-holding worker always claims the
-// lowest remaining index — ordered delivery can never starve the emission
-// cursor's batch as long as the consumer holds fewer than InFlight
-// unreleased batches.
+// The arena pool is also the executor's in-flight bound: a worker must hold
+// an arena before it may claim a batch index, and because the acquisition
+// precedes the claim from the increasing index counter, the arena-holding
+// worker always claims the lowest unclaimed index — ordered delivery can
+// never starve the emission cursor's batch as long as the consumer holds
+// fewer than InFlight unreleased batches. The PyG executor stages into the
+// same pool's pinned buffers and leaves the arena MFGs unused.
 type arena struct {
 	mfg mfg.MFG
 	buf *slicing.Pinned
@@ -50,8 +50,7 @@ func newArenaPool(n, maxRows, featDim, maxBatch int) *arenaPool {
 func (p *arenaPool) get() *arena { return <-p.free }
 
 // put returns an arena to the pool. Returning more arenas than the pool size
-// panics, which catches double-release bugs early (the same guard
-// slicing.Pool.Put applies to bare pinned buffers).
+// panics, which catches double-release bugs early.
 func (p *arenaPool) put(a *arena) {
 	select {
 	case p.free <- a:

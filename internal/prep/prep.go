@@ -8,18 +8,21 @@
 //   - Salient: SALIENT's shared-memory design. Worker goroutines prepare
 //     whole batches end-to-end — sampling with the fast sampler straight
 //     into a recycled batch arena, then serially slicing features into the
-//     arena's pinned staging buffer — and balance load dynamically through a
-//     lock-free MPMC queue. Nothing is copied between workers and the
-//     consumer; the arena itself is handed over, and Batch.Release recycles
-//     it, so steady-state preparation performs (near-)zero heap allocations
-//     even with many batches in flight.
+//     arena's pinned staging buffer — and balance load dynamically: an idle
+//     worker claims the next unclaimed batch index from one shared atomic
+//     counter. Nothing is copied between workers and the consumer; the
+//     arena itself is handed over, and Batch.Release recycles it, so
+//     steady-state preparation performs (near-)zero heap allocations even
+//     with many batches in flight.
 //
 //   - PyG: the PyTorch DataLoader model. Workers are statically assigned
 //     batches round-robin (batch i goes to worker i mod P) and perform only
 //     sampling; the sampled MFG is deep-copied once more to model the
 //     worker→main process IPC (pickling through POSIX shared memory), and
 //     slicing runs afterwards on the consumer side with a statically striped
-//     parallel kernel, as PyTorch's internally parallel indexing does.
+//     parallel kernel, as PyTorch's internally parallel indexing does. Its
+//     pinned staging buffers recycle through the same arena pool; its MFGs
+//     stay batch-owned, since that copy is the IPC the model charges for.
 //
 // Batches are deterministic in content: batch index i of an epoch keyed by
 // epochSeed always contains the same seeds and the same sampled MFG, no
@@ -43,7 +46,6 @@ import (
 	"salient/internal/dataset"
 	"salient/internal/graph"
 	"salient/internal/mfg"
-	"salient/internal/queue"
 	"salient/internal/rng"
 	"salient/internal/sampler"
 	"salient/internal/slicing"
@@ -54,11 +56,11 @@ import (
 // staged (pinned) feature and label slices. The consumer must call Release
 // when it is done with the batch.
 //
-// Ownership: a SALIENT batch's MFG and Buf live in a recycled arena. Release
-// returns the whole arena to the executor's bounded pool, after which the
-// batch's MFG and buffer contents belong to whichever batch next occupies
-// the arena — consume (or copy) everything a batch references before
-// releasing it. Release is idempotent on the same Batch.
+// Ownership: a batch's Buf (and a SALIENT batch's MFG) live in a recycled
+// arena. Release returns the whole arena to the executor's bounded pool,
+// after which the batch's buffer contents belong to whichever batch next
+// occupies the arena — consume (or copy) everything a batch references
+// before releasing it. Release is idempotent on the same Batch.
 type Batch struct {
 	Index int // position within this executor's epoch (delivery order key)
 	// GlobalIndex is the batch's position in the global epoch schedule
@@ -68,7 +70,7 @@ type Batch struct {
 	// interleave into one global sequence.
 	GlobalIndex int
 	Seeds       []int32  // global seed node IDs (label rows are in Buf.Labels)
-	MFG         *mfg.MFG // arena-backed (Salient: nil after Release) or batch-owned (PyG)
+	MFG         *mfg.MFG // arena-backed (Salient) or batch-owned (PyG); nil after Release
 	Buf         *slicing.Pinned
 
 	// Fused is set instead of Buf when the executor runs the fused
@@ -85,21 +87,15 @@ type Batch struct {
 	// first such error (Stream.Err).
 	Err error
 
-	ar    *arena     // Salient: the batch's whole recycled footprint
+	ar    *arena     // the batch's recycled footprint
 	owner *arenaPool // pool ar returns to on Release
-
-	pool *slicing.Pool // PyG: pinned-staging-only recycling
 }
 
 // Release returns the batch's arena (its MFG buffers and pinned staging
-// slot) to the executor's pool — or, for PyG batches, just the pinned
-// buffer. It is idempotent; releasing also serves as the epoch's in-flight
-// credit, so holding InFlight or more unreleased batches stalls the stream.
+// slot) to the executor's pool. It is idempotent; releasing also serves as
+// the epoch's in-flight credit, so holding InFlight or more unreleased
+// batches stalls the stream.
 func (b *Batch) Release() {
-	if b.pool != nil && b.Buf != nil {
-		b.pool.Put(b.Buf)
-	}
-	b.pool = nil
 	b.Buf = nil
 	b.Fused = nil
 	if b.ar != nil {
@@ -402,12 +398,11 @@ type Salient struct {
 	store store.FeatureStore
 	// arenas bounds in-flight batches and recycles their whole footprint: a
 	// worker takes one arena before claiming a batch index, and the arena is
-	// returned when the consumer Releases the batch. Because the arena is
-	// taken before the FIFO index pop, the arena-holding worker always
-	// claims the lowest remaining index — so ordered delivery cannot starve
-	// the emission cursor's batch as long as the consumer holds fewer than
-	// InFlight unreleased batches. (This unifies the pinned-buffer pool and
-	// the credit channel earlier revisions kept separately.)
+	// returned when the consumer Releases the batch. Indices are claimed in
+	// increasing order from one counter, and the arena is taken before the
+	// claim, so an arena holder always claims the lowest unclaimed index —
+	// ordered delivery cannot starve the emission cursor's batch as long as
+	// the consumer holds fewer than InFlight unreleased batches.
 	arenas *arenaPool
 	// fused is the store's fused gather+aggregate kernel, resolved once at
 	// construction when Options.Fused is set (nil on the staged path).
@@ -464,8 +459,9 @@ func NewSalient(ds *dataset.Dataset, opts Options) (*Salient, error) {
 }
 
 // Run starts one epoch over the given seed set and returns the stream of
-// prepared batches. Each worker owns a private fast sampler; batch indices
-// are balanced dynamically through a lock-free queue.
+// prepared batches. Each worker owns a private fast sampler; an idle worker
+// claims the next batch index from a shared atomic counter, which balances
+// load dynamically (paper §4.2).
 func (e *Salient) Run(seeds []int32, epochSeed uint64) *Stream {
 	if !e.running.CompareAndSwap(false, true) {
 		panic("prep: Run called while a previous epoch is still preparing (drain the stream first)") //lint:allow panicdiscipline API misuse guard: overlapping Runs would corrupt the arena pool accounting
@@ -490,12 +486,7 @@ func (e *Salient) Run(seeds []int32, epochSeed uint64) *Stream {
 	perm := e.opts.epochPerm(seeds, epochSeed)
 	nb := NumBatches(len(perm), e.opts.BatchSize)
 
-	work := queue.New[int](nb + 1)
-	for i := 0; i < nb; i++ {
-		work.Push(i)
-	}
-	work.Close()
-
+	var next atomic.Int64
 	raw := make(chan *Batch, e.opts.InFlight)
 	s := &Stream{
 		Graph:         e.snap,
@@ -519,12 +510,12 @@ func (e *Salient) Run(seeds []int32, epochSeed uint64) *Stream {
 			r := rng.New(0) // reseeded per batch (BatchSeed), never reallocated
 			for {
 				// Acquire an arena BEFORE claiming a batch index: the
-				// arena-holding worker then pops the lowest remaining index,
-				// so the emission cursor's batch is never starved of a
-				// buffer by higher-index batches (see the arenas field).
+				// arena-holding worker then claims the lowest unclaimed
+				// index, so the emission cursor's batch is never starved of
+				// a buffer by higher-index batches (see the arenas field).
 				ar := e.arenas.get()
-				idx, ok := work.Pop()
-				if !ok {
+				idx := int(next.Add(1) - 1)
+				if idx >= nb {
 					e.arenas.put(ar)
 					return
 				}
@@ -619,15 +610,15 @@ func reorder(s *Stream, in <-chan *Batch, nb, inflight int) chan *Batch {
 
 // PyG is the DataLoader-model executor: static batch assignment, sampling
 // only in workers, an IPC copy of every sampled MFG, and consumer-side
-// striped-parallel slicing.
+// striped-parallel slicing into arena-pooled pinned buffers.
 type PyG struct {
-	ds    *dataset.Dataset
-	opts  Options
-	store store.FeatureStore
-	pool  *slicing.Pool
-	graph graph.Viewer
-	snap  graph.View
-	rows  int
+	ds     *dataset.Dataset
+	opts   Options
+	store  store.FeatureStore
+	arenas *arenaPool // only each arena's pinned buffer is used
+	graph  graph.Viewer
+	snap   graph.View
+	rows   int
 }
 
 // NewPyG builds a PyG-style executor over ds. The fused pipeline is not
@@ -648,13 +639,13 @@ func NewPyG(ds *dataset.Dataset, opts Options) (*PyG, error) {
 	snap := src.View()
 	rows := MaxRowsEstimate(opts.BatchSize, opts.Fanouts, int(snap.NumNodes()))
 	return &PyG{
-		ds:    ds,
-		opts:  opts,
-		store: st,
-		pool:  slicing.NewPool(opts.InFlight, rows, ds.FeatDim, opts.BatchSize),
-		graph: src,
-		snap:  snap,
-		rows:  rows,
+		ds:     ds,
+		opts:   opts,
+		store:  st,
+		arenas: newArenaPool(opts.InFlight, rows, ds.FeatDim, opts.BatchSize),
+		graph:  src,
+		snap:   snap,
+		rows:   rows,
 	}, nil
 }
 
@@ -670,7 +661,7 @@ func (e *PyG) Run(seeds []int32, epochSeed uint64) *Stream {
 	if snap := e.graph.View(); snap != e.snap {
 		e.snap = snap
 		if rows := MaxRowsEstimate(e.opts.BatchSize, e.opts.Fanouts, int(snap.NumNodes())); rows > e.rows {
-			e.pool = slicing.NewPool(e.opts.InFlight, rows, e.ds.FeatDim, e.opts.BatchSize)
+			e.arenas = newArenaPool(e.opts.InFlight, rows, e.ds.FeatDim, e.opts.BatchSize)
 			e.rows = rows
 		}
 	}
@@ -754,12 +745,14 @@ func (e *PyG) Run(seeds []int32, epochSeed uint64) *Stream {
 // stripes (StripedGatherer) gather with the striped-parallel kernel running
 // the stripes concurrently (PyTorch's OpenMP-parallel indexing); others
 // fall back to the serial gather. A gather rejection comes back as an
-// errored batch rather than a consumer panic.
+// errored batch (still carrying its arena for Release) rather than a
+// consumer panic.
 func (e *PyG) slice(idx int, seeds []int32, m *mfg.MFG) *Batch {
-	buf := e.pool.Get()
+	ar := e.arenas.get()
+	b := &Batch{Index: idx, GlobalIndex: e.opts.globalIndex(idx), Seeds: seeds, MFG: m, ar: ar, owner: e.arenas}
 	var err error
 	if sg, ok := e.store.(store.StripedGatherer); ok {
-		err = sg.GatherStriped(buf, m.NodeIDs, len(seeds), e.opts.Workers, func(stripes []func()) {
+		err = sg.GatherStriped(ar.buf, m.NodeIDs, len(seeds), e.opts.Workers, func(stripes []func()) {
 			var wg sync.WaitGroup
 			for _, st := range stripes {
 				wg.Add(1)
@@ -771,11 +764,12 @@ func (e *PyG) slice(idx int, seeds []int32, m *mfg.MFG) *Batch {
 			wg.Wait()
 		})
 	} else {
-		err = e.store.Gather(buf, m.NodeIDs, len(seeds))
+		err = e.store.Gather(ar.buf, m.NodeIDs, len(seeds))
 	}
 	if err != nil {
-		e.pool.Put(buf)
-		return &Batch{Index: idx, GlobalIndex: e.opts.globalIndex(idx), Seeds: seeds, MFG: m, Err: err}
+		b.Err = err
+		return b
 	}
-	return &Batch{Index: idx, GlobalIndex: e.opts.globalIndex(idx), Seeds: seeds, MFG: m, Buf: buf, pool: e.pool}
+	b.Buf = ar.buf
+	return b
 }

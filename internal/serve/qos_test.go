@@ -31,7 +31,7 @@ func TestPredictReqZeroValuesMatchPredict(t *testing.T) {
 }
 
 // TestPredictReqExpiredDeadlineShedsBeforeEnqueue: a request already past
-// its deadline is refused without touching the ring, with full context.
+// its deadline is refused without being queued, with full context.
 func TestPredictReqExpiredDeadlineShedsBeforeEnqueue(t *testing.T) {
 	ds, tr := fitted(t)
 	s, err := New(tr.Model, ds, Options{Fanouts: serveFanouts, Seed: serveSeed})
@@ -101,8 +101,8 @@ func TestQueueIntrospection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if got := s.QueueCap(); got != 128 {
-		t.Fatalf("QueueCap() = %d, want 128 (100 rounded up to a power of two)", got)
+	if got := s.QueueCap(); got != 100 {
+		t.Fatalf("QueueCap() = %d, want exactly QueueCapacity 100", got)
 	}
 	if got := s.QueueDepth(); got != 0 {
 		t.Fatalf("QueueDepth() on idle server = %d, want 0", got)

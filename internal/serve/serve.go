@@ -3,21 +3,21 @@
 // inference reuses the training pipeline, taken to its serving conclusion).
 //
 // Clients call Submit with a single node and block for its predicted label.
-// Internally, requests land in the same lock-free MPMC ring the executors
-// use for dynamic load balancing (internal/queue); worker goroutines pull a
-// request plus whatever is already queued behind it, up to MaxBatch, and
-// never wait for more — requests that arrive during an execution form the
-// next micro-batch, so a backlog still coalesces while a closed loop pays no
-// batching window. Each micro-batch runs one fused prepare-and-forward over
-// the coalesced set: per-request neighborhood sampling straight into the
-// worker's recycled MFG slots (SampleInto — no per-request copies), a
-// block-diagonal MFG merge (mfg.Merge), one gather through the feature store
-// (internal/store) into a pinned staging buffer, and one model forward. All
-// of that scratch is released for reuse as soon as the micro-batch's
-// responses are delivered. The forward runs in eval mode, which writes no
-// model state, so workers run theirs concurrently through one model, and
-// several servers may share that model too. Transfer and cache accounting live in the store;
-// the server just snapshots them into its Stats.
+// Internally, requests land in a bounded admission channel; whichever
+// worker goroutine is idle receives a request plus whatever is already
+// queued behind it, up to MaxBatch, and never waits for more — requests
+// that arrive during an execution form the next micro-batch, so a backlog
+// still coalesces while a closed loop pays no batching window. Each
+// micro-batch runs one fused prepare-and-forward over the coalesced set:
+// per-request neighborhood sampling straight into the worker's recycled MFG
+// slots (SampleInto — no per-request copies), a block-diagonal MFG merge
+// (mfg.Merge), one gather through the feature store (internal/store) into
+// the worker's pinned staging buffer, and one model forward. All of that
+// scratch is released for reuse as soon as the micro-batch's responses are
+// delivered. The forward runs in eval mode, which writes no model state, so
+// workers run theirs concurrently through one model, and several servers
+// may share that model too. Transfer and cache accounting live in the
+// store; the server just snapshots them into its Stats.
 //
 // Determinism: each request is sampled independently with the RNG a
 // singleton inference epoch would use (prep.BatchRNG(seed, 0)), and the
@@ -25,7 +25,7 @@
 // for a node never depends on which requests it happened to share a
 // micro-batch with — Submit(v) always equals one-shot infer.Sampled on {v}.
 //
-// Backpressure: the ring is the admission bound. When it is full, Submit
+// Backpressure: the channel is the admission bound. When it is full, Submit
 // fails fast with ErrSaturated instead of queueing unbounded work, so
 // saturation degrades into rejections rather than latency collapse or
 // deadlock.
@@ -46,7 +46,6 @@ import (
 	"salient/internal/mfg"
 	"salient/internal/nn"
 	"salient/internal/prep"
-	"salient/internal/queue"
 	"salient/internal/rng"
 	"salient/internal/sampler"
 	"salient/internal/slicing"
@@ -75,17 +74,16 @@ type Options struct {
 	// Fanouts are the per-layer inference fanouts (Table 6). Required, and
 	// must match the model's layer count.
 	Fanouts []int
-	// Workers is the number of batching workers pulling from the request
-	// ring. Default 2.
+	// Workers is the number of batching workers pulling from the admission
+	// channel. Default 2.
 	Workers int
 	// MaxBatch caps how many requests one micro-batch coalesces. Default 64.
 	MaxBatch int
 	// Deprecated: MaxDelay is ignored. A worker closes a micro-batch as soon
-	// as the ring is empty and never waits for more requests.
+	// as the admission channel is empty and never waits for more requests.
 	MaxDelay time.Duration
-	// QueueCapacity is the admission bound: the minimum number of requests
-	// that may wait in the ring before Submit rejects (rounded up by
-	// internal/queue to a power of two). Default 1024.
+	// QueueCapacity is the admission bound: exactly how many requests may
+	// wait for a worker before Submit rejects. Default 1024.
 	QueueCapacity int
 	// Seed keys per-request sampling. A server with seed s answers Submit(v)
 	// exactly as infer.Sampled(model, ds, {v}, Options{Seed: s}) would.
@@ -164,7 +162,7 @@ type Request struct {
 	Deadline time.Time
 	// Priority orders requests under overload: higher values are more
 	// important. The server itself is FIFO — priority is consumed by the
-	// admission layer in front of the ring (internal/fleet), which sheds
+	// admission layer in front of the server (internal/fleet), which sheds
 	// lowest-priority traffic first.
 	Priority uint8
 }
@@ -225,7 +223,7 @@ type Prediction struct {
 
 // Stats is a snapshot of the server's counters and distributions.
 type Stats struct {
-	Submitted int64 // requests accepted into the ring
+	Submitted int64 // requests accepted for execution
 	Rejected  int64 // requests refused with ErrSaturated
 	Served    int64 // requests answered
 	Batches   int64 // micro-batches executed
@@ -278,14 +276,10 @@ type Server struct {
 	ds    *dataset.Dataset
 	opts  Options
 
-	ring *queue.MPMC[*request]
-	pool *slicing.Pool
-
-	// doorbell wakes one parked worker after a push; stop (closed by Close)
-	// wakes them all for the final drain. Workers park instead of spinning on
-	// the ring so an idle long-lived server costs no CPU.
-	doorbell chan struct{}
-	stop     chan struct{}
+	// reqs is the admission queue, buffered to exactly QueueCapacity. Idle
+	// workers block receiving from it, so an idle server costs no CPU; Close
+	// closes it and the workers drain what is left before exiting.
+	reqs chan *request
 
 	// store is the feature-access layer; it owns all transfer and cache
 	// accounting (Cached-wrapped when Options.CacheRows > 0).
@@ -324,9 +318,9 @@ type Server struct {
 	// deadline feasibility (EstimateServiceTime).
 	svc *event.Window
 
-	// gate orders Submit's push against Close: Submit pushes under the read
-	// lock, Close flips closing under the write lock before closing the ring,
-	// so no push can land after the workers have drained and exited.
+	// gate orders Submit's send against Close: Submit sends under the read
+	// lock, and Close flips closing and closes reqs under the write lock, so
+	// no send can reach a closed channel.
 	gate    sync.RWMutex
 	closing bool
 
@@ -344,13 +338,11 @@ func New(m nn.Model, ds *dataset.Dataset, opts Options) (*Server, error) {
 		return nil, fmt.Errorf("serve: %d fanouts for a %d-layer %s", len(opts.Fanouts), m.Layers(), m.Name())
 	}
 	s := &Server{
-		model:    m,
-		ds:       ds,
-		opts:     opts,
-		ring:     queue.New[*request](opts.QueueCapacity),
-		doorbell: make(chan struct{}, 1),
-		stop:     make(chan struct{}),
-		svc:      event.NewWindow(serviceWindow),
+		model: m,
+		ds:    ds,
+		opts:  opts,
+		reqs:  make(chan *request, opts.QueueCapacity),
+		svc:   event.NewWindow(serviceWindow),
 	}
 	if opts.Graph != nil {
 		s.topo = opts.Graph
@@ -363,7 +355,6 @@ func New(m nn.Model, ds *dataset.Dataset, opts Options) (*Server, error) {
 	// mfg.Merge is a disjoint union (a node two requests sample is staged
 	// twice), so a full micro-batch bounds at MaxBatch single-request MFGs.
 	rows := opts.MaxBatch * prep.MaxRowsEstimate(1, opts.Fanouts, int(s.topo.View().NumNodes()))
-	s.pool = slicing.NewPool(opts.Workers, rows, ds.FeatDim, opts.MaxBatch)
 	base := opts.Store
 	if base == nil {
 		base = store.NewFlat(ds)
@@ -395,7 +386,7 @@ func New(m nn.Model, ds *dataset.Dataset, opts Options) (*Server, error) {
 	}
 	for w := 0; w < opts.Workers; w++ {
 		s.wg.Add(1)
-		go s.worker()
+		go s.worker(slicing.NewPinned(rows, ds.FeatDim, opts.MaxBatch))
 	}
 	return s, nil
 }
@@ -433,12 +424,12 @@ func (s *Server) EstimateServiceTime() time.Duration {
 }
 
 // QueueDepth returns the instantaneous (advisory) number of requests
-// waiting in the admission ring.
-func (s *Server) QueueDepth() int { return s.ring.Len() }
+// waiting for a worker.
+func (s *Server) QueueDepth() int { return len(s.reqs) }
 
-// QueueCap returns the ring's true capacity — the saturation point Submit
-// rejects at (Options.QueueCapacity rounded up to a power of two).
-func (s *Server) QueueCap() int { return s.ring.Cap() }
+// QueueCap returns the admission capacity — the saturation point Submit
+// rejects at (Options.QueueCapacity).
+func (s *Server) QueueCap() int { return cap(s.reqs) }
 
 // PredictReq is Predict with the full request attributes: an optional
 // deadline (expired requests are shed, not computed) and a priority level
@@ -451,7 +442,7 @@ func (s *Server) PredictReq(r Request) (Prediction, error) {
 	}
 	now := time.Now()
 	if !r.Deadline.IsZero() && now.After(r.Deadline) {
-		// Already past due at submission: shed without touching the ring.
+		// Already past due at submission: shed without queueing it.
 		s.statsMu.Lock()
 		s.deadlined++
 		s.statsMu.Unlock()
@@ -468,20 +459,16 @@ func (s *Server) PredictReq(r Request) (Prediction, error) {
 	s.statsMu.Lock()
 	s.submitted++
 	s.statsMu.Unlock()
-	pushed := s.ring.TryPush(req)
-	s.gate.RUnlock()
-	if !pushed {
+	select {
+	case s.reqs <- req:
+		s.gate.RUnlock()
+	default:
+		s.gate.RUnlock()
 		s.statsMu.Lock()
 		s.submitted--
 		s.rejected++
 		s.statsMu.Unlock()
 		return Prediction{}, ErrSaturated
-	}
-	// Ring the doorbell (one token is enough: a woken worker drains the ring
-	// before parking again, and re-rings if work remains for its peers).
-	select {
-	case s.doorbell <- struct{}{}:
-	default:
 	}
 	res := <-req.done
 	return Prediction{Label: res.label, Version: res.version}, res.err
@@ -503,7 +490,7 @@ func (s *Server) numNodes() int32 {
 // duplicate-free) plus the resulting graph version. Micro-batches coalesced
 // after the returned version pin a snapshot that includes these edges;
 // in-flight micro-batches keep their already-pinned snapshot, so no answer
-// ever mixes versions. Updates are accepted regardless of request-ring
+// ever mixes versions. Updates are accepted regardless of request-queue
 // saturation — admission control sheds reads, not writes.
 func (s *Server) Update(src, dst []int32) (int, uint64, error) {
 	if s.dyn == nil {
@@ -580,9 +567,8 @@ func (s *Server) Close() {
 	s.closed.Do(func() {
 		s.gate.Lock()
 		s.closing = true
+		close(s.reqs)
 		s.gate.Unlock()
-		s.ring.Close()
-		close(s.stop)
 		s.wg.Wait()
 	})
 }
@@ -634,10 +620,11 @@ func (s *Server) FeatureStore() store.FeatureStore { return s.store }
 // workerState is one batching worker's recycled scratch: its private
 // sampler, the per-request MFG slots requests are sampled into (recycled
 // across micro-batches, the serving counterpart of prep's batch arenas), the
-// merge pointer list, a single-seed buffer, the decode tensor, and the
-// argmax output. Everything here is released for reuse as soon as the
-// micro-batch's responses are delivered, so a steady-state worker allocates
-// only what mfg.Merge needs for multi-request batches.
+// merge pointer list, a single-seed buffer, the pinned staging buffer, the
+// decode tensor, and the argmax output. Everything here is released for
+// reuse as soon as the micro-batch's responses are delivered, so a
+// steady-state worker allocates only what mfg.Merge needs for multi-request
+// batches.
 type workerState struct {
 	sm    *sampler.Sampler
 	snap  graph.View // topology pinned for the current micro-batch
@@ -645,6 +632,7 @@ type workerState struct {
 	slots []mfg.MFG  // slots[i] holds request i's sampled MFG
 	ptrs  []*mfg.MFG // merge argument scratch
 	seed  [1]int32
+	buf   *slicing.Pinned
 	x     *tensor.Dense
 	pred  []int32
 
@@ -656,49 +644,33 @@ type workerState struct {
 	over []bool
 }
 
-// worker pulls one request, takes whatever is already queued behind it (up
-// to MaxBatch), and executes the batch end-to-end on the SALIENT data path.
-// It never waits for more requests: whatever arrives during an execution
-// forms the next batch. Between micro-batches it parks on the doorbell, so
-// idle servers consume no CPU.
-func (s *Server) worker() {
+// worker receives one request, takes whatever is already queued behind it
+// (up to MaxBatch), and executes the batch end-to-end on the SALIENT data
+// path, staging into buf. It never waits for more requests: whatever
+// arrives during an execution forms the next batch. It exits once Close has
+// closed the queue and the queue is drained.
+func (s *Server) worker(buf *slicing.Pinned) {
 	defer s.wg.Done()
 	snap0 := s.topo.View()
-	ws := &workerState{sm: sampler.New(snap0, s.opts.Fanouts, sampler.FastConfig()), snap: snap0, r: rng.New(0)}
+	ws := &workerState{sm: sampler.New(snap0, s.opts.Fanouts, sampler.FastConfig()), snap: snap0, r: rng.New(0), buf: buf}
 	if s.emb != nil {
 		ws.emb = embcache.NewReuser(s.emb, s.opts.EmbStaleness)
 		ws.sm.SetTruncate(ws.emb.Truncate)
 	}
 	batch := make([]*request, 0, s.opts.MaxBatch)
-	for {
-		first, ok := s.ring.TryPop()
-		if !ok {
-			// Park until a push or shutdown; on shutdown keep draining until
-			// the ring is verifiably empty after the closed flag is visible.
-			select {
-			case <-s.doorbell:
-				continue
-			case <-s.stop:
-				if first, ok = s.ring.TryPop(); !ok {
-					return
-				}
-			}
-		}
-		// One doorbell token wakes one worker; if more requests are already
-		// queued behind this one, wake a peer to coalesce in parallel.
-		if s.ring.Len() > 0 {
-			select {
-			case s.doorbell <- struct{}{}:
-			default:
-			}
-		}
+	for first := range s.reqs {
 		batch = append(batch[:0], first)
+	drain:
 		for len(batch) < s.opts.MaxBatch {
-			r, ok := s.ring.TryPop()
-			if !ok {
-				break
+			select {
+			case r, ok := <-s.reqs:
+				if !ok {
+					break drain
+				}
+				batch = append(batch, r)
+			default:
+				break drain
 			}
-			batch = append(batch, r)
 		}
 		s.execute(ws, batch)
 	}
@@ -779,13 +751,11 @@ func (s *Server) execute(ws *workerState, batch []*request) {
 		merged = mfg.Merge(ws.ptrs)
 	}
 
-	buf := s.pool.Get()
-	if err := s.store.Gather(buf, merged.NodeIDs, int(merged.Batch)); err != nil {
-		s.pool.Put(buf)
+	if err := s.store.Gather(ws.buf, merged.NodeIDs, int(merged.Batch)); err != nil {
 		s.deliverError(batch, err)
 		return
 	}
-	ws.x = slicing.DecodeInto(ws.x, buf)
+	ws.x = slicing.DecodeInto(ws.x, ws.buf)
 
 	var logp *tensor.Dense
 	if ws.emb != nil {
@@ -804,7 +774,6 @@ func (s *Server) execute(ws *workerState, batch []*request) {
 	}
 	pred := ws.pred[:logp.Rows]
 	logp.ArgmaxRows(pred)
-	s.pool.Put(buf)
 
 	now = time.Now()
 	s.statsMu.Lock()

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -175,20 +176,64 @@ func TestConcurrentSubmittersDeterministic(t *testing.T) {
 	}
 }
 
+// enqueue queues a request in-package, counted as Submit counts it, without
+// waiting for its answer.
+func enqueue(t *testing.T, s *Server, v int32, done chan result) *request {
+	t.Helper()
+	req := &request{node: v, enq: time.Now(), done: done}
+	s.statsMu.Lock()
+	s.submitted++
+	s.statsMu.Unlock()
+	select {
+	case s.reqs <- req:
+	default:
+		t.Fatalf("queue refused node %d", v)
+	}
+	return req
+}
+
+// holdWorker queues a blocker whose unbuffered done channel holds the worker
+// that takes it in delivery until the test reads the answer, and returns
+// once a worker has taken it. With Workers: 1, whatever is queued next waits
+// behind the blocker, whatever the Go scheduler does: on one processor a
+// closed-loop submitter can otherwise be served before the next one runs,
+// and no backlog ever forms.
+func holdWorker(t *testing.T, s *Server, v int32) *request {
+	t.Helper()
+	blocker := enqueue(t, s, v, make(chan result))
+	for deadline := time.Now().Add(30 * time.Second); len(s.reqs) > 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("worker never took the blocking request")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return blocker
+}
+
+// expectAnswers reads each request's answer and fails unless it is the
+// single-shot label.
+func expectAnswers(t *testing.T, want map[int32]int32, reqs ...*request) {
+	t.Helper()
+	for _, req := range reqs {
+		res := <-req.done
+		if res.err != nil || res.label != want[req.node] {
+			t.Fatalf("node %d: label %d, err %v; want %d (single-shot infer.Sampled)", req.node, res.label, res.err, want[req.node])
+		}
+	}
+}
+
 // TestBacklogCoalesces: drain-only batching never waits, but requests that
-// are already queued when a worker wakes merge into shared micro-batches,
-// and each still gets its single-shot answer. The backlog is pushed into
-// the ring before the doorbell rings, so the check does not depend on how
-// the Go scheduler interleaves closed-loop submitters with workers: with
-// one goroutine per processor running a worker, a submitter and its worker
-// can alternate so that no backlog ever forms.
+// are already queued when a worker comes free merge into shared
+// micro-batches, and each still gets its single-shot answer. The backlog
+// queues behind a blocker holding the only worker, so the check does not
+// depend on scheduling.
 func TestBacklogCoalesces(t *testing.T) {
 	ds, tr := fitted(t)
 	nodes := ds.Test[:32]
 	want := singleShot(t, nodes)
 
 	s, err := New(tr.Model, ds, Options{
-		Fanouts: serveFanouts, Workers: 4, MaxBatch: 16,
+		Fanouts: serveFanouts, Workers: 1, MaxBatch: 16,
 		QueueCapacity: 4096, Seed: serveSeed,
 	})
 	if err != nil {
@@ -196,30 +241,66 @@ func TestBacklogCoalesces(t *testing.T) {
 	}
 	defer s.Close()
 
-	reqs := make([]*request, len(nodes))
-	for i, v := range nodes {
-		reqs[i] = &request{node: v, enq: time.Now(), done: make(chan result, 1)}
-		s.statsMu.Lock()
-		s.submitted++
-		s.statsMu.Unlock()
-		if !s.ring.TryPush(reqs[i]) {
-			t.Fatal("ring full")
-		}
+	reqs := []*request{holdWorker(t, s, nodes[0])}
+	for _, v := range nodes {
+		reqs = append(reqs, enqueue(t, s, v, make(chan result, 1)))
 	}
-	s.doorbell <- struct{}{}
-	for i, req := range reqs {
-		res := <-req.done
-		if res.err != nil || res.label != want[nodes[i]] {
-			t.Fatalf("node %d: label %d, err %v; want %d (single-shot infer.Sampled)", nodes[i], res.label, res.err, want[nodes[i]])
-		}
-	}
+	expectAnswers(t, want, reqs...)
 	if st := s.Stats(); st.Occupancy.Max <= 1 || st.Occupancy.Max > 16 {
 		t.Fatalf("occupancy max %v, want in (1, MaxBatch=16]: a backlog must coalesce", st.Occupancy.Max)
 	}
 }
 
+// TestCloseDrainsQueuedRequests: Close stops admission at once, yet every
+// request already queued is answered — the worker drains the closed queue
+// before it exits — and no goroutine the server started outlives it.
+func TestCloseDrainsQueuedRequests(t *testing.T) {
+	ds, tr := fitted(t)
+	nodes := ds.Test[:11]
+	want := singleShot(t, nodes)
+	base := runtime.NumGoroutine()
+
+	s, err := New(tr.Model, ds, Options{
+		Fanouts: serveFanouts, Workers: 1, MaxBatch: 4,
+		QueueCapacity: len(nodes) - 1, Seed: serveSeed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := []*request{holdWorker(t, s, nodes[0])}
+	for _, v := range nodes[1:] {
+		reqs = append(reqs, enqueue(t, s, v, make(chan result, 1)))
+	}
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	// The queue is full, so Submit rejects without blocking until Close
+	// stops admission; from then on it reports ErrClosed.
+	for {
+		_, err := s.Submit(nodes[0])
+		if errors.Is(err, ErrClosed) {
+			break
+		}
+		if !errors.Is(err, ErrSaturated) {
+			t.Fatalf("Submit while closing: %v, want ErrSaturated or ErrClosed", err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	expectAnswers(t, want, reqs...)
+	<-closed
+	if _, err := s.Submit(nodes[1]); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
+	}
+	if st := s.Stats(); st.Submitted != int64(len(nodes)) || st.Served != int64(len(nodes)) {
+		t.Fatalf("stats {submitted %d, served %d}, want %d of each", st.Submitted, st.Served, len(nodes))
+	}
+	assertGoroutinesSettle(t, base)
+}
+
 // TestClosedLoopPaysNoBatchingWindow: a worker closes a micro-batch as soon
-// as the ring is empty, so one sequential client never waits for company.
+// as the queue is empty, so one sequential client never waits for company.
 // The deprecated MaxDelay is set to a full second to show it is ignored; a
 // server that held batches open for it would take a second per request.
 func TestClosedLoopPaysNoBatchingWindow(t *testing.T) {
@@ -242,7 +323,7 @@ func TestClosedLoopPaysNoBatchingWindow(t *testing.T) {
 		t.Fatalf("served %d, want 20", st.Served)
 	}
 	if worst := time.Duration(st.Latency.Max * float64(time.Second)); worst >= 250*time.Millisecond {
-		t.Fatalf("latency max %v for a sequential client: the worker waited on an empty ring", worst)
+		t.Fatalf("latency max %v for a sequential client: the worker waited on an empty queue", worst)
 	}
 }
 
@@ -300,16 +381,13 @@ func TestStatsNeverServedBeforeSubmitted(t *testing.T) {
 	}
 }
 
-// TestSaturationRejectsWithoutDeadlock: a full ring rejects with
+// TestSaturationRejectsWithoutDeadlock: a full queue rejects with
 // ErrSaturated, every accepted request is still answered correctly, and a
 // server flooded by far more submitters than slots neither deadlocks nor
 // miscounts.
 //
-// The rejection leg fills the ring in-package while the only worker is
-// parked delivering an earlier answer, so it does not depend on how the Go
-// scheduler interleaves submitters with the worker: on one processor, each
-// closed-loop submitter can be served before the next one runs, and the
-// ring never fills.
+// The rejection leg fills the queue in-package behind a blocker holding the
+// only worker (holdWorker), so it does not depend on scheduling.
 func TestSaturationRejectsWithoutDeadlock(t *testing.T) {
 	ds, tr := fitted(t)
 	nodes := ds.Test[:16]
@@ -324,43 +402,18 @@ func TestSaturationRejectsWithoutDeadlock(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		push := func(v int32, done chan result) *request {
-			t.Helper()
-			req := &request{node: v, enq: time.Now(), done: done}
-			s.statsMu.Lock()
-			s.submitted++
-			s.statsMu.Unlock()
-			if !s.ring.TryPush(req) {
-				t.Fatalf("ring refused node %d", v)
-			}
-			return req
-		}
-		// The blocker's unbuffered done channel holds the worker in
-		// delivery until the test reads it.
-		blocker := push(nodes[0], make(chan result))
-		s.doorbell <- struct{}{}
-		for deadline := time.Now().Add(30 * time.Second); s.ring.Len() > 0; {
-			if time.Now().After(deadline) {
-				t.Fatal("worker never took the blocking request")
-			}
-			time.Sleep(time.Millisecond)
-		}
-		accepted := []*request{blocker, push(nodes[1], make(chan result, 1)), push(nodes[2], make(chan result, 1))}
+		blocker := holdWorker(t, s, nodes[0])
+		accepted := []*request{blocker, enqueue(t, s, nodes[1], make(chan result, 1)), enqueue(t, s, nodes[2], make(chan result, 1))}
 		if _, err := s.PredictReq(Request{Node: nodes[3]}); !errors.Is(err, ErrSaturated) {
-			t.Fatalf("PredictReq on a full 2-slot ring: err %v, want ErrSaturated", err)
+			t.Fatalf("PredictReq on a full 2-slot queue: err %v, want ErrSaturated", err)
 		}
-		for _, req := range accepted {
-			res := <-req.done
-			if res.err != nil || res.label != want[req.node] {
-				t.Fatalf("node %d: label %d, err %v; want %d", req.node, res.label, res.err, want[req.node])
-			}
-		}
+		expectAnswers(t, want, accepted...)
 		if st := s.Stats(); st.Rejected != 1 || st.Served != 3 || st.Submitted != 3 {
 			t.Fatalf("stats {submitted %d, rejected %d, served %d}, want {3, 1, 3}", st.Submitted, st.Rejected, st.Served)
 		}
 	})
 
-	// A two-slot ring and one worker against 32 hot submitters: every
+	// A two-slot queue and one worker against 32 hot submitters: every
 	// accepted request must be answered correctly — no deadlock, no wrong
 	// rows — and the counters must match what the submitters observed.
 	s, err := New(tr.Model, ds, Options{

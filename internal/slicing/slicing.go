@@ -197,33 +197,3 @@ func DecodeInto(x *tensor.Dense, p *Pinned) *tensor.Dense {
 	DecodeFeatures(x, p)
 	return x
 }
-
-// Pool is a fixed-size recycling pool of pinned staging buffers. SALIENT
-// bounds in-flight batches by the number of slots; a worker takes a free
-// slot, fills it, hands it to the training loop, and the loop returns it
-// after the (simulated) transfer completes.
-type Pool struct {
-	free chan *Pinned
-}
-
-// NewPool creates a pool with n pre-allocated buffers.
-func NewPool(n, maxRows, featDim, maxBatch int) *Pool {
-	p := &Pool{free: make(chan *Pinned, n)}
-	for i := 0; i < n; i++ {
-		p.free <- NewPinned(maxRows, featDim, maxBatch)
-	}
-	return p
-}
-
-// Get blocks until a free buffer is available.
-func (p *Pool) Get() *Pinned { return <-p.free }
-
-// Put returns a buffer to the pool. Putting more buffers than the pool size
-// panics, which catches double-free bugs early.
-func (p *Pool) Put(b *Pinned) {
-	select {
-	case p.free <- b:
-	default:
-		panic("slicing: pool overflow (double Put?)") //lint:allow panicdiscipline corruption guard: pool overflow means a double Put broke ownership
-	}
-}

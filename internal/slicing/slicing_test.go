@@ -134,44 +134,6 @@ func TestPinnedBytes(t *testing.T) {
 	}
 }
 
-func TestPoolLifecycle(t *testing.T) {
-	pool := NewPool(2, 8, 4, 8)
-	a := pool.Get()
-	b := pool.Get()
-	if a == b {
-		t.Fatal("pool handed out one buffer twice")
-	}
-	pool.Put(a)
-	c := pool.Get()
-	if c != a {
-		t.Fatal("recycled buffer not returned")
-	}
-	pool.Put(b)
-	pool.Put(c)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("pool overflow did not panic")
-		}
-	}()
-	pool.Put(NewPinned(1, 1, 1))
-}
-
-func TestPoolDoublePutSameBufferPanics(t *testing.T) {
-	pool := NewPool(2, 4, 4, 4)
-	a := pool.Get()
-	b := pool.Get()
-	pool.Put(a)
-	pool.Put(b)
-	// Both slots are free again; returning a buffer a second time is a
-	// double-free and must be caught by the overflow panic.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double Put of the same buffer did not panic")
-		}
-	}()
-	pool.Put(a)
-}
-
 func TestDecodeShapePanicsOnColumnMismatch(t *testing.T) {
 	p := NewPinned(3, 4, 3)
 	p.N, p.Dim = 3, 4
