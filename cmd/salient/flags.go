@@ -45,7 +45,6 @@ type cliFlags struct {
 	poisson     bool
 	dynamic     bool
 	churn       float64
-	fleet       int
 	routing     string
 	routePolicy fleet.Routing
 	resultRows  int
@@ -63,7 +62,7 @@ func (f *cliFlags) register(fs *flag.FlagSet) {
 	fs.Float64Var(&f.scale, "scale", 0.3, "dataset scale for train")
 	fs.IntVar(&f.epochs, "epochs", 5, "epochs for train")
 	fs.StringVar(&f.executor, "executor", "salient", "batch-prep executor: salient|pyg")
-	fs.IntVar(&f.replicas, "replicas", 1, "train: data-parallel replica count")
+	fs.IntVar(&f.replicas, "replicas", 1, "train: data-parallel replica count; serve: serving replica count")
 	fs.IntVar(&f.workers, "workers", 4, "preparation workers")
 	fs.StringVar(&f.storeKind, "store", "", "feature store: flat|sharded|cached|sharded+cached (empty = subcommand default)")
 	fs.StringVar(&f.precision, "precision", "fp16", "feature storage precision: fp16|fp32|int8")
@@ -83,9 +82,8 @@ func (f *cliFlags) register(fs *flag.FlagSet) {
 	fs.BoolVar(&f.poisson, "poisson", false, "serve: Poisson arrivals for open-loop -rate (default fixed-interval)")
 	fs.BoolVar(&f.dynamic, "dynamic", false, "train/serve over a mutable dynamic graph")
 	fs.Float64Var(&f.churn, "churn", 0, "with -dynamic: edge updates/sec streamed during the run")
-	fs.IntVar(&f.fleet, "fleet", 0, "serve: replicated fleet size (0 = single bare server)")
-	fs.StringVar(&f.routing, "routing", "hash", "serve with -fleet: request routing: hash|random")
-	fs.IntVar(&f.resultRows, "resultrows", 0, "serve with -fleet: versioned result-memo rows (0 = off)")
+	fs.StringVar(&f.routing, "routing", "hash", "serve: request routing across replicas: hash|random")
+	fs.IntVar(&f.resultRows, "resultrows", 0, "serve: versioned result-memo rows (0 = off)")
 }
 
 // oneOf reports whether v is among the allowed values.
@@ -132,6 +130,9 @@ func (f *cliFlags) validate(cmd string) error {
 		if f.workers < 1 {
 			return fmt.Errorf("-workers must be >= 1, got %d", f.workers)
 		}
+		if f.replicas < 1 {
+			return fmt.Errorf("-replicas must be >= 1, got %d", f.replicas)
+		}
 		if !store.ValidKind(f.storeKind) {
 			return fmt.Errorf("unknown -store %q (want flat, sharded, cached, or sharded+cached)", f.storeKind)
 		}
@@ -169,9 +170,6 @@ func (f *cliFlags) validate(cmd string) error {
 	if cmd == "train" {
 		if !oneOf(f.executor, "salient", "pyg") {
 			return fmt.Errorf("unknown -executor %q (want salient or pyg)", f.executor)
-		}
-		if f.replicas < 1 {
-			return fmt.Errorf("-replicas must be >= 1, got %d", f.replicas)
 		}
 		if f.fused {
 			if !oneOf(f.arch, "SAGE", "GIN") {
@@ -212,9 +210,6 @@ func (f *cliFlags) validate(cmd string) error {
 		if f.poisson && f.rate <= 0 {
 			return fmt.Errorf("-poisson requires an open loop (-rate > 0)")
 		}
-		if f.fleet < 0 {
-			return fmt.Errorf("-fleet must be >= 0, got %d", f.fleet)
-		}
 		pol, err := fleet.ParseRouting(f.routing)
 		if err != nil {
 			return err
@@ -223,17 +218,8 @@ func (f *cliFlags) validate(cmd string) error {
 		if f.resultRows < 0 {
 			return fmt.Errorf("-resultrows must be >= 0, got %d", f.resultRows)
 		}
-		if f.fleet == 0 && f.resultRows != 0 {
-			return fmt.Errorf("-resultrows requires -fleet >= 1")
-		}
-		if f.fleet > 0 && f.storeKind != "" {
-			return fmt.Errorf("-fleet builds its shared store and each replica's cache from -cachefrac/-cachepolicy; drop -store %s", f.storeKind)
-		}
-		if f.fleet > 0 && f.prec != half.FP16 {
-			return fmt.Errorf("-fleet serves fp16 features from its shared flat store; drop -precision %s", f.precision)
-		}
-	} else if f.fleet != 0 || f.resultRows != 0 {
-		return fmt.Errorf("-fleet/-resultrows apply to serve only")
+	} else if f.resultRows != 0 {
+		return fmt.Errorf("-resultrows applies to serve only")
 	}
 	return nil
 }

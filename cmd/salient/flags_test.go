@@ -56,12 +56,14 @@ func TestValidate(t *testing.T) {
 		// Existing train/serve rejections.
 		{"serve", []string{"-fused"}, "-fused applies to train only"},
 		{"train", []string{"-arch", "MLP"}, `unknown -arch "MLP"`},
-		{"serve", []string{"-resultrows", "8"}, "-resultrows requires -fleet >= 1"},
-		// The fleet builds a flat fp16 store; another precision would be
-		// silently ignored.
-		{"serve", []string{"-fleet", "2", "-precision", "fp16"}, ""},
-		{"serve", []string{"-fleet", "2", "-precision", "int8"}, "drop -precision int8"},
-		{"serve", []string{"-fleet", "2", "-precision", "fp32"}, "drop -precision fp32"},
+		// Any replica count serves a result memo and a base store at any
+		// precision.
+		{"serve", []string{"-resultrows", "8"}, ""},
+		{"train", []string{"-resultrows", "8"}, "-resultrows applies to serve only"},
+		{"serve", []string{"-replicas", "2", "-precision", "fp16"}, ""},
+		{"serve", []string{"-replicas", "2", "-precision", "int8"}, ""},
+		{"serve", []string{"-replicas", "2", "-precision", "fp32"}, ""},
+		{"serve", []string{"-replicas", "0"}, "-replicas must be >= 1"},
 		// "lru" is no policy; the distributed mirror has no policy to choose.
 		{"serve", []string{"-cachepolicy", "lru"}, `unknown policy "lru"`},
 		{"train", []string{"-replicas", "2", "-transport", "loopback"}, ""},
@@ -106,7 +108,8 @@ func TestCommandExits(t *testing.T) {
 		{[]string{"fleet"}, 1, `unknown experiment "fleet"`},
 		{[]string{"all", "-trace", "out"}, 2, "-trace applies to fig1 only"},
 		{[]string{"serve", "-delay", "0"}, 2, "flag provided but not defined: -delay"},
-		{[]string{"serve", "-fleet", "2", "-dynamic", "-maxskew", "4"}, 2, "flag provided but not defined: -maxskew"},
+		{[]string{"serve", "-fleet", "2"}, 2, "flag provided but not defined: -fleet"},
+		{[]string{"serve", "-replicas", "2", "-dynamic", "-maxskew", "4"}, 2, "flag provided but not defined: -maxskew"},
 		{[]string{"serve", "-cachepolicy", "lru"}, 2, `unknown policy "lru"`},
 		// Happy paths, each well under a second at these scales.
 		{[]string{"train", "-scale", "0.05", "-epochs", "1"}, 0, "epoch  0"},
@@ -117,12 +120,34 @@ func TestCommandExits(t *testing.T) {
 		{[]string{"serve", "-scale", "0.08", "-epochs", "1", "-requests", "500", "-cachepolicy", "vip", "-embrows", "256"}, 0, "latency    p50"},
 		// Result-memo hits count as served: every one of the 1500 requests
 		// is answered.
-		{[]string{"serve", "-scale", "0.08", "-epochs", "1", "-requests", "1500", "-fleet", "2", "-dynamic", "-churn", "2000", "-resultrows", "500"}, 0, "served     1500 requests"},
+		{[]string{"serve", "-scale", "0.08", "-epochs", "1", "-requests", "1500", "-replicas", "2", "-dynamic", "-churn", "2000", "-resultrows", "500"}, 0, "served     1500 requests"},
+		// A sharded int8 base shared by two replicas, each with its own cache.
+		{[]string{"serve", "-scale", "0.08", "-epochs", "1", "-requests", "500", "-replicas", "2", "-store", "sharded+cached", "-precision", "int8"}, 0, "replica 1: "},
 	} {
 		out, code := runSalient(t, tc.args...)
 		if code != tc.wantCode || !strings.Contains(out, tc.wantOut) {
 			t.Errorf("salient %v: exit %d, output:\n%s\nwant exit %d and output containing %q",
 				tc.args, code, out, tc.wantCode, tc.wantOut)
 		}
+	}
+}
+
+// TestServeWarmsEveryReplicaCache: on a static graph the VIP warm-up
+// re-places every replica's cache before the measured pass, so no replica
+// serves from an empty one.
+func TestServeWarmsEveryReplicaCache(t *testing.T) {
+	out, code := runSalient(t, "serve", "-scale", "0.08", "-epochs", "1", "-requests", "500", "-replicas", "2", "-cachepolicy", "vip")
+	var replicas int
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.HasPrefix(line, "replica ") {
+			continue
+		}
+		replicas++
+		if !strings.Contains(line, "hit rate") || strings.Contains(line, "hit rate 0%") {
+			t.Errorf("cold replica cache: %s", line)
+		}
+	}
+	if code != 0 || replicas != 2 {
+		t.Fatalf("exit %d with %d replica lines, want exit 0 and 2; output:\n%s", code, replicas, out)
 	}
 }

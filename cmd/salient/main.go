@@ -28,15 +28,19 @@
 //	-replicas R    train: execute real data-parallel training on R model
 //	               replicas (default 1). Results are bit-identical to
 //	               single-replica training on the union batch schedule.
+//	               serve: serve through R replicas behind the fleet router
+//	               (default 1); one replica answers as a bare server does.
 //	-workers N     train/serve: preparation/batching workers (default 4;
 //	               per replica with -replicas)
 //	-store S       train/serve: feature store: flat | sharded | cached |
 //	               sharded+cached (default: flat for train; for serve,
-//	               cached when -cachefrac > 0, else flat)
+//	               cached when -cachefrac > 0, else flat). serve shares one
+//	               flat or sharded base across replicas, and a cached kind
+//	               gives each replica its own cache over it.
 //	-precision P   train/serve: feature storage precision: fp16 | fp32 |
 //	               int8 (default fp16). int8 stores rows quantized with a
 //	               per-row scale, halving feature bytes moved versus fp16;
-//	               rows dequantize on gather. -fleet serves fp16 only.
+//	               rows dequantize on gather.
 //	-fused         train: fuse the layer-0 gather+aggregate into the batch
 //	               pipeline (SAGE and GIN with the salient executor).
 //	               Bit-identical to the staged path; skips staging/decoding
@@ -56,7 +60,8 @@
 //	-requests N    serve: number of requests to serve (default 4000)
 //	-maxbatch N    serve: micro-batch size cap (default 32)
 //	-cachefrac F   serve, and train with -store cached: feature cache size
-//	               as a fraction of N (default 0.2)
+//	               as a fraction of N (default 0.2), split across serve
+//	               replicas
 //	-cachepolicy P train/serve with a cached store: cache placement policy:
 //	               degree | vip (default degree). vip places rows by
 //	               observed access frequency, adapting the resident set to
@@ -79,17 +84,13 @@
 //	               results are bit-identical to the static baseline)
 //	-churn F       train/serve with -dynamic: stream F random edge
 //	               updates/sec into the graph while training epochs or
-//	               serving traffic run (default 0; with -fleet, each update
-//	               is applied once to the graph every replica shares)
-//	-fleet R       serve: replicate the server R ways behind the affinity
-//	               router (default 0 = single bare server). The -cachefrac
-//	               budget is split across replicas; a 1-replica fleet is
-//	               bit-identical to the bare server.
-//	-routing P     serve with -fleet: request routing: hash (consistent-hash
-//	               affinity) | random (default hash)
-//	-resultrows N  serve with -fleet: rows in the versioned result memo in
-//	               front of the router; an entry stops hitting when the
-//	               graph version advances (default 0 = off)
+//	               serving traffic run (default 0; in serve, each update is
+//	               applied once to the graph every replica shares)
+//	-routing P     serve: request routing across replicas: hash
+//	               (consistent-hash affinity) | random (default hash)
+//	-resultrows N  serve: rows in the versioned result memo in front of
+//	               the router; an entry stops hitting when the graph
+//	               version advances (default 0 = off)
 //
 // Bad flag values exit with status 2 and a usage message instead of running
 // with silently substituted defaults.
@@ -100,6 +101,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"salient/internal/bench"
@@ -206,34 +208,44 @@ func writeTraces(prefix string, seed uint64) error {
 	return nil
 }
 
-// churnRun bundles the dynamic-graph scaffolding the train subcommands
-// share: the mode banner, the background update stream (the shared
-// serve.DriveChurn pacing), the per-epoch version suffix, and the final
-// applied/version/compactions report. The zero value (static run) renders
-// nothing and streams nothing.
+// churnRun bundles the dynamic-graph scaffolding the train and serve
+// subcommands share: the background update stream (the shared
+// serve.DriveChurn pacing, fed through an apply function) and, for train,
+// the mode banner, the per-epoch version suffix, and the final
+// applied/version/compactions report over its graph. The zero value
+// (static run) renders nothing and streams nothing.
 type churnRun struct {
 	dyn  *graph.Dynamic
 	rate float64
 	stop func() int64
 }
 
-// newChurnRun starts the update stream for a dynamic run (dyn may be nil
-// for a static one; rate 0 streams nothing).
-func newChurnRun(dyn *graph.Dynamic, n int32, rate float64, seed uint64) *churnRun {
+// newChurnRun streams rate random edge updates/sec through apply (nil, or
+// rate 0, streams nothing). dyn is the graph train reports on; nil for a
+// static run and for serve, whose fleet owns its graph.
+func newChurnRun(dyn *graph.Dynamic, apply func(src, dst []int32) (int, error), n int32, rate float64, seed uint64) *churnRun {
 	c := &churnRun{dyn: dyn, rate: rate}
-	if dyn == nil || rate <= 0 {
+	if apply == nil || rate <= 0 {
 		return c
 	}
 	done := make(chan struct{})
 	finished := make(chan int64, 1)
 	go func() {
-		finished <- serve.DriveChurn(dyn.AddEdges, n, rate, seed, done)
+		finished <- serve.DriveChurn(apply, n, rate, seed, done)
 	}()
 	c.stop = func() int64 {
 		close(done)
 		return <-finished
 	}
 	return c
+}
+
+// halt stops the update stream and returns how many updates it applied.
+func (c *churnRun) halt() int64 {
+	if c.stop == nil {
+		return 0
+	}
+	return c.stop()
 }
 
 // mode describes the run for the training banner.
@@ -257,12 +269,8 @@ func (c *churnRun) finish() {
 	if c.dyn == nil {
 		return
 	}
-	var applied int64
-	if c.stop != nil {
-		applied = c.stop()
-	}
 	fmt.Printf("dynamic graph: %d edge updates applied, final version %d, %d compactions\n",
-		applied, c.dyn.Version(), c.dyn.Compactions())
+		c.halt(), c.dyn.Version(), c.dyn.Compactions())
 }
 
 // runTrain trains on f.replicas data-parallel replicas, synchronized per
@@ -313,13 +321,14 @@ func runTrain(f cliFlags) error {
 		return err
 	}
 	var dyn *graph.Dynamic
+	var apply func(src, dst []int32) (int, error)
 	if f.dynamic {
 		if dyn, err = graph.NewDynamic(ds.G, graph.DynamicOptions{}); err != nil {
 			return err
 		}
-		cfg.Graph = dyn
+		cfg.Graph, apply = dyn, dyn.AddEdges
 	}
-	churn := newChurnRun(dyn, ds.G.N, f.churn, f.seed+77)
+	churn := newChurnRun(dyn, apply, ds.G.N, f.churn, f.seed+77)
 	tr, err := train.New(ds, cfg)
 	if err != nil {
 		return err
@@ -380,9 +389,10 @@ func printStoreStats(st store.FeatureStore) {
 	fmt.Println()
 }
 
-// runServe trains a model briefly, stands up the online inference server,
-// drives it with synthetic single-node request traffic over the test split,
-// and prints the serving statistics.
+// runServe trains a model briefly, stands up -replicas serving replicas
+// behind the fleet router (a fleet of one answers as a bare server does),
+// drives them with synthetic single-node request traffic, and prints the
+// serving statistics.
 func runServe(f cliFlags) error {
 	ds, err := dataset.Load(f.dataset, f.scale)
 	if err != nil {
@@ -400,125 +410,29 @@ func runServe(f cliFlags) error {
 	if _, err := tr.Fit(f.epochs); err != nil {
 		return err
 	}
-	if f.fleet > 0 {
-		return runFleet(ds, tr, fanouts, f)
-	}
 
-	// The composed store (cache layer included) is built exactly as train
-	// builds it, so the same flag set means the same store everywhere; the
-	// server's own CacheRows wrapping stays off.
-	fstore, err := buildStore(ds, f)
+	// Every replica shares one base store, the -store layout at -precision.
+	// A cached kind gives each replica its own cache layer over it, and the
+	// total -cachefrac budget is split across them, so growing the fleet
+	// redistributes the same cache capacity instead of adding more.
+	perCache := 0
+	if layout, ok := strings.CutSuffix(f.storeKind, "cached"); ok {
+		f.storeKind = strings.TrimSuffix(layout, "+")
+		perCache = max(f.cacheRows(ds.G.N)/f.replicas, 1)
+	}
+	base, err := buildStore(ds, f)
 	if err != nil {
 		return err
 	}
-	var dyn *graph.Dynamic
-	if f.dynamic {
-		if dyn, err = graph.NewDynamic(ds.G, graph.DynamicOptions{}); err != nil {
-			return err
-		}
-	}
-	sopts := serve.Options{
-		Fanouts:      fanouts,
-		Workers:      f.workers,
-		MaxBatch:     f.maxBatch,
-		Seed:         f.seed,
-		Store:        fstore,
-		EmbCacheRows: f.embRows,
-		EmbStaleness: f.embStale,
-	}
-	if dyn != nil {
-		sopts.Graph = dyn
-	}
-	srv, err := serve.New(tr.Model, ds, sopts)
-	if err != nil {
-		return err
-	}
-	mode := "closed-loop (16 clients)"
-	if f.rate > 0 {
-		mode = fmt.Sprintf("open-loop at %.0f rps", f.rate)
-		if f.poisson {
-			mode += " (Poisson)"
-		}
-	}
-	nodes := ds.Test
-	stream := fmt.Sprintf("%d test nodes", len(ds.Test))
-	if f.zipf > 0 {
-		nodes = serve.ZipfNodes(ds.G.N, f.zipf, f.seed+101, f.seed+7, f.requests)
-		stream = fmt.Sprintf("Zipf(%.2f) draws over %d nodes", f.zipf, ds.G.N)
-	}
-	// A VIP cache places rows by observed access frequency, so on a static
-	// graph the run warms it with a prefix of the workload and refreshes
-	// the resident set once before the measured pass (dynamic graphs
-	// refresh as workers adopt new snapshots instead).
-	if f.policy == cache.VIP && dyn == nil {
-		if cached, ok := fstore.(*store.Cached); ok {
-			warm := nodes
-			if len(warm) > 512 {
-				warm = warm[:512]
-			}
-			serve.DriveClosedLoop(srv, warm, 8, len(warm))
-			cached.Refresh(ds.G)
-			srv.ResetStats()
-			fmt.Printf("warmed VIP cache with %d requests\n", len(warm))
-		}
-	}
-	fmt.Printf("serving %d requests over %s, %s...\n", f.requests, stream, mode)
-
-	churn := newChurnRun(dyn, ds.G.N, f.churn, f.seed+77)
-	var wall time.Duration
-	if f.rate > 0 {
-		arrival := serve.ArrivalUniform
-		if f.poisson {
-			arrival = serve.ArrivalPoisson
-		}
-		wall = serve.DriveOpenLoopProcess(srv, nodes, f.rate, f.requests, arrival, f.seed+5)
-	} else {
-		wall = serve.DriveClosedLoop(srv, nodes, 16, f.requests)
-	}
-	var churnApplied int64
-	if churn.stop != nil {
-		churnApplied = churn.stop()
-	}
-	srv.Close()
-
-	st := srv.Stats()
-	fmt.Printf("\nserved     %d requests in %v (%.0f rps), %d rejected\n",
-		st.Served, wall.Round(time.Millisecond), float64(st.Served)/wall.Seconds(), st.Rejected)
-	fmt.Printf("batches    %d (occupancy mean %.1f, p95 %.0f req/batch)\n",
-		st.Batches, st.Occupancy.Mean, st.Occupancy.P95)
-	fmt.Printf("latency    p50 %.2fms  p95 %.2fms  p99 %.2fms  max %.2fms\n",
-		st.Latency.P50*1e3, st.Latency.P95*1e3, st.Latency.P99*1e3, st.Latency.Max*1e3)
-	if dyn != nil {
-		fmt.Printf("graph      %d edge updates applied, final version %d, %d compactions\n",
-			churnApplied, st.GraphVersion, st.Compactions)
-	}
-	if f.embRows > 0 {
-		fmt.Printf("emb reuse  %d frontier lookups, %d hits (%.0f%% truncated)\n",
-			st.EmbLookups, st.EmbHits, 100*st.EmbHitRate())
-	}
-	printStoreStats(srv.FeatureStore())
-	return nil
-}
-
-// runFleet stands up the replicated serving fleet behind the affinity
-// router and drives it with the same traffic shapes as the single-server
-// path, then prints fleet-level routing/admission/cache statistics.
-func runFleet(ds *dataset.Dataset, tr *train.Trainer, fanouts []int, f cliFlags) error {
-	models := make([]nn.Model, f.fleet)
+	models := make([]nn.Model, f.replicas)
 	for i := range models {
 		models[i] = tr.Model
 	}
-	// The total -cachefrac budget is split across replicas, so growing the
-	// fleet redistributes the same cache capacity instead of adding more.
-	perCache := f.cacheRows(ds.G.N) / f.fleet
-	if perCache < 1 && f.cacheFrac > 0 {
-		perCache = 1
-	}
 	fl, err := fleet.New(ds, fleet.Options{
-		Replicas: f.fleet,
+		Replicas: f.replicas,
 		Serve: serve.Options{
 			Fanouts: fanouts, Workers: f.workers, MaxBatch: f.maxBatch, Seed: f.seed,
-			CacheRows: perCache, CachePolicy: f.policy,
+			Store: base, CacheRows: perCache, CachePolicy: f.policy,
 			EmbCacheRows: f.embRows, EmbStaleness: f.embStale,
 		},
 		Routing: f.routePolicy, ResultRows: f.resultRows,
@@ -542,20 +456,32 @@ func runFleet(ds *dataset.Dataset, tr *train.Trainer, fanouts []int, f cliFlags)
 			mode += " (Poisson)"
 		}
 	}
-	fmt.Printf("serving %d requests over %s, %s, across %d replicas (%s routing)...\n",
-		f.requests, stream, mode, f.fleet, f.routing)
+	// A VIP cache places rows by observed access frequency, so on a static
+	// graph the run warms the caches with a prefix of the workload and
+	// refreshes every replica's resident set once before the measured pass
+	// (dynamic graphs refresh as workers adopt new snapshots instead).
+	if f.policy == cache.VIP && perCache > 0 && !f.dynamic {
+		warm := nodes[:min(len(nodes), 512)]
+		serve.DriveClosedLoop(fl, warm, 8, len(warm))
+		for i := 0; i < fl.NumReplicas(); i++ {
+			if cached, ok := fl.Replica(i).FeatureStore().(*store.Cached); ok {
+				cached.Refresh(ds.G)
+			}
+		}
+		fl.ResetStats()
+		fmt.Printf("warmed VIP cache with %d requests\n", len(warm))
+	}
+	fmt.Printf("serving %d requests over %s, %s, across %d replica(s) (%s routing)...\n",
+		f.requests, stream, mode, f.replicas, f.routing)
 
-	var stopChurn func() int64
-	if f.dynamic && f.churn > 0 {
-		done := make(chan struct{})
-		finished := make(chan int64, 1)
-		apply := func(src, dst []int32) (int, error) {
+	var apply func(src, dst []int32) (int, error)
+	if f.dynamic {
+		apply = func(src, dst []int32) (int, error) {
 			n, _, err := fl.Update(src, dst)
 			return n, err
 		}
-		go func() { finished <- serve.DriveChurn(apply, ds.G.N, f.churn, f.seed+77, done) }()
-		stopChurn = func() int64 { close(done); return <-finished }
 	}
+	churn := newChurnRun(nil, apply, ds.G.N, f.churn, f.seed+77)
 	var wall time.Duration
 	if f.rate > 0 {
 		arrival := serve.ArrivalUniform
@@ -566,10 +492,7 @@ func runFleet(ds *dataset.Dataset, tr *train.Trainer, fanouts []int, f cliFlags)
 	} else {
 		wall = serve.DriveClosedLoop(fl, nodes, 16, f.requests)
 	}
-	var churnApplied int64
-	if stopChurn != nil {
-		churnApplied = stopChurn()
-	}
+	applied := churn.halt()
 
 	st := fl.Stats()
 	// A result-memo hit is answered at the router, so no replica counts it.
@@ -581,7 +504,10 @@ func runFleet(ds *dataset.Dataset, tr *train.Trainer, fanouts []int, f cliFlags)
 		st.Latency.P50*1e3, st.Latency.P95*1e3, st.Latency.P99*1e3, st.Latency.Max*1e3)
 	fmt.Printf("routing    %v answered per replica\n", st.Routed)
 	if f.dynamic {
-		fmt.Printf("graph      %d edge updates applied, version %d\n", churnApplied, st.MaxVersion)
+		// Every replica samples the one shared graph, so any replica's
+		// compaction count is the graph's.
+		fmt.Printf("graph      %d edge updates applied, final version %d, %d compactions\n",
+			applied, st.MaxVersion, st.PerReplica[0].Compactions)
 	}
 	if f.resultRows > 0 {
 		fmt.Printf("result memo  %d lookups, %d hits (%.0f%%), %d stale\n",
@@ -591,9 +517,19 @@ func runFleet(ds *dataset.Dataset, tr *train.Trainer, fanouts []int, f cliFlags)
 		fmt.Printf("caches     combined hit rate %.0f%% (feature %d/%d, embedding %d/%d)\n",
 			100*st.CombinedCacheHitRate(), st.CacheHits, st.CacheLookups, st.EmbHits, st.EmbLookups)
 	}
-	for i := 0; i < fl.NumReplicas(); i++ {
-		fmt.Printf("replica %d: ", i)
+	for i, rs := range st.PerReplica {
+		fmt.Printf("replica %d: %d batches (occupancy mean %.1f, p95 %.0f req/batch)",
+			i, rs.Batches, rs.Occupancy.Mean, rs.Occupancy.P95)
+		if perCache == 0 {
+			fmt.Println()
+			continue
+		}
+		fmt.Print(", ")
 		printStoreStats(fl.Replica(i).FeatureStore())
+	}
+	if perCache == 0 {
+		// Uncached replicas all gather through the one shared base store.
+		printStoreStats(base)
 	}
 	return nil
 }

@@ -59,9 +59,11 @@ type Options struct {
 	Replicas int
 	// Serve is the per-replica server template: every replica is built
 	// from this Options value over the fleet's one base store and (under
-	// Dynamic) its one graph. Serve.Store and Serve.Graph must be nil —
-	// the fleet owns both. CacheRows still gives each replica its own
-	// feature cache over the shared base.
+	// Dynamic) its one graph. Serve.Store, when set, is that base store;
+	// nil selects store.NewFlat over the dataset. AddNode needs a base
+	// that can append rows. Serve.Graph must be nil: set Dynamic for the
+	// shared graph. CacheRows gives each replica its own feature cache
+	// over the shared base.
 	Serve serve.Options
 	// Routing selects the routing policy. Default RouteHash.
 	Routing Routing
@@ -101,9 +103,6 @@ func (o *Options) normalize() error {
 	if o.Replicas < 1 {
 		o.Replicas = 1
 	}
-	if o.Serve.Store != nil {
-		return errors.New("fleet: Serve.Store must be nil (the fleet builds the base store its replicas share)")
-	}
 	if o.Serve.Graph != nil {
 		return errors.New("fleet: Serve.Graph must be nil (set Options.Dynamic for a shared dynamic graph)")
 	}
@@ -124,16 +123,16 @@ type replica struct {
 }
 
 // Fleet is a replicated serving front end over N in-process servers that
-// share one base feature store and (under Dynamic) one graph. It
-// implements serve.Submitter, so every load driver that feeds a Server
-// feeds a Fleet unchanged. Create with New, submit from any number of
-// goroutines, Close when done.
+// share one base feature store and (under Dynamic) one graph. Its one
+// request entry point is PredictReq, so it implements serve.Submitter and
+// every load driver that feeds a Server feeds a Fleet unchanged. Create
+// with New, call PredictReq from any number of goroutines, Close when done.
 type Fleet struct {
 	opts    Options
 	reps    []*replica
 	ring    *Ring
 	results *embcache.Cache[int32] // label memo; nil when ResultRows == 0
-	base    *store.Flat            // the feature rows every replica gathers from
+	base    store.FeatureStore     // the feature rows every replica gathers from
 	dyn     *graph.Dynamic         // the shared graph; nil when the fleet is static
 
 	rr atomic.Uint64 // random-routing draw counter
@@ -157,8 +156,11 @@ func New(ds *dataset.Dataset, opts Options, models ...nn.Model) (*Fleet, error) 
 	f := &Fleet{
 		opts:   opts,
 		ring:   NewRing(opts.VNodes),
-		base:   store.NewFlat(ds),
+		base:   opts.Serve.Store,
 		routed: make([]int64, opts.Replicas),
+	}
+	if f.base == nil {
+		f.base = store.NewFlat(ds)
 	}
 	if opts.ResultRows > 0 {
 		results, err := embcache.New[int32](opts.ResultRows)
@@ -207,18 +209,13 @@ func Replicate(src nn.Model, n int, build func() (nn.Model, error)) ([]nn.Model,
 func (f *Fleet) NumReplicas() int { return len(f.reps) }
 
 // Replica exposes replica i's server (tests and monitoring; production
-// traffic goes through Submit/Predict so routing and admission apply).
+// traffic goes through PredictReq so routing and admission apply).
 func (f *Fleet) Replica(i int) *serve.Server { return f.reps[i].srv }
 
-// Submit requests a prediction for node through the router and blocks for
-// the label — the serve.Submitter method, QoS-free (no deadline, lowest
-// priority).
-func (f *Fleet) Submit(node int32) (int32, error) {
-	p, err := f.PredictReq(serve.Request{Node: node})
-	return p.Label, err
-}
-
-// Predict is Submit with the snapshot-version report.
+// Predict is PredictReq for a node with no deadline and the lowest
+// priority. It remains only because the benchmark's serving workload
+// (perfbench/servework.go) calls it; it goes when that workload next
+// changes.
 func (f *Fleet) Predict(node int32) (serve.Prediction, error) {
 	return f.PredictReq(serve.Request{Node: node})
 }
@@ -361,7 +358,7 @@ func (f *Fleet) Update(src, dst []int32) (int, uint64, error) {
 // AddNode appends one node to the shared store and graph and returns its
 // ID, answerable on every replica, plus the new version. Every fleet write
 // goes through replica 0's server, whose write lock keeps feature row and
-// node IDs aligned.
+// node IDs aligned; a base store that cannot append fails the call.
 func (f *Fleet) AddNode(feat []float32, label int32, neighbors []int32) (int32, uint64, error) {
 	return f.reps[0].srv.AddNode(feat, label, neighbors)
 }

@@ -11,6 +11,7 @@ import (
 	"salient/internal/cache"
 	"salient/internal/dataset"
 	"salient/internal/graph"
+	"salient/internal/half"
 	"salient/internal/infer"
 	"salient/internal/nn"
 	"salient/internal/serve"
@@ -121,6 +122,12 @@ func freshEdges(t testing.TB, k int) (src, dst []int32) {
 	return src, dst
 }
 
+// submit asks s for node's label through its one entry point.
+func submit(s serve.Submitter, node int32) (int32, error) {
+	p, err := s.PredictReq(serve.Request{Node: node})
+	return p.Label, err
+}
+
 func serveTemplate() serve.Options {
 	return serve.Options{
 		Fanouts: fleetFanouts, Workers: 2, MaxBatch: 8, Seed: fleetSeed,
@@ -148,11 +155,11 @@ func TestFleetOfOneBitIdentical(t *testing.T) {
 	defer f.Close()
 
 	for _, v := range nodes {
-		bp, err := bare.Predict(v)
+		bp, err := bare.PredictReq(serve.Request{Node: v})
 		if err != nil {
 			t.Fatalf("bare Predict(%d): %v", v, err)
 		}
-		fp, err := f.Predict(v)
+		fp, err := f.PredictReq(serve.Request{Node: v})
 		if err != nil {
 			t.Fatalf("fleet Predict(%d): %v", v, err)
 		}
@@ -177,7 +184,7 @@ func TestFleetMultiReplicaMatchesOracle(t *testing.T) {
 	defer f.Close()
 
 	for _, v := range nodes {
-		got, err := f.Submit(v)
+		got, err := submit(f, v)
 		if err != nil {
 			t.Fatalf("Submit(%d): %v", v, err)
 		}
@@ -241,7 +248,7 @@ func TestFleetDeadlineShedsInfeasible(t *testing.T) {
 
 	// Warm the estimate: real forwards take far longer than a nanosecond.
 	for _, v := range ds.Test[:8] {
-		if _, err := f.Submit(v); err != nil {
+		if _, err := submit(f, v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -415,11 +422,11 @@ func TestFleetResultCache(t *testing.T) {
 	defer f.Close()
 
 	v := ds.Test[0]
-	first, err := f.Predict(v)
+	first, err := f.PredictReq(serve.Request{Node: v})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := f.Predict(v)
+	second, err := f.PredictReq(serve.Request{Node: v})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +446,7 @@ func TestFleetResultCache(t *testing.T) {
 	if _, ver, err := f.Update(usrc, udst); err != nil || ver != 1 {
 		t.Fatalf("Update: ver=%d err=%v", ver, err)
 	}
-	third, err := f.Predict(v)
+	third, err := f.PredictReq(serve.Request{Node: v})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +464,7 @@ func TestFleetResultCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fourth, err := f.Predict(v)
+	fourth, err := f.PredictReq(serve.Request{Node: v})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +528,7 @@ func TestFleetUpdateAppliesOnce(t *testing.T) {
 		}
 	}
 	// The new node is immediately predictable through the router.
-	if _, err := f.Submit(id); err != nil {
+	if _, err := submit(f, id); err != nil {
 		t.Fatalf("Submit(new node %d): %v", id, err)
 	}
 }
@@ -554,12 +561,12 @@ func TestDynamicFleetMatchesBareServer(t *testing.T) {
 	check := func(when string) {
 		t.Helper()
 		for _, v := range nodes {
-			want, err := bare.Predict(v)
+			want, err := bare.PredictReq(serve.Request{Node: v})
 			if err != nil {
 				t.Fatalf("%s: bare Predict(%d): %v", when, v, err)
 			}
 			for i := 0; i < f.NumReplicas(); i++ {
-				got, err := f.Replica(i).Predict(v)
+				got, err := f.Replica(i).PredictReq(serve.Request{Node: v})
 				if err != nil {
 					t.Fatalf("%s: replica %d Predict(%d): %v", when, i, v, err)
 				}
@@ -612,7 +619,7 @@ func TestFleetTransferBillMatchesBareServer(t *testing.T) {
 	}
 	defer bare.Close()
 	for _, v := range nodes {
-		if _, err := bare.Predict(v); err != nil {
+		if _, err := bare.PredictReq(serve.Request{Node: v}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -630,7 +637,7 @@ func TestFleetTransferBillMatchesBareServer(t *testing.T) {
 		}
 		defer f.Close()
 		for _, v := range nodes {
-			if _, err := f.Predict(v); err != nil {
+			if _, err := f.PredictReq(serve.Request{Node: v}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -672,7 +679,7 @@ func TestFleetConcurrentServeAndUpdate(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				if _, err := f.Submit(nodes[(c*25+i)%len(nodes)]); err != nil {
+				if _, err := submit(f, nodes[(c*25+i)%len(nodes)]); err != nil {
 					t.Errorf("Submit: %v", err)
 					return
 				}
@@ -713,16 +720,41 @@ func TestFleetConcurrentServeAndUpdate(t *testing.T) {
 	}
 }
 
-// TestFleetOptionsValidation pins the construction guards.
+// TestFleetOptionsValidation pins the construction guards and the caller's
+// base store: a 2-replica fleet over a caller's fp32 flat store answers each
+// node exactly as a bare server over that store does.
 func TestFleetOptionsValidation(t *testing.T) {
 	ds, tr := fitted(t)
 	if _, err := New(ds, Options{Replicas: 2, Serve: serveTemplate()}, tr.Model); err == nil {
 		t.Fatal("model count mismatch accepted")
 	}
-	bad := serveTemplate()
-	bad.Store = store.NewFlat(ds)
-	if _, err := New(ds, Options{Replicas: 2, Serve: bad}, sharedModel(t, 2)...); err == nil {
-		t.Fatal("user store accepted (the fleet builds the store its replicas share)")
+	sopts := serveTemplate()
+	sopts.Store = store.NewFlatPrec(ds, half.FP32)
+	bare, err := serve.New(tr.Model, ds, sopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close()
+	f, err := New(ds, Options{Replicas: 2, Serve: sopts}, sharedModel(t, 2)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for _, v := range ds.Test[:40] {
+		want, err := bare.PredictReq(serve.Request{Node: v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := f.PredictReq(serve.Request{Node: v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("node %d: fleet over the caller's store %+v, bare server %+v", v, got, want)
+		}
+	}
+	if routed := f.Stats().Routed; routed[0] == 0 || routed[1] == 0 {
+		t.Fatalf("routed %v: one replica answered everything", routed)
 	}
 }
 
@@ -754,7 +786,7 @@ func TestFleetCloseLeavesNoGoroutines(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 60; i++ {
-			if _, err := f.Submit(ds.Test[i%20]); err != nil {
+			if _, err := submit(f, ds.Test[i%20]); err != nil {
 				t.Error(err)
 				return
 			}

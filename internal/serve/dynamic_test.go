@@ -36,7 +36,7 @@ func TestDynamicZeroDeltaMatchesStatic(t *testing.T) {
 	}
 	defer srv.Close()
 	for _, v := range nodes {
-		p, err := srv.Predict(v)
+		p, err := srv.PredictReq(Request{Node: v})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestAddNodeEndToEnd(t *testing.T) {
 	defer srv.Close()
 
 	// Before growth: the future node ID is out of range.
-	if _, err := srv.Predict(int32(ds.G.N)); err == nil {
+	if _, err := srv.PredictReq(Request{Node: int32(ds.G.N)}); err == nil {
 		t.Fatal("unknown node accepted before AddNode")
 	}
 	row := make([]float32, ds.FeatDim)
@@ -104,7 +104,7 @@ func TestAddNodeEndToEnd(t *testing.T) {
 	if ver == 0 {
 		t.Fatal("AddNode did not advance the graph version")
 	}
-	p, err := srv.Predict(id)
+	p, err := srv.PredictReq(Request{Node: id})
 	if err != nil {
 		t.Fatalf("predicting the new node: %v", err)
 	}
@@ -197,7 +197,7 @@ func TestConcurrentUpdatesAndServing(t *testing.T) {
 			r := rng.New(uint64(c + 1))
 			for i := 0; i < perClient; i++ {
 				node := ds.Test[r.Intn(len(ds.Test))]
-				p, err := srv.Predict(node)
+				p, err := srv.PredictReq(Request{Node: node})
 				if errors.Is(err, ErrSaturated) {
 					i--
 					continue
@@ -271,11 +271,11 @@ func TestUpdatedTopologyChangesSampling(t *testing.T) {
 	if err != nil || va != vb || na != nb {
 		t.Fatalf("updates diverge: applied %d/%d, versions %d/%d (%v)", na, nb, va, vb, err)
 	}
-	pa, err := a.Predict(node)
+	pa, err := a.PredictReq(Request{Node: node})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := b.Predict(node)
+	pb, err := b.PredictReq(Request{Node: node})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for _, v := range ds.Test[:60] {
-			if _, err := srv.Submit(v); err != nil {
+			if _, err := submit(srv, v); err != nil {
 				t.Error(err)
 				return
 			}

@@ -32,7 +32,7 @@ func TestEmbReuseStalenessZeroBitIdentical(t *testing.T) {
 	defer s.Close()
 	for round := 0; round < 3; round++ {
 		for _, v := range nodes {
-			got, err := s.Submit(v)
+			got, err := submit(s, v)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,14 +75,14 @@ func TestEmbReuseTruncatesAndPinsAccuracy(t *testing.T) {
 
 	// Warm pass populates the cache; measure pass should truncate.
 	for _, v := range nodes {
-		if _, err := s.Submit(v); err != nil {
+		if _, err := submit(s, v); err != nil {
 			t.Fatal(err)
 		}
 	}
 	s.ResetStats()
 	agree := 0
 	for _, v := range nodes {
-		got, err := s.Submit(v)
+		got, err := submit(s, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestEmbReuseConcurrentWithInvalidation(t *testing.T) {
 			r := rng.New(uint64(c) + 1)
 			for i := 0; i < 150; i++ {
 				v := ds.Test[r.Intn(len(ds.Test))]
-				got, err := s.Submit(v)
+				got, err := submit(s, v)
 				if err != nil {
 					t.Errorf("Submit(%d): %v", v, err)
 					return

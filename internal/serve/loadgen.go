@@ -17,7 +17,7 @@ import (
 // *Server, or the replicated front end in internal/fleet. The load drivers
 // accept the seam so one workload generator drives both tiers.
 type Submitter interface {
-	Submit(node int32) (int32, error)
+	PredictReq(Request) (Prediction, error)
 }
 
 // DriveClosedLoop submits exactly `requests` requests from `clients`
@@ -38,7 +38,7 @@ func DriveClosedLoop(s Submitter, nodes []int32, clients, requests int) time.Dur
 			for i := c; i < requests; i += clients {
 				v := nodes[i%len(nodes)]
 				for {
-					_, err := s.Submit(v)
+					_, err := s.PredictReq(Request{Node: v})
 					if errors.Is(err, ErrSaturated) {
 						continue
 					}
@@ -92,7 +92,7 @@ func DriveOpenLoopProcess(s Submitter, nodes []int32, rate float64, requests int
 		wg.Add(1)
 		go func(v int32) {
 			defer wg.Done()
-			s.Submit(v) //nolint:errcheck // rejections are the measurement
+			s.PredictReq(Request{Node: v}) //nolint:errcheck // rejections are the measurement
 		}(nodes[i%len(nodes)])
 	}
 	wg.Wait()

@@ -6,30 +6,6 @@ import (
 	"time"
 )
 
-// TestPredictReqZeroValuesMatchPredict pins the QoS-free contract: a
-// Request with only Node set answers exactly like Predict.
-func TestPredictReqZeroValuesMatchPredict(t *testing.T) {
-	ds, tr := fitted(t)
-	s, err := New(tr.Model, ds, Options{Fanouts: serveFanouts, Seed: serveSeed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for _, v := range ds.Test[:10] {
-		want, err := s.Predict(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := s.PredictReq(Request{Node: v})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("PredictReq(%d) = %+v, Predict = %+v", v, got, want)
-		}
-	}
-}
-
 // TestPredictReqExpiredDeadlineShedsBeforeEnqueue: a request already past
 // its deadline is refused without being queued, with full context.
 func TestPredictReqExpiredDeadlineShedsBeforeEnqueue(t *testing.T) {
@@ -75,7 +51,7 @@ func TestEstimateServiceTime(t *testing.T) {
 		t.Fatalf("estimate before any traffic = %v, want 0", est)
 	}
 	for _, v := range ds.Test[:12] {
-		if _, err := s.Submit(v); err != nil {
+		if _, err := submit(s, v); err != nil {
 			t.Fatal(err)
 		}
 	}

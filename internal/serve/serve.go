@@ -2,12 +2,12 @@
 // SALIENT's batch-preparation data path (paper §5's argument that sampled
 // inference reuses the training pipeline, taken to its serving conclusion).
 //
-// Clients call Submit with a single node and block for its predicted label.
-// Internally, requests land in a bounded admission channel; whichever
-// worker goroutine is idle receives a request plus whatever is already
-// queued behind it, up to MaxBatch, and never waits for more — requests
-// that arrive during an execution form the next micro-batch, so a backlog
-// still coalesces while a closed loop pays no batching window. Each
+// Clients call PredictReq with a Request for one node and block for its
+// predicted label. Internally, requests land in a bounded admission channel;
+// whichever worker goroutine is idle receives a request plus whatever is
+// already queued behind it, up to MaxBatch, and never waits for more —
+// requests that arrive during an execution form the next micro-batch, so a
+// backlog still coalesces while a closed loop pays no batching window. Each
 // micro-batch runs one fused prepare-and-forward over the coalesced set:
 // per-request neighborhood sampling straight into the worker's recycled MFG
 // slots (SampleInto — no per-request copies), a block-diagonal MFG merge
@@ -15,20 +15,21 @@
 // the worker's pinned staging buffer, and one model forward. All of that
 // scratch is released for reuse as soon as the micro-batch's responses are
 // delivered. The forward runs in eval mode, which writes no model state, so
-// workers run theirs concurrently through one model, and several servers
-// may share that model too. Transfer and cache accounting live in the
-// store; the server just snapshots them into its Stats.
+// workers run theirs concurrently through one model, and several servers may
+// share that model too. Transfer and cache accounting live in the store; the
+// server just snapshots them into its Stats.
 //
 // Determinism: each request is sampled independently with the RNG a
 // singleton inference epoch would use (prep.BatchRNG(seed, 0)), and the
 // merged forward is row-for-row equal to singleton forwards, so the answer
 // for a node never depends on which requests it happened to share a
-// micro-batch with — Submit(v) always equals one-shot infer.Sampled on {v}.
+// micro-batch with — the answer for v always equals one-shot
+// infer.Sampled on {v}.
 //
-// Backpressure: the channel is the admission bound. When it is full, Submit
-// fails fast with ErrSaturated instead of queueing unbounded work, so
-// saturation degrades into rejections rather than latency collapse or
-// deadlock.
+// Backpressure: the channel is the admission bound. When it is full,
+// PredictReq fails fast with ErrSaturated instead of queueing unbounded
+// work, so saturation degrades into rejections rather than latency collapse
+// or deadlock.
 package serve
 
 import (
@@ -53,11 +54,12 @@ import (
 	"salient/internal/tensor"
 )
 
-// ErrSaturated is returned by Submit when the admission queue is full: the
-// server is at capacity and the caller should back off or shed the request.
+// ErrSaturated is returned by PredictReq when the admission queue is full:
+// the server is at capacity and the caller should back off or shed the
+// request.
 var ErrSaturated = errors.New("serve: server saturated, request rejected")
 
-// ErrClosed is returned by Submit after Close.
+// ErrClosed is returned by PredictReq after Close.
 var ErrClosed = errors.New("serve: server closed")
 
 // ErrDeadline is returned (wrapped in a *RequestError) for a request whose
@@ -83,10 +85,10 @@ type Options struct {
 	// as the admission channel is empty and never waits for more requests.
 	MaxDelay time.Duration
 	// QueueCapacity is the admission bound: exactly how many requests may
-	// wait for a worker before Submit rejects. Default 1024.
+	// wait for a worker before PredictReq rejects. Default 1024.
 	QueueCapacity int
-	// Seed keys per-request sampling. A server with seed s answers Submit(v)
-	// exactly as infer.Sampled(model, ds, {v}, Options{Seed: s}) would.
+	// Seed keys per-request sampling. A server with seed s answers a request
+	// for v exactly as infer.Sampled(model, ds, {v}, Options{Seed: s}) would.
 	// Default 1.
 	Seed uint64
 	// CacheRows enables the GPU feature cache with the given row capacity
@@ -149,8 +151,8 @@ func (o *Options) normalize() error {
 }
 
 // Request is one prediction request with its serving QoS attributes. The
-// zero values — no deadline, lowest priority — reproduce plain Submit
-// semantics exactly, so callers that don't care about QoS never see it.
+// zero values — no deadline, lowest priority — ask for the node alone, so
+// callers that don't care about QoS never see it.
 type Request struct {
 	// Node is the node to predict.
 	Node int32
@@ -195,7 +197,7 @@ func (e *RequestError) Error() string {
 // Unwrap exposes the cause to errors.Is/errors.As.
 func (e *RequestError) Unwrap() error { return e.Err }
 
-// request is one in-flight Submit.
+// request is one in-flight PredictReq.
 type request struct {
 	node     int32
 	deadline time.Time // zero: none
@@ -234,7 +236,7 @@ type Stats struct {
 	// Rejected, which counts capacity refusals at admission.
 	DeadlineSheds int64
 
-	Latency   event.Summary // per-request Submit→answer latency, seconds
+	Latency   event.Summary // per-request submit→answer latency, seconds
 	Occupancy event.Summary // requests per micro-batch
 
 	// GraphVersion is the graph's latest snapshot version at the time of
@@ -269,7 +271,7 @@ func (s Stats) EmbHitRate() float64 {
 }
 
 // Server is an online sampled-inference server over a trained model. Create
-// with New, submit with Submit from any number of goroutines, and Close when
+// with New, call PredictReq from any number of goroutines, and Close when
 // done.
 type Server struct {
 	model nn.Model
@@ -318,7 +320,7 @@ type Server struct {
 	// deadline feasibility (EstimateServiceTime).
 	svc *event.Window
 
-	// gate orders Submit's send against Close: Submit sends under the read
+	// gate orders PredictReq's send against Close: it sends under the read
 	// lock, and Close flips closing and closes reqs under the write lock, so
 	// no send can reach a closed channel.
 	gate    sync.RWMutex
@@ -391,22 +393,6 @@ func New(m nn.Model, ds *dataset.Dataset, opts Options) (*Server, error) {
 	return s, nil
 }
 
-// Submit requests a prediction for node and blocks until it is answered or
-// rejected. It is safe to call from any number of goroutines. Saturation is
-// reported as ErrSaturated without blocking; a closed server reports
-// ErrClosed. Submit is Predict without the snapshot-version report.
-func (s *Server) Submit(node int32) (int32, error) {
-	p, err := s.Predict(node)
-	return p.Label, err
-}
-
-// Predict requests a prediction for node and blocks until it is answered or
-// rejected, reporting the graph snapshot version the answer was computed
-// against alongside the label. Safe for any number of goroutines.
-func (s *Server) Predict(node int32) (Prediction, error) {
-	return s.PredictReq(Request{Node: node})
-}
-
 // serviceWindow is how many recent request latencies feed the live
 // service-time estimate: large enough to smooth micro-batch granularity,
 // small enough to track load shifts within a few hundred requests.
@@ -427,14 +413,17 @@ func (s *Server) EstimateServiceTime() time.Duration {
 // waiting for a worker.
 func (s *Server) QueueDepth() int { return len(s.reqs) }
 
-// QueueCap returns the admission capacity — the saturation point Submit
+// QueueCap returns the admission capacity — the saturation point PredictReq
 // rejects at (Options.QueueCapacity).
 func (s *Server) QueueCap() int { return cap(s.reqs) }
 
-// PredictReq is Predict with the full request attributes: an optional
-// deadline (expired requests are shed, not computed) and a priority level
-// consumed by fleet-level admission. A Request with only Node set behaves
-// exactly like Predict.
+// PredictReq requests a prediction for r.Node and blocks until it is
+// answered or rejected, reporting the graph snapshot version the answer was
+// computed against alongside the label. An optional deadline sheds an
+// expired request instead of computing it; the priority is consumed by
+// fleet-level admission. Safe for any number of goroutines. Saturation is
+// reported as ErrSaturated without blocking; a closed server reports
+// ErrClosed.
 func (s *Server) PredictReq(r Request) (Prediction, error) {
 	node := r.Node
 	if n := s.numNodes(); node < 0 || node >= n {
@@ -509,7 +498,7 @@ func (s *Server) Update(src, dst []int32) (int, uint64, error) {
 // datasets; pass none for an isolated node). The feature row is appended
 // through the server's store, which must implement store.Appendable (the
 // flat store and caches over it do); the new node is immediately
-// predictable via Submit/Predict. Returns the new node ID and the graph
+// predictable via PredictReq. Returns the new node ID and the graph
 // version after the insertion.
 func (s *Server) AddNode(feat []float32, label int32, neighbors []int32) (int32, uint64, error) {
 	if s.dyn == nil {
@@ -736,7 +725,7 @@ func (s *Server) execute(ws *workerState, batch []*request) {
 			ws.emb.BeginRequest(int32(i))
 		}
 		if err := ws.sm.SampleInto(ws.r, ws.seed[:], &ws.slots[i]); err != nil {
-			// Unreachable in practice — Submit range-checks the node and a
+			// Unreachable in practice — PredictReq range-checks the node and a
 			// single seed cannot duplicate — but fail the batch over panicking.
 			s.deliverError(batch, err)
 			return

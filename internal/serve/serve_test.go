@@ -92,6 +92,12 @@ func singleShot(t testing.TB, nodes []int32) map[int32]int32 {
 	return want
 }
 
+// submit asks s for node's label through its one entry point.
+func submit(s Submitter, node int32) (int32, error) {
+	p, err := s.PredictReq(Request{Node: node})
+	return p.Label, err
+}
+
 func TestSubmitMatchesSingleShotInference(t *testing.T) {
 	ds, tr := fitted(t)
 	nodes := ds.Test[:50]
@@ -108,7 +114,7 @@ func TestSubmitMatchesSingleShotInference(t *testing.T) {
 	// Sequential submissions: whatever micro-batches form, every answer must
 	// equal the singleton ground truth.
 	for _, v := range nodes {
-		got, err := s.Submit(v)
+		got, err := submit(s, v)
 		if err != nil {
 			t.Fatalf("Submit(%d): %v", v, err)
 		}
@@ -143,7 +149,7 @@ func TestConcurrentSubmittersDeterministic(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perSubmitter; i++ {
 				v := nodes[(g*perSubmitter+i)%len(nodes)]
-				got, err := s.Submit(v)
+				got, err := submit(s, v)
 				if err != nil {
 					errs <- err
 					return
@@ -279,7 +285,7 @@ func TestCloseDrainsQueuedRequests(t *testing.T) {
 	// The queue is full, so Submit rejects without blocking until Close
 	// stops admission; from then on it reports ErrClosed.
 	for {
-		_, err := s.Submit(nodes[0])
+		_, err := submit(s, nodes[0])
 		if errors.Is(err, ErrClosed) {
 			break
 		}
@@ -290,7 +296,7 @@ func TestCloseDrainsQueuedRequests(t *testing.T) {
 	}
 	expectAnswers(t, want, reqs...)
 	<-closed
-	if _, err := s.Submit(nodes[1]); !errors.Is(err, ErrClosed) {
+	if _, err := submit(s, nodes[1]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
 	}
 	if st := s.Stats(); st.Submitted != int64(len(nodes)) || st.Served != int64(len(nodes)) {
@@ -314,7 +320,7 @@ func TestClosedLoopPaysNoBatchingWindow(t *testing.T) {
 	}
 	defer s.Close()
 	for _, v := range ds.Test[:20] {
-		if _, err := s.Submit(v); err != nil {
+		if _, err := submit(s, v); err != nil {
 			t.Fatalf("Submit(%d): %v", v, err)
 		}
 	}
@@ -348,7 +354,7 @@ func TestStatsNeverServedBeforeSubmitted(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perSubmitter; i++ {
-				if _, err := s.Submit(nodes[(g+i)%len(nodes)]); err != nil && !errors.Is(err, ErrSaturated) {
+				if _, err := submit(s, nodes[(g+i)%len(nodes)]); err != nil && !errors.Is(err, ErrSaturated) {
 					t.Errorf("Submit: %v", err)
 					return
 				}
@@ -438,7 +444,7 @@ func TestSaturationRejectsWithoutDeadlock(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < perSubmitter; i++ {
 					v := nodes[(g+i)%len(nodes)]
-					got, err := s.Submit(v)
+					got, err := submit(s, v)
 					mu.Lock()
 					switch {
 					case errors.Is(err, ErrSaturated):
@@ -486,7 +492,7 @@ func TestCacheAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range ds.Test[:64] {
-		if _, err := s.Submit(v); err != nil {
+		if _, err := submit(s, v); err != nil {
 			t.Fatalf("Submit(%d): %v", v, err)
 		}
 	}
@@ -532,7 +538,7 @@ func TestServeThroughShardedStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range nodes {
-		got, err := s.Submit(v)
+		got, err := submit(s, v)
 		if err != nil {
 			t.Fatalf("Submit(%d): %v", v, err)
 		}
@@ -560,15 +566,15 @@ func TestSubmitAfterCloseAndBadNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Submit(int32(ds.G.N)); err == nil {
+	if _, err := submit(s, int32(ds.G.N)); err == nil {
 		t.Fatal("out-of-range node accepted")
 	}
-	if _, err := s.Submit(-1); err == nil {
+	if _, err := submit(s, -1); err == nil {
 		t.Fatal("negative node accepted")
 	}
 	s.Close()
 	s.Close() // idempotent
-	if _, err := s.Submit(0); !errors.Is(err, ErrClosed) {
+	if _, err := submit(s, 0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
 	}
 }
@@ -603,7 +609,7 @@ func TestServeThroughInt8Store(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range nodes {
-		got, err := s.Submit(v)
+		got, err := submit(s, v)
 		if err != nil {
 			t.Fatalf("Submit(%d): %v", v, err)
 		}

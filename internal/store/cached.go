@@ -57,7 +57,7 @@ func NewCached(inner FeatureStore, g graph.Topology, o CacheOptions) (*Cached, e
 func (c *Cached) Dim() int { return c.inner.Dim() }
 
 // Precision returns the inner store's storage precision.
-func (c *Cached) Precision() half.Precision { return PrecisionOf(c.inner) }
+func (c *Cached) Precision() half.Precision { return c.inner.Precision() }
 
 // NumNodes returns the number of feature rows held.
 func (c *Cached) NumNodes() int { return c.inner.NumNodes() }
@@ -144,7 +144,7 @@ func (c *Cached) GatherAggregate(dst *slicing.Fused, nodeIDs []int32, blk *mfg.B
 // to a base store this wrapper shares (a fleet replica's cache), and the
 // inner gather already bounded nodeIDs by that count.
 func (c *Cached) settle(nodeIDs []int32) {
-	rowBytes := PrecisionOf(c.inner).RowBytes(c.inner.Dim())
+	rowBytes := c.inner.Precision().RowBytes(c.inner.Dim())
 	sh, _ := c.inner.(*Sharded)
 	var home int32
 	if sh != nil && len(nodeIDs) > 0 {

@@ -174,6 +174,27 @@ func TestPrecisionByteAccounting(t *testing.T) {
 	}
 }
 
+// TestCachedOverWrapperBillsInnerPrecision: a Cached over a store that only
+// embeds FeatureStore (as instrumenting test fakes do) bills each moved row
+// at the wrapped store's precision, here int8, not at an fp16 guess.
+func TestCachedOverWrapperBillsInnerPrecision(t *testing.T) {
+	ds := testDS(t)
+	wrapped := struct{ FeatureStore }{NewFlatPrec(ds, half.Int8)}
+	c, err := NewCached(wrapped, ds.G, CacheOptions{Rows: 1, Policy: cache.StaticDegree})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range sampleMFGs(t, ds, 2, 32) {
+		if err := c.Gather(slicing.NewPinned(1, ds.FeatDim, 1), m.NodeIDs, int(m.Batch)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := c.Stats()
+	if want := st.RowsMoved * half.Int8.RowBytes(ds.FeatDim); st.RowsMoved == 0 || st.BytesMoved != want {
+		t.Fatalf("moved %d rows for %d bytes, want %d int8 bytes", st.RowsMoved, st.BytesMoved, want)
+	}
+}
+
 // TestPrecisionStagedDecode: the fp32 store decodes bit-identically to the
 // widened fp16 store (both derive from the same fp16 master rows), and the
 // int8 store reconstructs every scalar within half a quantization step.

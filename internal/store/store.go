@@ -90,6 +90,8 @@ type FeatureStore interface {
 	Dim() int
 	// NumNodes returns the number of feature rows held.
 	NumNodes() int
+	// Precision returns the storage precision rows are held and moved at.
+	Precision() half.Precision
 	// Gather stages features for nodeIDs and labels for the seed prefix
 	// (the first batch entries) into dst.
 	Gather(dst *slicing.Pinned, nodeIDs []int32, batch int) error
@@ -173,20 +175,4 @@ type StripedGatherer interface {
 // not must fail loudly at wiring time.
 type FusedGatherer interface {
 	GatherAggregate(dst *slicing.Fused, nodeIDs []int32, blk *mfg.Block, batch int, op slicing.AggOp) error
-}
-
-// Precisioned is implemented by stores that can report their storage
-// precision (all built-ins). Consumers that size transfer estimates use it;
-// a store without it is assumed fp16, the seed layout.
-type Precisioned interface {
-	Precision() half.Precision
-}
-
-// PrecisionOf returns st's storage precision, defaulting to fp16 for stores
-// that predate the precision seam.
-func PrecisionOf(st FeatureStore) half.Precision {
-	if p, ok := st.(Precisioned); ok {
-		return p.Precision()
-	}
-	return half.FP16
 }
