@@ -16,7 +16,7 @@
 //     math/rand state, derive no seeds from wall-clock time, and feed no
 //     map-iteration order into results.
 //   - snapshotpin: epoch/step loop bodies in train/ddp/prep never re-pin a
-//     graph snapshot; snapshots are pinned once and passed down.
+//     graph.Viewer or *graph.Dynamic; views are pinned once and passed down.
 //   - panicdiscipline: library code panics only where a `//lint:allow`
 //     directive documents the panic as a deliberate contract.
 //   - directives: the two comment directives themselves are well-formed.

@@ -19,15 +19,16 @@ var snapshotScope = map[string]bool{
 	"prep":  true,
 }
 
-// SnapshotPin enforces the PR-5 pinning discipline: inside epoch/step loop
-// bodies in train/ddp/prep, no Snapshot() calls — a mid-epoch re-pin would
-// observe concurrent graph mutations and break the bit-reproducibility
-// oracle (and the zero-alloc gather, which relies on the overlay being
-// merged once at pin time). Calling Snapshot() on an already-pinned
-// *graph.Snapshot is free (it returns itself) and stays legal.
+// SnapshotPin enforces the pinning discipline: inside epoch/step loop bodies
+// in train/ddp/prep, no View() (or Snapshot()) calls on a graph.Viewer or a
+// *graph.Dynamic — a mid-epoch re-pin would observe concurrent graph
+// mutations and break the bit-reproducibility oracle (and the zero-alloc
+// gather, which relies on the overlay being merged once at pin time).
+// Calling View() on an already-pinned *graph.Snapshot or *graph.Partitioned
+// is free (it returns itself) and stays legal.
 var SnapshotPin = &goanalysis.Analyzer{
 	Name: "snapshotpin",
-	Doc:  "forbid Snapshot() re-pinning inside epoch/step loops in train/ddp/prep; pin once and pass the pinned Topology down",
+	Doc:  "forbid View()/Snapshot() re-pinning of a graph.Viewer or *graph.Dynamic inside epoch/step loops in train/ddp/prep; pin once and pass the pinned View down",
 	Run:  runSnapshotPin,
 }
 
@@ -40,7 +41,7 @@ func runSnapshotPin(pass *goanalysis.Pass) (interface{}, error) {
 		if isTestFile(pass.Fset, f.Pos()) {
 			continue
 		}
-		// Collect loop-body extents, then flag Snapshot() calls inside any.
+		// Collect loop-body extents, then flag re-pinning calls inside any.
 		var loops []struct{ pos, end token.Pos }
 		ast.Inspect(f, func(n ast.Node) bool {
 			var body *ast.BlockStmt
@@ -72,7 +73,7 @@ func runSnapshotPin(pass *goanalysis.Pass) (interface{}, error) {
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "Snapshot" {
+			if !ok || (sel.Sel.Name != "View" && sel.Sel.Name != "Snapshot") {
 				return true
 			}
 			s := pass.TypesInfo.Selections[sel]
@@ -83,11 +84,11 @@ func runSnapshotPin(pass *goanalysis.Pass) (interface{}, error) {
 			if m.Pkg() == nil || !strings.HasSuffix(m.Pkg().Path(), graphPkgSuffix) {
 				return true
 			}
-			if namedRecv(s.Recv()) == "Snapshot" {
-				return true // (*Snapshot).Snapshot returns itself: already pinned
+			if recv := namedRecv(s.Recv()); recv != "Viewer" && recv != "Dynamic" {
+				return true // a *Snapshot or *Partitioned returns itself: already pinned
 			}
 			report(pass, idx, call.Pos(),
-				"Snapshot() inside a loop body re-pins the graph mid-epoch: pin one snapshot before the loop and pass the pinned graph.Topology down")
+				sel.Sel.Name+"() inside a loop body re-pins the graph mid-epoch: pin one view before the loop and pass the pinned graph.View down")
 			return true
 		})
 	}

@@ -6,50 +6,60 @@ import "salient/internal/graph"
 
 // EpochRepin re-pins the graph inside the step loop: each iteration could
 // observe a different topology version.
-func EpochRepin(d graph.Snapshotter, steps int) int64 {
+func EpochRepin(d graph.Viewer, steps int) int64 {
 	var edges int64
 	for i := 0; i < steps; i++ {
-		s := d.Snapshot() // want "re-pins the graph mid-epoch"
-		edges += s.NumEdges()
+		v := d.View() // want "re-pins the graph mid-epoch"
+		edges += v.NumEdges()
 	}
 	return edges
 }
 
-// EpochPinned pins once before the loop and passes the snapshot down: legal.
-func EpochPinned(d graph.Snapshotter, steps int) int64 {
-	s := d.Snapshot()
+// EpochPinned pins once before the loop and passes the view down: legal.
+func EpochPinned(d graph.Viewer, steps int) int64 {
+	v := d.View()
 	var edges int64
 	for i := 0; i < steps; i++ {
-		edges += s.NumEdges()
+		edges += v.NumEdges()
 	}
 	return edges
 }
 
 // RangeRepin also trips inside range loops.
-func RangeRepin(d graph.Snapshotter, epochs []int) int64 {
+func RangeRepin(d graph.Viewer, epochs []int) int64 {
 	var edges int64
 	for range epochs {
+		edges += d.View().NumEdges() // want "re-pins the graph mid-epoch"
+	}
+	return edges
+}
+
+// DynamicRepin re-pins a mutable graph directly, through either method.
+func DynamicRepin(d *graph.Dynamic, steps int) int64 {
+	var edges int64
+	for i := 0; i < steps; i++ {
+		edges += d.View().NumEdges()     // want "re-pins the graph mid-epoch"
 		edges += d.Snapshot().NumEdges() // want "re-pins the graph mid-epoch"
 	}
 	return edges
 }
 
-// PinnedSelf calls Snapshot on an already-pinned snapshot, which returns
-// itself and stays legal inside loops.
-func PinnedSelf(s *graph.Snapshot, steps int) int64 {
+// PinnedSelf calls View on already-pinned views, which return themselves
+// and stay legal inside loops.
+func PinnedSelf(s *graph.Snapshot, p *graph.Partitioned, steps int) int64 {
 	var edges int64
 	for i := 0; i < steps; i++ {
-		edges += s.Snapshot().NumEdges()
+		edges += s.View().NumEdges() + s.Snapshot().NumEdges() + p.View().NumEdges()
 	}
 	return edges
 }
 
 // WarmRepin documents an intentional per-iteration re-pin.
-func WarmRepin(d graph.Snapshotter, steps int) int64 {
+func WarmRepin(d graph.Viewer, steps int) int64 {
 	var edges int64
 	for i := 0; i < steps; i++ {
-		s := d.Snapshot() //lint:allow snapshotpin fixture for the suppression path; warmup deliberately chases head
-		edges += s.NumEdges()
+		v := d.View() //lint:allow snapshotpin fixture for the suppression path; warmup deliberately chases head
+		edges += v.NumEdges()
 	}
 	return edges
 }

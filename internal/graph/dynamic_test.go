@@ -57,7 +57,7 @@ func TestStaticSnapshotAliasesBase(t *testing.T) {
 		t.Fatalf("static snapshot version %d, want 0", s.Version())
 	}
 	if s.Snapshot() != s {
-		t.Fatal("a snapshot must be its own Snapshotter")
+		t.Fatal("a snapshot's Snapshot() must return itself")
 	}
 	if s.NumNodes() != g.N || s.NumEdges() != g.NumEdges() {
 		t.Fatalf("static snapshot shape %d/%d, want %d/%d", s.NumNodes(), s.NumEdges(), g.N, g.NumEdges())

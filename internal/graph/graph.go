@@ -195,11 +195,3 @@ func (g *CSR) Validate() error {
 	}
 	return nil
 }
-
-// Induced extracts the subgraph induced by the given node set. The returned
-// CSR has len(nodes) vertices, with local ID i corresponding to nodes[i];
-// edges are retained only when both endpoints are in the set. Duplicate
-// entries in nodes are rejected.
-func (g *CSR) Induced(nodes []int32) (*CSR, error) {
-	return Induced(g, nodes)
-}

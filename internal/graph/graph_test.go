@@ -204,57 +204,3 @@ func TestFromEdgeListKeepsDuplicatesAndSelfLoops(t *testing.T) {
 		t.Fatal("negative node count accepted")
 	}
 }
-
-func TestInduced(t *testing.T) {
-	// Triangle 0-1-2 plus pendant 3 attached to 0.
-	g, err := FromEdgeList(4,
-		[]int32{0, 1, 1, 2, 2, 0, 0, 3},
-		[]int32{1, 0, 2, 1, 0, 2, 3, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := g.Induced([]int32{0, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.N != 2 {
-		t.Fatalf("induced N=%d, want 2", sub.N)
-	}
-	// Only the 0<->2 edge survives; locals: 0->0, 2->1.
-	if sub.NumEdges() != 2 {
-		t.Fatalf("induced edges=%d, want 2", sub.NumEdges())
-	}
-	if !hasEdge(sub, 0, 1) || !hasEdge(sub, 1, 0) {
-		t.Fatal("induced adjacency wrong")
-	}
-	if _, err := g.Induced([]int32{0, 0}); err == nil {
-		t.Fatal("duplicate node accepted")
-	}
-	if _, err := g.Induced([]int32{99}); err == nil {
-		t.Fatal("out-of-range node accepted")
-	}
-	empty, err := g.Induced(nil)
-	if err != nil || empty.N != 0 || empty.NumEdges() != 0 {
-		t.Fatalf("empty induced: %v %+v", err, empty)
-	}
-}
-
-func TestInducedPreservesDegreesWithinSet(t *testing.T) {
-	// Property: for the full node set, Induced is an isomorphic copy.
-	g, err := FromEdgeList(5,
-		[]int32{0, 1, 1, 2, 3, 4, 2, 0},
-		[]int32{1, 0, 2, 1, 4, 3, 0, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := []int32{0, 1, 2, 3, 4}
-	sub, err := g.Induced(all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := int32(0); v < g.N; v++ {
-		if sub.Degree(v) != g.Degree(v) {
-			t.Fatalf("degree of %d changed: %d vs %d", v, sub.Degree(v), g.Degree(v))
-		}
-	}
-}

@@ -7,7 +7,8 @@ import "fmt"
 // the alternative sampling families, caching, partitioning, full-graph
 // inference — consumes adjacency exclusively via this interface, so the
 // concrete representation (a static CSR, an immutable Snapshot of a mutable
-// Dynamic graph, an induced subgraph) can vary without touching consumers.
+// Dynamic graph, a distributed Partitioned view) can vary without touching
+// consumers.
 //
 // Implementations must be immutable, or at least unchanging for as long as
 // a consumer holds them: samplers, caches, and executors read Topology
@@ -53,16 +54,6 @@ type Viewer interface {
 	View() View
 }
 
-// Snapshotter is the concrete-snapshot ancestor of Viewer, kept for
-// consumers that need a *Snapshot specifically (compaction, the serving
-// layer's dynamic path).
-//
-// Deprecated: consumers on the data path should accept a Viewer, which
-// distributed topologies also implement.
-type Snapshotter interface {
-	Snapshot() *Snapshot
-}
-
 // Snapshot is an immutable Topology view of a graph at one version. For
 // nodes untouched by deltas it aliases the base CSR's adjacency directly;
 // nodes with post-base edges (and nodes added after the base) read from an
@@ -81,13 +72,13 @@ type Snapshot struct {
 }
 
 // Static wraps an immutable CSR as a version-0 Snapshot, the degenerate
-// "never changes" case: consumers that accept a Snapshotter serve static
-// graphs through the exact same code path as dynamic ones.
+// "never changes" case: consumers that accept a Viewer serve static graphs
+// through the exact same code path as dynamic ones.
 func Static(g *CSR) *Snapshot {
 	return &Snapshot{n: g.N, edges: g.NumEdges(), base: g}
 }
 
-// Snapshot implements Snapshotter: a snapshot is its own (only) view.
+// Snapshot returns s: a snapshot is its own (only) view.
 func (s *Snapshot) Snapshot() *Snapshot { return s }
 
 // View implements Viewer: a snapshot is its own pinned view.
@@ -172,32 +163,4 @@ func (s *Snapshot) Validate() error {
 		return fmt.Errorf("graph: snapshot edge count %d, adjacency holds %d", s.edges, got)
 	}
 	return nil
-}
-
-// Induced extracts the subgraph of t induced by the given node set, with
-// local ID i corresponding to nodes[i]; edges are retained only when both
-// endpoints are in the set. Duplicate entries in nodes are rejected. This is
-// the Topology-seam generalization of (*CSR).Induced.
-func Induced(t Topology, nodes []int32) (*CSR, error) {
-	n := t.NumNodes()
-	local := make(map[int32]int32, len(nodes))
-	for i, v := range nodes {
-		if v < 0 || v >= n {
-			return nil, fmt.Errorf("graph: induced node %d out of range", v)
-		}
-		if _, dup := local[v]; dup {
-			return nil, fmt.Errorf("graph: duplicate node %d in induced set", v)
-		}
-		local[v] = int32(i)
-	}
-	sub := &CSR{N: int32(len(nodes)), Ptr: make([]int64, len(nodes)+1)}
-	for i, v := range nodes {
-		for _, u := range t.Neighbors(v) {
-			if lu, ok := local[u]; ok {
-				sub.Adj = append(sub.Adj, lu)
-			}
-		}
-		sub.Ptr[i+1] = int64(len(sub.Adj))
-	}
-	return sub, nil
 }

@@ -362,23 +362,13 @@ func viewerFor(ds *dataset.Dataset, opts Options) graph.Viewer {
 	return graph.Static(ds.G)
 }
 
-// MaxRowsEstimate bounds the expanded-neighborhood row count of one batch:
-// batch × Π(fanout+1), capped at the graph size n. It is how the executors
-// pre-size their pinned staging buffers, exported so other consumers of the
-// kernels (benchmarks, examples) pre-size identically instead of copying
-// the formula.
+// MaxRowsEstimate bounds the expanded-neighborhood row count of one batch,
+// sampler.ExpectedNodes: batch × Π(fanout+1), capped at the graph size n.
+// The executors pre-size their pinned staging buffers with it, and other
+// consumers of the kernels (benchmarks, examples) call it to pre-size
+// identically.
 func MaxRowsEstimate(batch int, fanouts []int, n int) int {
-	est := batch
-	for _, f := range fanouts {
-		if est >= n {
-			break
-		}
-		est *= f + 1
-	}
-	if est > n {
-		est = n
-	}
-	return est
+	return sampler.ExpectedNodes(batch, fanouts, n)
 }
 
 // Salient is the shared-memory batch-preparation executor.

@@ -26,12 +26,13 @@
 // pooled-everything; the baseline (BaselineConfig) models PyG's sampler:
 // stdlib hash map + hash set + two-phase + fresh allocations.
 //
-// The Reuse axis governs Sample, the design-sweep entry point, which owns
-// (or allocates) its output buffers per the selected policy. The production
-// data path goes further: SampleInto appends the MFG into buffers the
+// One loop draws every MFG: SampleInto, which writes into buffers the
 // CALLER owns — one slot of a recycled batch arena in internal/prep — and
-// always pools the sampler's internal scratch, so steady-state sampling
-// performs zero heap allocations regardless of the configured Reuse kind.
+// always pools the sampler's internal scratch, so steady-state production
+// sampling performs zero heap allocations. Sample, the design-sweep entry
+// point, applies the Reuse axis through the buffers it passes to
+// SampleInto: a new ID map (Fresh), a fresh output and phase scratch
+// (Fresh, PooledMaps), or the sampler's pooled output (PooledAll).
 package sampler
 
 import "fmt"

@@ -2,8 +2,10 @@ package sampler
 
 import (
 	"errors"
+	"math"
 	"testing"
 
+	"salient/internal/graph"
 	"salient/internal/mfg"
 	"salient/internal/race"
 	"salient/internal/rng"
@@ -39,29 +41,74 @@ func mfgEqual(a, b *mfg.MFG) bool {
 	return true
 }
 
-// TestSampleIntoMatchesSampleAllConfigs pins the oracle the arena pipeline
-// rests on: for every design-space configuration, SampleInto draws the
-// identical RNG sequence as Sample and produces a bit-identical MFG — and
-// buffer reuse across calls leaves no trace of the previous occupant.
-func TestSampleIntoMatchesSampleAllConfigs(t *testing.T) {
+// naiveSample is the test-side reference for the sampling loop, written
+// straight from the algorithm (paper §4.1) with none of the sampler's
+// machinery: a Go map assigns local IDs in draw order, and a fresh picker of
+// cfg's dedup kind draws each destination's neighbors, hop by hop from the
+// innermost block outward.
+func naiveSample(g graph.Topology, fanouts []int, cfg Config, r *rng.Rand, seeds []int32) *mfg.MFG {
+	local := map[int32]int32{}
+	var nodeIDs []int32
+	localOf := func(v int32) int32 {
+		l, ok := local[v]
+		if !ok {
+			l = int32(len(nodeIDs))
+			local[v] = l
+			nodeIDs = append(nodeIDs, v)
+		}
+		return l
+	}
+	for _, v := range seeds {
+		localOf(v)
+	}
+	m := &mfg.MFG{Blocks: make([]mfg.Block, len(fanouts)), Batch: int32(len(seeds))}
+	numDst := int32(len(seeds))
+	for b := len(fanouts) - 1; b >= 0; b-- {
+		blk := mfg.Block{DstPtr: make([]int32, numDst+1), NumDst: numDst}
+		for v := int32(0); v < numDst; v++ {
+			var drawn []int32
+			newPicker(cfg.Dedup, ReuseFresh).Pick(r, g.Neighbors(nodeIDs[v]), fanouts[b],
+				func(u int32) { drawn = append(drawn, u) })
+			for _, u := range drawn {
+				blk.Src = append(blk.Src, localOf(u))
+			}
+			blk.DstPtr[v+1] = int32(len(blk.Src))
+		}
+		blk.NumSrc = int32(len(nodeIDs))
+		m.Blocks[b] = blk
+		numDst = blk.NumSrc
+	}
+	m.NodeIDs = nodeIDs
+	return m
+}
+
+// TestSamplingMatchesNaiveReference pins both entry points to the naive
+// reference, bit for bit, for every design-space configuration: SampleInto
+// into one output recycled across rounds (so buffer reuse leaves no trace
+// of the previous occupant), and Sample under the config's Reuse policy.
+// Each of the three draws from its own RNG stream, so matching over several
+// rounds also pins identical RNG consumption.
+func TestSamplingMatchesNaiveReference(t *testing.T) {
 	g := testGraph(t)
-	fanouts := []int{5, 3, 2}
+	fanouts := []int{10, 4, 2} // 10 covers low-degree nodes' take-all path
 	batches := [][]int32{seeds(32, 7), seeds(16, 11), seeds(48, 5)}
 	for _, cfg := range Enumerate() {
-		ref := New(g, fanouts, cfg)
-		got := New(g, fanouts, cfg)
-		rRef, rGot := rng.New(99), rng.New(99)
-		var out mfg.MFG // one recycled output across all rounds
+		into, sample := New(g, fanouts, cfg), New(g, fanouts, cfg)
+		rRef, rInto, rSample := rng.New(99), rng.New(99), rng.New(99)
+		var out mfg.MFG
 		for round, sds := range batches {
-			want := ref.Sample(rRef, sds)
-			if err := got.SampleInto(rGot, sds, &out); err != nil {
+			want := naiveSample(g, fanouts, cfg, rRef, sds)
+			if err := into.SampleInto(rInto, sds, &out); err != nil {
 				t.Fatalf("%v round %d: SampleInto: %v", cfg, round, err)
 			}
 			if err := out.Validate(); err != nil {
 				t.Fatalf("%v round %d: invalid MFG: %v", cfg, round, err)
 			}
 			if !mfgEqual(want, &out) {
-				t.Fatalf("%v round %d: SampleInto differs from Sample", cfg, round)
+				t.Fatalf("%v round %d: SampleInto differs from the naive reference", cfg, round)
+			}
+			if !mfgEqual(want, sample.Sample(rSample, sds)) {
+				t.Fatalf("%v round %d: Sample differs from the naive reference", cfg, round)
 			}
 		}
 	}
@@ -129,5 +176,49 @@ func TestSampleIntoSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state SampleInto allocates %.1f objects/batch, want 0", allocs)
+	}
+}
+
+// TestSampleReuseAxisGovernsAllocation: Sample applies the Reuse axis
+// through the buffers it hands SampleInto, so for every (IDMap, Dedup,
+// Build) point the steady-state allocation count is non-increasing along
+// Fresh → PooledMaps → PooledAll, and the tuned configuration allocates
+// nothing.
+func TestSampleReuseAxisGovernsAllocation(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	g := testGraph(t)
+	sds := seeds(64, 7)
+	allocs := func(cfg Config) float64 {
+		s := New(g, []int{10, 5}, cfg)
+		r := rng.New(1)
+		for i := 0; i < 5; i++ {
+			r.Reseed(uint64(i))
+			s.Sample(r, sds)
+		}
+		// Reseeding per run draws the identical sample every iteration, so
+		// buffer high-water marks cannot move mid-measurement.
+		return testing.AllocsPerRun(20, func() {
+			r.Reseed(3)
+			s.Sample(r, sds)
+		})
+	}
+	for _, cfg := range Enumerate() {
+		if cfg.Reuse != ReuseFresh {
+			continue
+		}
+		prev := math.Inf(1)
+		for ru := ReuseFresh; ru < numReuseKinds; ru++ {
+			cfg.Reuse = ru
+			a := allocs(cfg)
+			if a > prev {
+				t.Errorf("%v: %.1f allocs/batch, more than the previous Reuse kind's %.1f", cfg, a, prev)
+			}
+			prev = a
+		}
+	}
+	if a := allocs(FastConfig()); a != 0 {
+		t.Fatalf("steady-state Sample(FastConfig) allocates %.1f objects/batch, want 0", a)
 	}
 }

@@ -11,8 +11,7 @@ import (
 // SeedError reports an invalid seed set: a seed node out of graph range or a
 // duplicate within the batch. SampleInto returns it (so batch-preparation
 // executors can surface it through Batch.Err instead of crashing a worker
-// goroutine); Sample keeps the historical panic contract for the same
-// conditions.
+// goroutine); Sample panics with it.
 type SeedError struct {
 	Seed  int32 // offending global node ID
 	Index int   // position within the seed slice
@@ -33,12 +32,13 @@ func (e *SeedError) Error() string {
 // preparation gives each worker goroutine its own Sampler (paper §4.2),
 // which is also what makes the pooled-reuse configurations safe.
 //
-// With Reuse == ReusePooledAll the returned MFG aliases internal buffers and
-// is invalidated by the next Sample call on the same Sampler. This mirrors
-// SALIENT's recycled batch slots; callers that need longer-lived batches use
-// one Sampler per in-flight slot, a different reuse policy, or — the
-// production path — SampleInto, which writes into an MFG the caller owns
-// (the prep executor samples straight into recycled batch arenas this way).
+// SampleInto is the one sampling loop: it writes into an MFG the caller owns
+// (the prep executor samples straight into recycled batch arenas this way)
+// and always pools the sampler's internal scratch. Sample wraps it for the
+// design sweep, choosing fresh or pooled buffers per the Reuse axis; with
+// Reuse == ReusePooledAll the MFG it returns aliases sampler state and is
+// invalidated by the next Sample call, mirroring SALIENT's recycled batch
+// slots.
 type Sampler struct {
 	// G is the topology sampled against: a static CSR or an immutable
 	// graph.Snapshot. Swap it between batches with Retarget, never directly.
@@ -49,10 +49,7 @@ type Sampler struct {
 	mapper localMapper
 	picker neighborPicker
 
-	// Pooled buffers (ReusePooledAll).
-	nodeIDs  []int32
-	dstPtrs  [][]int32
-	srcBufs  [][]int32
+	pooled   mfg.MFG // Sample's output under ReusePooledAll
 	phaseBuf []int32 // two-phase sampled-globals buffer
 	phaseCnt []int32 // two-phase per-destination counts
 
@@ -90,13 +87,9 @@ func New(g graph.Topology, fanouts []int, cfg Config) *Sampler {
 		G:       g,
 		Fanouts: append([]int(nil), fanouts...),
 		cfg:     cfg,
-		dstPtrs: make([][]int32, len(fanouts)),
-		srcBufs: make([][]int32, len(fanouts)),
 	}
 	s.picker = newPicker(cfg.Dedup, cfg.Reuse)
-	if cfg.Reuse != ReuseFresh {
-		s.mapper = s.newMapper()
-	}
+	s.mapper = s.newMapper()
 	s.emitMap = func(g int32) {
 		l := s.mapper.GetOrAssign(g)
 		if int(l) == len(s.cur.nodeIDs) {
@@ -123,8 +116,7 @@ func (s *Sampler) Config() Config { return s.cfg }
 // A nil predicate — or one that always returns false — leaves the RNG
 // consumption and output bit-identical to an un-hooked sampler: the
 // predicate runs before any randomness for that destination is drawn.
-// Sample (the pooled research path) ignores the hook; serving and
-// inference run through SampleInto.
+// Sample draws through SampleInto, so it honours the hook too.
 func (s *Sampler) SetTruncate(f func(int32) bool) { s.truncate = f }
 
 // Retarget points the sampler at a new topology — how long-lived samplers
@@ -158,157 +150,64 @@ func (s *Sampler) newMapper() localMapper {
 	panic("sampler: unknown idmap kind") //lint:allow panicdiscipline config enum exhaustiveness: Config.Validate rejects unknown kinds upstream
 }
 
-// expectedNodes estimates the expanded-neighborhood size for pre-sizing:
-// batch × Π(fanout+1), capped at the graph size.
-func (s *Sampler) expectedNodes(batch int) int {
+// ExpectedNodes bounds the expanded-neighborhood size of one batch:
+// batch × Π(fanout+1), capped at the graph size n. Samplers pre-size their
+// ID maps with it and batch executors their staging buffers.
+func ExpectedNodes(batch int, fanouts []int, n int) int {
 	est := batch
-	for _, f := range s.Fanouts {
-		if est > int(s.G.NumNodes()) {
+	for _, f := range fanouts {
+		if est >= n {
 			break
 		}
 		est *= f + 1
 	}
-	if est > int(s.G.NumNodes()) {
-		est = int(s.G.NumNodes())
-	}
-	return est
+	return min(est, n)
 }
 
-// Sample draws the MFG for the given seed nodes. Seeds must be distinct and
-// in range: violating either is a programming error and panics (callers that
-// take seeds from untrusted input use SampleInto, which returns a *SeedError
-// instead). Randomness comes from r, so identical (seed set, RNG state)
-// pairs reproduce identical MFGs.
+// Sample draws the MFG for the given seed nodes through SampleInto, applying
+// the configured Reuse policy to the buffers it passes in: ReuseFresh
+// starts from a new ID map, ReuseFresh and ReusePooledMaps from a fresh
+// output and empty phase scratch, and ReusePooledAll from the sampler's own
+// pooled output (invalidated by the next call). Seeds must be distinct and
+// in range: violating either is a programming error and panics with the
+// *SeedError SampleInto returns (callers that take seeds from untrusted
+// input call SampleInto directly). Randomness comes from r, so identical
+// (seed set, RNG state) pairs reproduce identical MFGs.
 func (s *Sampler) Sample(r *rng.Rand, seeds []int32) *mfg.MFG {
-	L := len(s.Fanouts)
-	expected := s.expectedNodes(len(seeds))
-
-	mapper := s.mapper
-	if s.cfg.Reuse == ReuseFresh || mapper == nil {
-		mapper = s.newMapper()
+	out := &s.pooled
+	if s.cfg.Reuse != ReusePooledAll {
+		out = new(mfg.MFG)
+		s.phaseBuf, s.phaseCnt = nil, nil
 	}
-	mapper.Reset(expected)
-
-	var nodeIDs []int32
-	if s.cfg.Reuse == ReusePooledAll && s.nodeIDs != nil {
-		nodeIDs = s.nodeIDs[:0]
-	} else {
-		nodeIDs = make([]int32, 0, expected)
+	if s.cfg.Reuse == ReuseFresh {
+		s.mapper = s.newMapper()
 	}
-
-	for _, v := range seeds {
-		if v < 0 || v >= s.G.NumNodes() {
-			panic(fmt.Sprintf("sampler: seed %d out of range", v)) //lint:allow panicdiscipline documented Sample contract: seeds must be in-range and unique
-		}
-		l := mapper.GetOrAssign(v)
-		if int(l) != len(nodeIDs) {
-			panic(fmt.Sprintf("sampler: duplicate seed %d", v)) //lint:allow panicdiscipline documented Sample contract: seeds must be in-range and unique
-		}
-		nodeIDs = append(nodeIDs, v)
+	if err := s.SampleInto(r, seeds, out); err != nil {
+		panic(err) //lint:allow panicdiscipline documented Sample contract: seeds must be in-range and unique; SampleInto returns the same *SeedError
 	}
-
-	blocks := make([]mfg.Block, L)
-	frontier := int32(len(seeds))
-
-	for hop := 0; hop < L; hop++ {
-		blockIdx := L - 1 - hop       // innermost hop fills the last block
-		fanout := s.Fanouts[blockIdx] // so hop 0 uses Fanouts[L-1]
-		numDst := frontier
-
-		dstPtr := s.grabDstPtr(hop, int(numDst)+1)
-		src := s.grabSrc(hop)
-
-		if s.cfg.Build == BuildFused {
-			for v := int32(0); v < numDst; v++ {
-				dstPtr[v] = int32(len(src))
-				ns := s.G.Neighbors(nodeIDs[v])
-				s.picker.Pick(r, ns, fanout, func(g int32) {
-					l := mapper.GetOrAssign(g)
-					if int(l) == len(nodeIDs) {
-						nodeIDs = append(nodeIDs, g)
-					}
-					src = append(src, l)
-				})
-			}
-			dstPtr[numDst] = int32(len(src))
-		} else {
-			// Phase 1: sample global IDs into a flat buffer.
-			buf := s.phaseBuf[:0]
-			cnt := s.grabPhaseCnt(int(numDst))
-			for v := int32(0); v < numDst; v++ {
-				before := len(buf)
-				ns := s.G.Neighbors(nodeIDs[v])
-				s.picker.Pick(r, ns, fanout, func(g int32) {
-					buf = append(buf, g)
-				})
-				cnt[v] = int32(len(buf) - before)
-			}
-			// Phase 2: map globals to locals and build the block.
-			pos := 0
-			for v := int32(0); v < numDst; v++ {
-				dstPtr[v] = int32(len(src))
-				for e := int32(0); e < cnt[v]; e++ {
-					g := buf[pos]
-					pos++
-					l := mapper.GetOrAssign(g)
-					if int(l) == len(nodeIDs) {
-						nodeIDs = append(nodeIDs, g)
-					}
-					src = append(src, l)
-				}
-			}
-			dstPtr[numDst] = int32(len(src))
-			if s.cfg.Reuse == ReusePooledAll {
-				s.phaseBuf = buf
-			}
-		}
-
-		frontier = mapper.Len()
-		blocks[blockIdx] = mfg.Block{
-			DstPtr: dstPtr,
-			Src:    src,
-			NumDst: numDst,
-			NumSrc: frontier,
-		}
-		if s.cfg.Reuse == ReusePooledAll {
-			s.dstPtrs[hop] = dstPtr
-			s.srcBufs[hop] = src
-		}
-	}
-
-	if s.cfg.Reuse == ReusePooledAll {
-		s.nodeIDs = nodeIDs
-	}
-	if s.cfg.Reuse != ReuseFresh {
-		s.mapper = mapper
-	}
-	return &mfg.MFG{Blocks: blocks, NodeIDs: nodeIDs, Batch: int32(len(seeds))}
+	return out
 }
 
 // SampleInto draws the MFG for the given seed nodes into out, reusing out's
 // buffers (Blocks, DstPtr/Src, NodeIDs) and growing them only when this
-// batch's neighborhood exceeds every previous occupant's. It draws the
-// identical RNG sequence as Sample, so the resulting MFG is bit-identical to
-// what Sample returns for the same (config, seed set, RNG state) — only the
-// ownership differs: out and everything it references belong to the caller,
-// typically one slot of a recycled batch arena (internal/prep), and stay
-// valid until the caller reuses them.
+// batch's neighborhood exceeds every previous occupant's. out and everything
+// it references belong to the caller, typically one slot of a recycled
+// batch arena (internal/prep), and stay valid until the caller reuses them.
 //
-// Unlike Sample, seed validation failures (out-of-range or duplicate seeds)
-// come back as a *SeedError — out-of-range before any sampling state is
-// touched, duplicates during the seed-prefix insertion — rather than a panic
-// deep in the hot loop, so executors can surface them through Batch.Err. On
-// error out's contents are unspecified but its buffers remain reusable.
+// Seed validation failures (out-of-range or duplicate seeds) come back as a
+// *SeedError — out-of-range before any sampling state is touched, duplicates
+// during the seed-prefix insertion — so executors can surface them through
+// Batch.Err. On error out's contents are unspecified but its buffers remain
+// reusable.
 //
-// The Config's Reuse axis governs only Sample's buffer policy (the Figure 2
-// design sweep); SampleInto always pools its internal scratch (ID map,
-// dedup structures, phase buffers) regardless, since the output buffers are
-// the caller's.
+// SampleInto itself always pools the sampler's internal scratch (ID map,
+// dedup structures, phase buffers); the Reuse axis is applied by Sample
+// through the buffers it passes in.
 //
 //salient:noalloc
 func (s *Sampler) SampleInto(r *rng.Rand, seeds []int32, out *mfg.MFG) error {
 	L := len(s.Fanouts)
-	expected := s.expectedNodes(len(seeds))
+	expected := ExpectedNodes(len(seeds), s.Fanouts, int(s.G.NumNodes()))
 
 	for i, v := range seeds {
 		if v < 0 || v >= s.G.NumNodes() {
@@ -316,9 +215,6 @@ func (s *Sampler) SampleInto(r *rng.Rand, seeds []int32, out *mfg.MFG) error {
 		}
 	}
 
-	if s.mapper == nil {
-		s.mapper = s.newMapper() // ReuseFresh config: pool it here anyway
-	}
 	s.mapper.Reset(expected)
 
 	nodeIDs := out.NodeIDs[:0]
@@ -417,8 +313,8 @@ func (s *Sampler) SampleInto(r *rng.Rand, seeds []int32, out *mfg.MFG) error {
 	return nil
 }
 
-// grabCnt returns the always-pooled per-destination count scratch used by
-// SampleInto's two-phase build.
+// grabCnt returns the pooled per-destination count scratch of the two-phase
+// build.
 //
 //salient:noalloc
 func (s *Sampler) grabCnt(n int) []int32 {
@@ -426,28 +322,5 @@ func (s *Sampler) grabCnt(n int) []int32 {
 		s.phaseCnt = make([]int32, n)
 	}
 	s.phaseCnt = s.phaseCnt[:n]
-	return s.phaseCnt
-}
-
-func (s *Sampler) grabDstPtr(hop, n int) []int32 {
-	if s.cfg.Reuse == ReusePooledAll && cap(s.dstPtrs[hop]) >= n {
-		return s.dstPtrs[hop][:n]
-	}
-	return make([]int32, n)
-}
-
-func (s *Sampler) grabSrc(hop int) []int32 {
-	if s.cfg.Reuse == ReusePooledAll && s.srcBufs[hop] != nil {
-		return s.srcBufs[hop][:0]
-	}
-	return make([]int32, 0, 256)
-}
-
-func (s *Sampler) grabPhaseCnt(n int) []int32 {
-	if s.cfg.Reuse == ReusePooledAll && cap(s.phaseCnt) >= n {
-		s.phaseCnt = s.phaseCnt[:n]
-		return s.phaseCnt
-	}
-	s.phaseCnt = make([]int32, n)
 	return s.phaseCnt
 }

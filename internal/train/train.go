@@ -150,6 +150,7 @@ func (c *Config) normalize(ds *dataset.Dataset) error {
 		}
 		v := c.Graphs[0].View().Version()
 		for r, g := range c.Graphs {
+			//lint:allow snapshotpin config validation before any epoch: reads each replica's current version once, and the epoch pins its own views later
 			if gv := g.View().Version(); gv != v {
 				return fmt.Errorf("train: replica %d's graph view is at version %d, replica 0's at %d — one epoch must sample one version", r, gv, v)
 			}
