@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -79,15 +80,14 @@ func Sweep(o SamplerOpts) ([]SweepPoint, error) {
 		timesA[i] = measure(small.G, small.Train, cfg, o)
 		timesB[i] = measure(big.G, big.Train, cfg, o)
 	}
-	baseA := measure(small.G, small.Train, sampler.BaselineConfig(), o)
-	baseB := measure(big.G, big.Train, sampler.BaselineConfig(), o)
-
+	// The baseline is one of the swept configs: divide by its own entry.
+	base := slices.Index(cfgs, sampler.BaselineConfig())
 	out := make([]SweepPoint, len(cfgs))
 	for i, cfg := range cfgs {
 		out[i] = SweepPoint{
 			Config:   cfg,
-			SpeedupA: baseA / timesA[i],
-			SpeedupB: baseB / timesB[i],
+			SpeedupA: timesA[base] / timesA[i],
+			SpeedupB: timesB[base] / timesB[i],
 		}
 	}
 	return out, nil
@@ -139,11 +139,9 @@ func Fig2(o SamplerOpts) (Table, error) {
 	}
 	t.AddNote("top 12 of %d configurations shown; full scatter via salient fig2 -all", len(points))
 
-	fast := findPoint(points, sampler.FastConfig())
-	base := findPoint(points, sampler.BaselineConfig())
+	fast := points[slices.IndexFunc(points, func(p SweepPoint) bool { return p.Config == sampler.FastConfig() })]
 	t.AddNote("SALIENT tuned config: %.2fx / %.2fx (paper: ~2.5x end-to-end per Table 2)",
 		fast.SpeedupA, fast.SpeedupB)
-	t.AddNote("baseline config sanity: %.2fx / %.2fx (should be ~1.0)", base.SpeedupA, base.SpeedupB)
 
 	mapGain := axisEffect(points, func(c sampler.Config) (bool, sampler.Config) {
 		if c.IDMap != sampler.IDMapStd {
@@ -164,16 +162,6 @@ func Fig2(o SamplerOpts) (Table, error) {
 	t.AddNote("flat hash map vs std map, matched pairs: %.2fx mean (paper: ~2x)", mapGain)
 	t.AddNote("array set vs flat hash set, matched pairs: %.2fx mean (paper: +17%%)", setGain)
 	return t, nil
-}
-
-// findPoint locates a configuration in the sweep.
-func findPoint(points []SweepPoint, cfg sampler.Config) SweepPoint {
-	for _, p := range points {
-		if p.Config == cfg {
-			return p
-		}
-	}
-	return SweepPoint{}
 }
 
 // axisEffect computes the mean matched-pair speedup of changing one design

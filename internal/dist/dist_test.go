@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -474,5 +475,36 @@ func TestClusterPeerDropMidEpochTyped(t *testing.T) {
 		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("distributed epoch hung after peer drop")
+	}
+}
+
+// TestClusterCloseLeavesNoGoroutines: a cluster over loopback and over TCP,
+// after one remote gather per part, stops every goroutine it started (TCP
+// accept loops and per-connection servers) by the time Close returns.
+func TestClusterCloseLeavesNoGoroutines(t *testing.T) {
+	ds := distDS(t)
+	lists, seeds := sampleLists(t, ds, 1, 64)
+	for _, tcp := range []bool{false, true} {
+		base := runtime.NumGoroutine()
+		c, err := NewCluster(ds, ClusterOptions{Parts: 2, TCP: tcp, CacheRows: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < 2; r++ {
+			buf := slicing.NewPinned(len(lists[0]), ds.FeatDim, seeds[0])
+			if err := c.Remote(r).Gather(buf, lists[0], seeds[0]); err != nil {
+				t.Fatalf("tcp=%v part %d: %v", tcp, r, err)
+			}
+		}
+		c.Close()
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				buf = buf[:runtime.Stack(buf, true)]
+				t.Fatalf("tcp=%v: %d goroutines after Close, %d before NewCluster:\n%s", tcp, runtime.NumGoroutine(), base, buf)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 	}
 }

@@ -1,16 +1,18 @@
 // Package event provides a deterministic virtual-time resource algebra for
 // modeling execution timelines: serial resources (a GPU stream, a data bus,
 // the Python main thread) and worker pools (sampling workers) onto which
-// tasks with known durations are scheduled.
+// tasks with known durations are scheduled. It also provides Hist, the
+// bounded histogram that summarizes measured wall-clock distributions
+// (serving latencies and batch occupancies).
 //
-// This is the substrate for the paper's timing experiments. The host running
-// this reproduction has a single CPU core, so wall-clock measurements cannot
-// exhibit the multi-worker and multi-GPU behaviour the paper studies;
-// instead, pipeline structure is modeled in virtual time with calibrated
-// durations (see internal/device), which reproduces overlap, blocking and
-// scaling behaviour deterministically.
+// The resources are the substrate for the paper's timing experiments. The
+// host running this reproduction has a single CPU core, so wall-clock
+// measurements cannot exhibit the multi-worker and multi-GPU behaviour the
+// paper studies; instead, pipeline structure is modeled in virtual time with
+// calibrated durations (see internal/device), which reproduces overlap,
+// blocking and scaling behaviour deterministically.
 //
-// All times are float64 seconds from epoch start.
+// All virtual times are float64 seconds from epoch start.
 package event
 
 // Serial is a resource that executes one task at a time, in submission

@@ -138,7 +138,7 @@ type Fleet struct {
 	rr atomic.Uint64 // random-routing draw counter
 
 	statsMu sync.Mutex
-	latency event.Recorder        // fleet-level submit->answer latency, seconds
+	latency event.Hist            // fleet-level submit->answer latency, seconds
 	sheds   [numShedReasons]int64 // router admission refusals by reason
 	routed  []int64               // successful answers per replica
 }
@@ -379,7 +379,7 @@ func (f *Fleet) closeReplicas() {
 // rows and memoized results stay.
 func (f *Fleet) ResetStats() {
 	f.statsMu.Lock()
-	f.latency = event.Recorder{}
+	f.latency.Reset()
 	f.sheds = [numShedReasons]int64{}
 	for i := range f.routed {
 		f.routed[i] = 0

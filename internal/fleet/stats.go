@@ -27,7 +27,8 @@ type Stats struct {
 	DeadlineSheds int64
 
 	// Fleet-boundary latency (includes result-memo hits, excludes shed
-	// requests — they have no answer to time).
+	// requests — they have no answer to time), summarized from a bounded
+	// event.Hist: Count, Mean and Max exact, quantiles within 2^-6 below.
 	Latency event.Summary
 
 	// Router admission refusals by reason (requests that never reached a

@@ -36,10 +36,12 @@ func (s *stdMapper) GetOrAssign(global int32) int32 {
 func (s *stdMapper) Len() int32 { return s.next }
 
 func (s *stdMapper) Reset(expected int) {
-	// The baseline allocates a fresh table per batch; pooled reuse clears it.
-	if s.m == nil || len(s.m) > 0 {
+	// The baseline gets a fresh mapper, and so a fresh table, per batch;
+	// pooled reuse clears the table in place.
+	if s.m == nil {
 		s.m = make(map[int32]int32, expected)
 	}
+	clear(s.m)
 	s.next = 0
 }
 

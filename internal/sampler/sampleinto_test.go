@@ -217,8 +217,9 @@ func TestSampleReuseAxisGovernsAllocation(t *testing.T) {
 			}
 			prev = a
 		}
-	}
-	if a := allocs(FastConfig()); a != 0 {
-		t.Fatalf("steady-state Sample(FastConfig) allocates %.1f objects/batch, want 0", a)
+		// Fully pooled, every config reuses every buffer and table.
+		if prev != 0 {
+			t.Errorf("steady-state Sample(%v) allocates %.1f objects/batch, want 0", cfg, prev)
+		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"salient/internal/race"
 )
 
 // TestPredictReqExpiredDeadlineShedsBeforeEnqueue: a request already past
@@ -61,6 +63,47 @@ func TestEstimateServiceTime(t *testing.T) {
 	}
 	if max := s.Stats().Latency.Max; est > time.Duration(max*float64(time.Second))+time.Millisecond {
 		t.Fatalf("p95 estimate %v exceeds observed max latency %.3fs", est, max)
+	}
+	s.ResetStats()
+	if est := s.EstimateServiceTime(); est != 0 {
+		t.Fatalf("estimate after ResetStats = %v, want 0", est)
+	}
+}
+
+// TestServiceEstimateFollowsRecentAnswers: the service window forgets old
+// answers. After 300 slow answers and then 512 fast ones, both halves of the
+// window hold only fast answers, so the p95 estimate is the fast latency;
+// reading it allocates nothing, and ResetStats zeroes it.
+func TestServiceEstimateFollowsRecentAnswers(t *testing.T) {
+	ds, tr := fitted(t)
+	s, err := New(tr.Model, ds, Options{Fanouts: serveFanouts, Seed: serveSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	record := func(n int, lat time.Duration) {
+		s.statsMu.Lock()
+		defer s.statsMu.Unlock()
+		for i := 0; i < n; i++ {
+			s.recordLatency(lat.Seconds())
+		}
+	}
+	record(300, 10*time.Millisecond)
+	if est := s.EstimateServiceTime(); est < 9*time.Millisecond {
+		t.Fatalf("estimate after 300 slow answers = %v, want about 10ms", est)
+	}
+	record(512, time.Millisecond)
+	if est := s.EstimateServiceTime(); est > time.Millisecond {
+		t.Fatalf("estimate after 512 fast answers = %v, want <= 1ms (slow answers forgotten)", est)
+	}
+	if got := s.Stats().Latency.Count; got != 812 {
+		t.Fatalf("lifetime latency count = %d, want all 812 answers", got)
+	}
+	if !race.Enabled {
+		if a := testing.AllocsPerRun(100, func() { s.EstimateServiceTime() }); a != 0 {
+			t.Fatalf("EstimateServiceTime allocates %v per call, want 0", a)
+		}
 	}
 	s.ResetStats()
 	if est := s.EstimateServiceTime(); est != 0 {

@@ -236,6 +236,8 @@ type Stats struct {
 	// Rejected, which counts capacity refusals at admission.
 	DeadlineSheds int64
 
+	// Bounded event.Hist summaries since New or ResetStats: Count, Mean and
+	// Max exact, quantiles at most 2^-6 below exact (occupancies exact).
 	Latency   event.Summary // per-request submit→answer latency, seconds
 	Occupancy event.Summary // requests per micro-batch
 
@@ -313,12 +315,11 @@ type Server struct {
 	served    int64
 	batches   int64
 	deadlined int64 // accepted requests shed because their deadline expired
-	latency   event.Recorder
-	occupancy event.Recorder
-	// svc holds the most recent per-request submit->answer latencies; its
-	// p95 is the live service-time estimate fleet admission consults for
-	// deadline feasibility (EstimateServiceTime).
-	svc *event.Window
+	latency   event.Hist
+	occupancy event.Hist
+	// svc is the two-half service window (recordLatency, EstimateServiceTime).
+	svc    [2]event.Hist
+	svcCur int
 
 	// gate orders PredictReq's send against Close: it sends under the read
 	// lock, and Close flips closing and closes reqs under the write lock, so
@@ -344,7 +345,6 @@ func New(m nn.Model, ds *dataset.Dataset, opts Options) (*Server, error) {
 		ds:    ds,
 		opts:  opts,
 		reqs:  make(chan *request, opts.QueueCapacity),
-		svc:   event.NewWindow(serviceWindow),
 	}
 	if opts.Graph != nil {
 		s.topo = opts.Graph
@@ -393,20 +393,35 @@ func New(m nn.Model, ds *dataset.Dataset, opts Options) (*Server, error) {
 	return s, nil
 }
 
-// serviceWindow is how many recent request latencies feed the live
-// service-time estimate: large enough to smooth micro-batch granularity,
-// small enough to track load shifts within a few hundred requests.
+// serviceWindow is the size of each half of the service window, so the live
+// service-time estimate covers the last 256-512 answers: enough to smooth
+// micro-batch granularity, few enough to track load shifts quickly.
 const serviceWindow = 256
 
-// EstimateServiceTime returns the p95 of the most recent requests'
-// submit->answer latencies — the server's live service-time estimate. A
-// request whose deadline is closer than this provably (to p95 confidence)
-// cannot be met, which is the admission layer's shed criterion. Returns 0
-// when no request has completed yet (callers should admit on no-signal).
+// EstimateServiceTime returns the p95 (to the event.Hist bucket bound) of
+// the last 256-512 requests' submit->answer latencies — the server's live
+// service-time estimate. A request whose deadline is closer than this
+// cannot be met to p95 confidence, which is the admission layer's shed
+// criterion. Returns 0 when no request has completed yet (callers should
+// admit on no-signal). It allocates nothing.
 func (s *Server) EstimateServiceTime() time.Duration {
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
-	return time.Duration(s.svc.Quantile(0.95) * float64(time.Second))
+	recent := s.svc[0]
+	recent.Merge(&s.svc[1])
+	return time.Duration(recent.Quantile(0.95) * float64(time.Second))
+}
+
+// recordLatency records one answer's submit->answer latency, in seconds.
+// Once the current half of the service window holds serviceWindow samples,
+// the other half is reset and becomes current. The caller holds statsMu.
+func (s *Server) recordLatency(lat float64) {
+	s.latency.Add(lat)
+	if s.svc[s.svcCur].Count() == serviceWindow {
+		s.svcCur ^= 1
+		s.svc[s.svcCur].Reset()
+	}
+	s.svc[s.svcCur].Add(lat)
 }
 
 // QueueDepth returns the instantaneous (advisory) number of requests
@@ -770,9 +785,7 @@ func (s *Server) execute(ws *workerState, batch []*request) {
 	s.served += int64(len(batch))
 	s.occupancy.Add(float64(len(batch)))
 	for _, req := range batch {
-		lat := now.Sub(req.enq).Seconds()
-		s.latency.Add(lat)
-		s.svc.Add(lat)
+		s.recordLatency(now.Sub(req.enq).Seconds())
 	}
 	s.statsMu.Unlock()
 
@@ -890,16 +903,16 @@ func mergedFrontierPos(slots []mfg.MFG, req, loc int) int {
 	panic("serve: frontier position out of range") //lint:allow panicdiscipline the truncate hook is consulted only for level-1 frontier entries, so an overflow here is a sampler/merge invariant violation
 }
 
-// ResetStats zeroes the server's counters and latency/occupancy recorders
+// ResetStats zeroes the server's counters and latency/occupancy histograms
 // along with the feature store's transfer accounting and the embedding
 // cache's counters — the warm-up/measure seam benchmarks cut on. Cached
 // rows and embeddings stay resident.
 func (s *Server) ResetStats() {
 	s.statsMu.Lock()
 	s.submitted, s.rejected, s.served, s.batches, s.deadlined = 0, 0, 0, 0, 0
-	s.latency = event.Recorder{}
-	s.occupancy = event.Recorder{}
-	s.svc.Reset()
+	s.latency.Reset()
+	s.occupancy.Reset()
+	s.svc = [2]event.Hist{}
 	s.statsMu.Unlock()
 	s.store.ResetStats()
 	if s.emb != nil {

@@ -200,14 +200,23 @@ func enqueue(t *testing.T, s *Server, v int32, done chan result) *request {
 
 // holdWorker queues a blocker whose unbuffered done channel holds the worker
 // that takes it in delivery until the test reads the answer, and returns
-// once a worker has taken it. With Workers: 1, whatever is queued next waits
-// behind the blocker, whatever the Go scheduler does: on one processor a
-// closed-loop submitter can otherwise be served before the next one runs,
-// and no backlog ever forms.
+// once that worker has closed the blocker's micro-batch (it counts a batch
+// only after draining the queue into it). With Workers: 1, whatever is
+// queued next waits behind the blocker, whatever the Go scheduler does: on
+// one processor a closed-loop submitter can otherwise be served before the
+// next one runs, and no backlog ever forms. Waiting only for the queue to
+// empty is not enough: requests queued while the worker drains would join
+// the blocker's batch.
 func holdWorker(t *testing.T, s *Server, v int32) *request {
 	t.Helper()
+	batches := func() int64 {
+		s.statsMu.Lock()
+		defer s.statsMu.Unlock()
+		return s.batches
+	}
+	before := batches()
 	blocker := enqueue(t, s, v, make(chan result))
-	for deadline := time.Now().Add(30 * time.Second); len(s.reqs) > 0; {
+	for deadline := time.Now().Add(30 * time.Second); batches() == before; {
 		if time.Now().After(deadline) {
 			t.Fatal("worker never took the blocking request")
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -350,5 +351,34 @@ func TestClosedConnTyped(t *testing.T) {
 		if k, ok := KindOf(err); !ok || k != ErrClosed {
 			t.Fatalf("%s: fetch after close: got %v, want typed closed", name, err)
 		}
+	}
+}
+
+// TestTCPCloseLeavesNoGoroutines: after a round trip and both Closes, the
+// server's accept loop and per-connection goroutine have exited.
+func TestTCPCloseLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	srv, err := ListenAndServe("127.0.0.1:0", &stubHandler{dim: 4, n: 100, prec: half.FP16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc, err := DialTCP(srv.Addr(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows Rows
+	if _, err := tc.FetchRows([]int32{1, 2, 3}, &rows); err != nil {
+		t.Fatal(err)
+	}
+	tc.Close()
+	srv.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("%d goroutines after Close, %d before ListenAndServe:\n%s", runtime.NumGoroutine(), base, buf)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
